@@ -2,10 +2,15 @@
  * @file
  * google-benchmark microbenchmarks for the library's hot kernels: the
  * event calendar, the distributed router's availability pass, the
- * gate-level fabric settle loop, and the Markov solvers.
+ * gate-level fabric settle loop, the Markov solvers, and the per-event
+ * cost of the simulation path against system size.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <chrono>
+#include <string>
 
 #include "common/rng.hpp"
 #include "des/simulator.hpp"
@@ -316,10 +321,8 @@ BM_PartitionedDes(benchmark::State &state)
     // Parallel-in-run DES on a large-p SBUS system: the arg is the
     // shard count (1 = the serial oracle).  Every shard count computes
     // the bit-identical result, so the ratio between the /1 and /4
-    // rows is the pure engine speedup.  At this p the win has two
-    // parts: threads, plus the smaller per-shard calendars (cheaper
-    // slab operations), which is why /4 beats /1 by >2x even on a
-    // single-CPU host.
+    // rows is the pure engine speedup: threads, less the barrier cost
+    // of each window, plus slightly cheaper per-shard calendars.
     const auto shards = static_cast<std::size_t>(state.range(0));
     const auto cfg = SystemConfig::parse("16384/1024x1x1 SBUS/2");
     workload::WorkloadParams params;
@@ -364,6 +367,49 @@ BM_EndToEndOmegaSimulation(benchmark::State &state)
     }
 }
 BENCHMARK(BM_EndToEndOmegaSimulation);
+
+void
+BM_DispatchScaling(benchmark::State &state)
+{
+    // Cost of the simulation path per fired event as the system grows:
+    // p processors on p/n networks of n ports, p/(p/n)xnxn OMEGA/2 at
+    // rho 0.7, ratio 0.1.  Dispatch is event-local, so with n fixed the
+    // cost should stay flat in p; with one network of n ports it grows
+    // with the 2n-1 availability registers each claim and release
+    // refreshes.  Construction (the reachability tables) is not timed.
+    const auto p = static_cast<std::size_t>(state.range(0));
+    const auto n = static_cast<std::size_t>(state.range(1));
+    const auto cfg = SystemConfig::parse(
+        std::to_string(p) + "/" + std::to_string(p / n) + "x" +
+        std::to_string(n) + "x" + std::to_string(n) + " OMEGA/2");
+    workload::WorkloadParams params;
+    params.muN = 1.0;
+    params.muS = 0.1;
+    params.lambda = lambdaForRho(cfg, 0.7, params.muN, params.muS);
+    SimOptions opts;
+    opts.seed = 3;
+    opts.measureTasks = std::max<std::uint64_t>(20000, 20 * p);
+    opts.warmupTasks = opts.measureTasks / 10;
+    std::uint64_t fired = 0;
+    double seconds = 0.0;
+    for (auto _ : state) {
+        const auto system = makeSystem(cfg, params, opts);
+        const auto start = std::chrono::steady_clock::now();
+        const SimResult res = system->run();
+        const std::chrono::duration<double> took =
+            std::chrono::steady_clock::now() - start;
+        benchmark::DoNotOptimize(res.kernel.fired);
+        state.SetIterationTime(took.count());
+        seconds += took.count();
+        fired += res.kernel.fired;
+    }
+    state.counters["ns_per_event"] =
+        1e9 * seconds / static_cast<double>(std::max<std::uint64_t>(fired, 1));
+}
+BENCHMARK(BM_DispatchScaling)
+    ->Args({16, 16})->Args({256, 16})->Args({1024, 16})->Args({4096, 16})
+    ->Args({256, 256})->Args({1024, 1024})
+    ->Unit(benchmark::kMillisecond)->UseManualTime();
 
 } // namespace
 

@@ -10,8 +10,9 @@
  * not run: the same cross-class comparison at p = 131072 processors
  * (p >= 1e5) for workload ratios 0.1 and 10, executed through the
  * partitioned DES engine.  Pass --jobs N --shards N (or --shards 0)
- * to spread each run over N calendar shards; SBUS rows are
- * bit-identical at any shard count.  The table reports wall-clock and
+ * to spread each run over N calendar shards; every row uses the
+ * default arbitration and routing policy, so rows are bit-identical at
+ * any shard count.  The table reports wall-clock and
  * event throughput next to the delay so the scaling is visible.
  */
 

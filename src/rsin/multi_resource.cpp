@@ -110,7 +110,7 @@ MultiResourceCrossbarSystem::startTransfer(std::size_t proc,
         p.transmitting = false;
         if (p.heldBuses.size() == multi_.resourcesPerRequest)
             beginServicePhase(proc);
-        dispatch();
+        dispatchNetwork();
     });
 }
 
@@ -140,7 +140,7 @@ MultiResourceCrossbarSystem::beginServicePhase(std::size_t proc)
         for (std::size_t bus : held)
             ++freeRes_[bus];
         completeTask(std::move(task));
-        dispatch();
+        dispatchNetwork();
     });
 }
 
@@ -175,8 +175,9 @@ MultiResourceCrossbarSystem::checkDeadlock()
     }
     if (!any_blocked_holder)
         return false;
-    // Could anyone make progress right now?  (dispatch() just tried
-    // and failed before calling us, so holders are genuinely stuck.)
+    // Could anyone make progress right now?  (dispatchNetwork() just
+    // tried and failed before calling us, so holders are genuinely
+    // stuck.)
     ++stats_.deadlocksDetected;
     if (multi_.recovery == DeadlockRecovery::Abort) {
         noteSaturated();
@@ -199,7 +200,13 @@ MultiResourceCrossbarSystem::checkDeadlock()
 }
 
 void
-MultiResourceCrossbarSystem::dispatch()
+MultiResourceCrossbarSystem::onArrival(std::size_t)
+{
+    dispatchNetwork();
+}
+
+void
+MultiResourceCrossbarSystem::dispatchNetwork()
 {
     for (;;) {
         bool progress = true;

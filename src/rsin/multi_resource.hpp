@@ -79,9 +79,13 @@ class MultiResourceCrossbarSystem : public SystemSimulation
     const MultiResourceStats &multiStats() const { return stats_; }
 
   protected:
-    void dispatch() override;
+    void onArrival(std::size_t proc) override;
 
   private:
+    /** Start everything the state permits (the model has one network,
+     *  so every event re-dispatches all of it). */
+    void dispatchNetwork();
+
     /** A task mid-acquisition at its processor. */
     struct Pending
     {

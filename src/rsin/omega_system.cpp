@@ -21,6 +21,7 @@ OmegaSystem::OmegaSystem(const SystemConfig &config,
                           ? topology::MultistageKind::Omega
                           : topology::MultistageKind::IndirectCube;
 
+    inputsPerNet_ = config.inputsPerNet;
     nets_.resize(config.networks);
     for (std::size_t n = 0; n < nets_.size(); ++n) {
         Net &net = nets_[n];
@@ -56,6 +57,9 @@ OmegaSystem::OmegaSystem(const SystemConfig &config,
             *net.topo, omegaOptions_.policy);
         net.clocked = std::make_unique<sched::ClockedOmegaScheduler>(
             *net.topo, omegaOptions_.policy);
+        if (omegaOptions_.scheduling == OmegaScheduling::Distributed)
+            net.avail = std::make_unique<sched::AvailabilityRegisters>(
+                *net.circuit, *net.pool);
         if (omegaOptions_.modelReturnNetwork) {
             net.returnCircuit =
                 std::make_unique<topology::CircuitState>(*net.topo);
@@ -71,10 +75,9 @@ OmegaSystem::OmegaSystem(const SystemConfig &config,
 }
 
 void
-OmegaSystem::dispatch()
+OmegaSystem::onArrival(std::size_t proc)
 {
-    for (auto &net : nets_)
-        dispatchNet(net);
+    dispatchNet(nets_[proc / inputsPerNet_]);
 }
 
 std::optional<sched::RouteResult>
@@ -84,8 +87,8 @@ OmegaSystem::scheduleRequest(Net &net, std::size_t input, std::size_t type)
       case OmegaScheduling::DistributedClocked:
         RSIN_PANIC("scheduleRequest: clocked mode dispatches in batches");
       case OmegaScheduling::Distributed:
-        return net.router->tryRoute(*net.circuit, *net.pool, input, rng(),
-                                    type);
+        return net.router->tryRoute(*net.avail, *net.circuit, *net.pool,
+                                    input, rng(), type);
       case OmegaScheduling::AddressRandomFree: {
         // Centralized scheduler: pick a random output that has a free
         // resource of the right type, then route by destination tag.
@@ -120,11 +123,11 @@ OmegaSystem::dispatchNetClocked(Net &net)
     // fabric together and contend through stale status, rejects and
     // reroutes; the round's ticks are instantaneous in simulated time
     // (assumption (c): negligible propagation delay).
+    const std::size_t last = net.firstProcessor + net.topo->size();
     std::vector<std::size_t> sources;
-    for (std::size_t input = 0; input < net.topo->size(); ++input) {
-        if (processorReady(net.firstProcessor + input))
-            sources.push_back(input);
-    }
+    for (std::size_t proc = nextReady(net.firstProcessor, last);
+         proc < last; proc = nextReady(proc + 1, last))
+        sources.push_back(proc - net.firstProcessor);
     if (sources.empty())
         return;
     const auto round = net.clocked->scheduleRound(*net.circuit, *net.pool,
@@ -150,13 +153,11 @@ OmegaSystem::dispatchNet(Net &net)
         dispatchNetClocked(net);
         return;
     }
-    const std::size_t size = net.topo->size();
-    for (std::size_t input = 0; input < size; ++input) {
-        const std::size_t proc = net.firstProcessor + input;
-        if (!processorReady(proc))
-            continue;
+    const std::size_t last = net.firstProcessor + net.topo->size();
+    for (std::size_t proc = nextReady(net.firstProcessor, last);
+         proc < last; proc = nextReady(proc + 1, last)) {
         const std::size_t type = headTask(proc).resourceType;
-        auto route = scheduleRequest(net, input, type);
+        auto route = scheduleRequest(net, proc - net.firstProcessor, type);
         if (!route) {
             noteRejection();
             continue;
@@ -179,16 +180,23 @@ OmegaSystem::startOn(Net &net, std::size_t proc, sched::RouteResult route)
         // Data delivered: tear the circuit down; the resource keeps
         // serving after the disconnection (the RSIN property).
         net.circuit->release(route.path);
+        if (net.avail)
+            net.avail->refresh(route.outputPort);
         endTransmission(proc);
         task.transmitEnd = sim().now();
         sim().schedule(task.serviceTime,
                        [this, &net, resource = route.resource,
                         task = std::move(task)]() mutable {
                            net.pool->release(resource);
+                           if (net.avail)
+                               net.avail->refresh(
+                                   resource.port,
+                                   net.pool->typeOf(resource.port,
+                                                    resource.index));
                            finishService(net, std::move(task));
-                           dispatch();
+                           dispatchNet(net);
                        });
-        dispatch();
+        dispatchNet(net);
     });
 }
 

@@ -84,7 +84,7 @@ class OmegaSystem : public SystemSimulation
                 const ShardContext &shard = {});
 
   protected:
-    void dispatch() override;
+    void onArrival(std::size_t proc) override;
 
   private:
     struct Net
@@ -94,6 +94,9 @@ class OmegaSystem : public SystemSimulation
         std::unique_ptr<topology::CircuitState> circuit;
         std::unique_ptr<sched::ResourcePool> pool;
         std::unique_ptr<sched::OmegaRouter> router;
+        /** Current availability counts (Distributed scheduling only):
+         *  refreshed on every claim and release in this network. */
+        std::unique_ptr<sched::AvailabilityRegisters> avail;
         std::unique_ptr<sched::ClockedOmegaScheduler> clocked;
         /** Return path (only when modelReturnNetwork is set). */
         std::unique_ptr<topology::CircuitState> returnCircuit;
@@ -111,6 +114,7 @@ class OmegaSystem : public SystemSimulation
     void startOn(Net &net, std::size_t proc, sched::RouteResult route);
 
     std::vector<Net> nets_;
+    std::size_t inputsPerNet_ = 1;
     OmegaOptions omegaOptions_;
 };
 

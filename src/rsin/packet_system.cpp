@@ -47,11 +47,17 @@ PacketOmegaSystem::networkStats() const
 }
 
 void
-PacketOmegaSystem::dispatch()
+PacketOmegaSystem::onArrival(std::size_t)
 {
-    for (std::size_t proc = 0; proc < processors(); ++proc) {
-        if (!processorReady(proc))
-            continue;
+    dispatchNetwork();
+}
+
+void
+PacketOmegaSystem::dispatchNetwork()
+{
+    const std::size_t last = processors();
+    for (std::size_t proc = nextReady(0, last); proc < last;
+         proc = nextReady(proc + 1, last)) {
         // Centralized address mapping: a uniformly random output port
         // with a free resource.
         std::vector<std::size_t> frees;
@@ -96,7 +102,7 @@ PacketOmegaSystem::admit(std::size_t proc, std::size_t dst_port)
             // next task (the packet-switching analogue of the RSIN
             // disconnection property).
             endTransmission(proc);
-            dispatch();
+            dispatchNetwork();
         })
                                    : std::function<void()>());
     }
@@ -121,7 +127,7 @@ PacketOmegaSystem::packetDelivered(const packet::Packet &pkt)
                                       task = std::move(task)]() mutable {
         pool_->release(resource);
         completeTask(std::move(task));
-        dispatch();
+        dispatchNetwork();
     });
 }
 

@@ -51,9 +51,13 @@ class PacketOmegaSystem : public SystemSimulation
     const packet::NetworkStats &networkStats() const;
 
   protected:
-    void dispatch() override;
+    void onArrival(std::size_t proc) override;
 
   private:
+    /** Start everything the state permits (the model has one network,
+     *  so every event re-dispatches all of it). */
+    void dispatchNetwork();
+
     struct InFlight
     {
         workload::Task task;

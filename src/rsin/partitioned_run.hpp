@@ -7,13 +7,17 @@
  * merge that reduces shard logs into one global SimResult.
  *
  * Bit-exactness contract (the serial calendar stays the oracle): for
- * systems whose model consumes no master RNG during events -- SBUS --
- * a partitioned run reproduces the serial SimResult exactly, for any
- * shard count and any executor, because
+ * models that draw no master-RNG numbers during events -- SBUS, XBAR
+ * under IndexPriority, FifoArrival and GateLevel, OMEGA/CUBE under the
+ * MostResources and PreferUpper policies and address-first scheduling,
+ * without the return network -- a partitioned run reproduces the
+ * serial SimResult exactly, rejections included, for any shard count
+ * and any executor, because
  *
- *  - each shard owns whole networks, and networks never interact, so
- *    per-shard event sequences equal the serial per-network ones
- *    (same per-processor RNG streams, offset-aligned);
+ *  - each shard owns whole networks, networks never interact, and
+ *    dispatch is event-local (an event re-dispatches only its own
+ *    network), so per-shard event sequences equal the serial
+ *    per-network ones (same per-processor RNG streams, offset-aligned);
  *  - observations are merged by timestamp into the serial reduction
  *    order and fed to a fresh global MetricsCollector/TimeWeighted,
  *    so every floating-point accumulation happens in the serial order
@@ -25,10 +29,12 @@
  *    per-event kernel journals, and only observations at or before
  *    that cut are committed.
  *
- * XBAR/OMEGA models draw tie-break/routing randomness from a master
- * RNG whose interleaving depends on the event order inside one
- * calendar, so their partitioned runs are deterministic for a given
- * shard count but not bit-identical to the serial calendar.
+ * The modes that draw from the per-run master RNG -- XBAR RandomToken,
+ * the RandomTie policy, address-random and distributed-clocked
+ * scheduling, and the return network's transmit times -- interleave
+ * those draws in the event order of one calendar, so their partitioned
+ * runs are deterministic for a given shard count but not bit-identical
+ * to the serial calendar.
  */
 
 #include "common/parallel.hpp"

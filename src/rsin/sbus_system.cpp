@@ -28,31 +28,33 @@ SbusSystem::SbusSystem(const SystemConfig &config,
 }
 
 void
-SbusSystem::dispatch()
+SbusSystem::onArrival(std::size_t proc)
 {
-    for (std::size_t b = 0; b < buses_.size(); ++b) {
-        Bus &bus = buses_[b];
-        if (bus.transmitting || bus.busyResources >= bus.resources)
-            continue;
-        // Bus arbitration: the waiting task that arrived first wins
-        // (global FIFO within the partition, matching the pooled-queue
-        // Markov analysis of Section III).
-        std::size_t chosen = bus.lastProcessor;
-        double best_arrival = 0.0;
-        for (std::size_t proc = bus.firstProcessor;
-             proc < bus.lastProcessor; ++proc) {
-            if (!processorReady(proc))
-                continue;
-            const double arrival = headTask(proc).arrival;
-            if (chosen == bus.lastProcessor || arrival < best_arrival) {
-                chosen = proc;
-                best_arrival = arrival;
-            }
+    dispatchBus(busOf_[proc]);
+}
+
+void
+SbusSystem::dispatchBus(std::size_t bus_index)
+{
+    const Bus &bus = buses_[bus_index];
+    if (bus.transmitting || bus.busyResources >= bus.resources)
+        return;
+    // Bus arbitration: the waiting task that arrived first wins (global
+    // FIFO within the partition, matching the pooled-queue Markov
+    // analysis of Section III).
+    const std::size_t last = bus.lastProcessor;
+    std::size_t chosen = last;
+    double best_arrival = 0.0;
+    for (std::size_t proc = nextReady(bus.firstProcessor, last);
+         proc < last; proc = nextReady(proc + 1, last)) {
+        const double arrival = headTask(proc).arrival;
+        if (chosen == last || arrival < best_arrival) {
+            chosen = proc;
+            best_arrival = arrival;
         }
-        if (chosen == bus.lastProcessor)
-            continue;
-        startOn(b, chosen);
     }
+    if (chosen != last)
+        startOn(bus_index, chosen);
 }
 
 void
@@ -75,9 +77,9 @@ SbusSystem::startOn(std::size_t bus_index, std::size_t proc)
                        [this, bus_index, task = std::move(task)]() mutable {
                            --buses_[bus_index].busyResources;
                            completeTask(std::move(task));
-                           dispatch();
+                           dispatchBus(bus_index);
                        });
-        dispatch();
+        dispatchBus(bus_index);
     });
 }
 

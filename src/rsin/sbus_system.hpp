@@ -36,7 +36,7 @@ class SbusSystem : public SystemSimulation
     std::size_t partitions() const { return buses_.size(); }
 
   protected:
-    void dispatch() override;
+    void onArrival(std::size_t proc) override;
 
   private:
     struct Bus
@@ -48,6 +48,8 @@ class SbusSystem : public SystemSimulation
         std::size_t lastProcessor = 0;
     };
 
+    /** Start the next transmission on bus @p bus_index if it can. */
+    void dispatchBus(std::size_t bus_index);
     void startOn(std::size_t bus_index, std::size_t proc);
 
     std::vector<Bus> buses_;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "common/contract.hpp"
 #include "common/error.hpp"
@@ -42,12 +41,12 @@ SystemSimulation::SystemSimulation(std::size_t processors,
                                    const SimOptions &options,
                                    const ShardContext &shard)
     : params_(params), options_(options), rng_(options.seed),
-      shard_(shard)
+      queues_(processors), shard_(shard)
 {
     RSIN_REQUIRE(processors >= 1, "SystemSimulation: need a processor");
     params_.validate();
-    queues_.resize(processors);
     transmitting_.assign(processors, false);
+    ready_.assign((processors + 63) / 64, 0);
     sources_.reserve(processors);
     // A shard reproduces the serial run's per-processor RNG streams by
     // discarding the splits of the processors owned by earlier shards:
@@ -79,14 +78,61 @@ SystemSimulation::checkConservation() const
         " != completed ", completedCount(), " + queued ",
         queuedNow_, " + in-flight ", inFlight_);
     RSIN_INVARIANT(
-        queuedNow_ == std::accumulate(
-                          queues_.begin(), queues_.end(),
-                          std::size_t{0},
-                          [](std::size_t sum, const auto &queue) {
-                              return sum + queue.size();
-                          }),
-        "cached queue count ", queuedNow_,
+        queuedNow_ == queues_.total(), "cached queue count ", queuedNow_,
         " disagrees with the queues themselves");
+    RSIN_INVARIANT(
+        [this] {
+            for (std::size_t proc = 0; proc < processors(); ++proc)
+                if (processorReady(proc) !=
+                    (!transmitting_[proc] && queues_.size(proc) > 0))
+                    return false;
+            return true;
+        }(),
+        "the ready set disagrees with the queues and transmit flags");
+}
+
+std::size_t
+SystemSimulation::TaskQueues::total() const
+{
+    std::size_t sum = 0;
+    for (const Queue &queue : queues_)
+        sum += queue.size;
+    return sum;
+}
+
+void
+SystemSimulation::TaskQueues::push(std::size_t proc, workload::Task task)
+{
+    std::uint32_t node = freeNode_;
+    if (node != kNil) {
+        freeNode_ = nodes_[node].next;
+        nodes_[node] = {std::move(task), kNil};
+    } else {
+        RSIN_REQUIRE(nodes_.size() < kNil, "TaskQueues: too many tasks");
+        node = static_cast<std::uint32_t>(nodes_.size());
+        nodes_.push_back({std::move(task), kNil});
+    }
+    Queue &queue = queues_[proc];
+    if (queue.size == 0)
+        queue.head = node;
+    else
+        nodes_[queue.tail].next = node;
+    queue.tail = node;
+    ++queue.size;
+}
+
+workload::Task
+SystemSimulation::TaskQueues::pop(std::size_t proc)
+{
+    Queue &queue = queues_[proc];
+    RSIN_ASSERT(queue.size > 0, "TaskQueues::pop: empty queue");
+    const std::uint32_t node = queue.head;
+    workload::Task task = std::move(nodes_[node].task);
+    queue.head = nodes_[node].next;
+    --queue.size;
+    nodes_[node].next = freeNode_;
+    freeNode_ = node;
+    return task;
 }
 
 void
@@ -96,8 +142,10 @@ SystemSimulation::scheduleArrival(std::size_t proc)
     sim_.schedule(dt, [this, proc] {
         workload::Task task =
             sources_[proc].makeTask(sim_.now(), nextTaskId_++);
-        queues_[proc].push_back(std::move(task));
+        queues_.push(proc, std::move(task));
         ++queuedNow_;
+        if (!transmitting_[proc])
+            setReady(proc, true);
         if (shard_.capturing()) {
             // Log the step; the merge driver reconstructs the global
             // queue trace and detects global saturation.  The local
@@ -116,37 +164,30 @@ SystemSimulation::scheduleArrival(std::size_t proc)
         }
         checkConservation();
         scheduleArrival(proc);
-        dispatch();
+        onArrival(proc);
     });
-}
-
-bool
-SystemSimulation::processorReady(std::size_t proc) const
-{
-    RSIN_ASSERT(proc < queues_.size(), "processorReady: bad processor");
-    return !transmitting_[proc] && !queues_[proc].empty();
 }
 
 const workload::Task &
 SystemSimulation::headTask(std::size_t proc) const
 {
-    RSIN_ASSERT(proc < queues_.size() && !queues_[proc].empty(),
+    RSIN_ASSERT(proc < processors() && queues_.size(proc) > 0,
                 "headTask: empty queue");
-    return queues_[proc].front();
+    return queues_.front(proc);
 }
 
 bool
 SystemSimulation::queueEmpty(std::size_t proc) const
 {
-    RSIN_ASSERT(proc < queues_.size(), "queueEmpty: bad processor");
-    return queues_[proc].empty();
+    RSIN_ASSERT(proc < processors(), "queueEmpty: bad processor");
+    return queues_.size(proc) == 0;
 }
 
 std::size_t
 SystemSimulation::queueLength(std::size_t proc) const
 {
-    RSIN_ASSERT(proc < queues_.size(), "queueLength: bad processor");
-    return queues_[proc].size();
+    RSIN_ASSERT(proc < processors(), "queueLength: bad processor");
+    return queues_.size(proc);
 }
 
 std::size_t
@@ -159,8 +200,7 @@ workload::Task
 SystemSimulation::beginTransmission(std::size_t proc)
 {
     RSIN_ASSERT(processorReady(proc), "beginTransmission: not ready");
-    workload::Task task = std::move(queues_[proc].front());
-    queues_[proc].pop_front();
+    workload::Task task = queues_.pop(proc);
     --queuedNow_;
     if (shard_.capturing())
         shard_.log->queueChanges.push_back(
@@ -168,6 +208,7 @@ SystemSimulation::beginTransmission(std::size_t proc)
     else
         queueTrace_.record(sim_.now(), static_cast<double>(queuedNow_));
     transmitting_[proc] = true;
+    setReady(proc, false);
     task.transmitStart = sim_.now();
     ++inFlight_;
     checkConservation();
@@ -179,6 +220,7 @@ SystemSimulation::endTransmission(std::size_t proc)
 {
     RSIN_ASSERT(transmitting_[proc], "endTransmission: not transmitting");
     transmitting_[proc] = false;
+    setReady(proc, queues_.size(proc) > 0);
 }
 
 void
@@ -217,7 +259,7 @@ SystemSimulation::primePartitionedRun()
     RSIN_REQUIRE(shard_.capturing(),
                  "primePartitionedRun: only legal in capture mode");
     if (params_.lambda > 0.0) {
-        for (std::size_t proc = 0; proc < queues_.size(); ++proc)
+        for (std::size_t proc = 0; proc < processors(); ++proc)
             scheduleArrival(proc);
     }
 }
@@ -229,7 +271,7 @@ SystemSimulation::run()
                  "run: a capture-mode shard is driven through "
                  "primePartitionedRun and the partitioned driver");
     if (params_.lambda > 0.0) {
-        for (std::size_t proc = 0; proc < queues_.size(); ++proc)
+        for (std::size_t proc = 0; proc < processors(); ++proc)
             scheduleArrival(proc);
     }
     while (!done() && sim_.step()) {

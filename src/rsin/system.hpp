@@ -15,14 +15,19 @@
  *       extension lives in the Omega model);
  *   (f) a processor transmits one task at a time.
  *
- * Subclasses implement dispatch(): examine processor queues and the
- * network/resource state and start every transmission that can start.
- * The base class re-invokes dispatch() after every arrival and
- * completion, which models the broadcast of status-change information.
+ * Dispatch is event-local, as assumption (b) describes: a blocked task
+ * retries only when *its* network signals a status change.  The base
+ * class calls onArrival() with the processor a task just joined; each
+ * subclass re-dispatches the arriving processor's network there, and
+ * its completion handlers re-dispatch only the bus or network whose
+ * status they changed.  A network nothing happened to is never
+ * re-examined.  The base class keeps a bitset of ready processors (a
+ * task waiting, no transmission in progress) so dispatch loops visit
+ * only those, in ascending index order.
  */
 
+#include <bit>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -160,7 +165,7 @@ class SystemSimulation
     /** Execute the run and collect the result (serial mode only). */
     SimResult run();
 
-    std::size_t processors() const { return queues_.size(); }
+    std::size_t processors() const { return queues_.processors(); }
     const workload::WorkloadParams &params() const { return params_; }
 
     /** @name Partitioned-driver interface (capture mode only)
@@ -191,18 +196,49 @@ class SystemSimulation
 
   protected:
     /**
-     * Start every transmission the current state permits.  Called after
-     * each arrival and each completion event.
+     * A task just joined @p proc's queue: start every transmission the
+     * arrival permits in @p proc's network.
      */
-    virtual void dispatch() = 0;
+    virtual void onArrival(std::size_t proc) = 0;
 
     /** Simulated-time access for subclasses. */
     des::Simulator &sim() { return sim_; }
 
     /** Is a task waiting at this processor while the processor is idle? */
-    bool processorReady(std::size_t proc) const;
+    bool
+    processorReady(std::size_t proc) const
+    {
+        RSIN_ASSERT(proc < processors(), "processorReady: bad processor");
+        return (ready_[proc / 64] >> (proc % 64)) & 1U;
+    }
 
-    /** Oldest waiting task at @p proc (valid only if non-empty queue). */
+    /**
+     * The lowest ready processor in [@p from, @p last), or @p last if
+     * there is none.  Dispatch loops walk the ready set with it:
+     * `for (p = nextReady(first, last); p < last;
+     *      p = nextReady(p + 1, last))`.
+     */
+    std::size_t
+    nextReady(std::size_t from, std::size_t last) const
+    {
+        RSIN_ASSERT(last <= processors(), "nextReady: bad range");
+        if (from >= last)
+            return last;
+        std::size_t word = from / 64;
+        std::uint64_t bits =
+            ready_[word] & (~std::uint64_t{0} << (from % 64));
+        while (bits == 0) {
+            if (++word * 64 >= last)
+                return last;
+            bits = ready_[word];
+        }
+        const std::size_t proc =
+            word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        return proc < last ? proc : last;
+    }
+
+    /** Oldest waiting task at @p proc (valid only if non-empty queue);
+     *  the reference lasts until the next arrival anywhere. */
     const workload::Task &headTask(std::size_t proc) const;
 
     bool queueEmpty(std::size_t proc) const;
@@ -215,7 +251,8 @@ class SystemSimulation
      */
     workload::Task beginTransmission(std::size_t proc);
 
-    /** Mark the processor idle again (transmission finished). */
+    /** Mark the processor idle again (transmission finished); the
+     *  caller then re-dispatches the processor's network. */
     void endTransmission(std::size_t proc);
 
     /** Record a finished task; stamps serviceEnd = now. */
@@ -259,21 +296,80 @@ class SystemSimulation
     std::uint64_t completedCount() const;
     /**
      * Contract: tasks are conserved at every sample point --
-     * issued == completed + queued + in-flight -- and the cached
-     * queue count agrees with the queues themselves.  In-flight spans
+     * issued == completed + queued + in-flight -- the cached queue
+     * count agrees with the queues themselves, and the ready set holds
+     * exactly the idle processors with a waiting task.  In-flight spans
      * beginTransmission() to completeTask(): transmission, routing
      * retries and resource service, where the task travels inside
      * event captures that no container tracks.
      */
     void checkConservation() const;
+    /** Set or clear @p proc's bit in the ready set. */
+    void
+    setReady(std::size_t proc, bool ready)
+    {
+        const std::uint64_t bit = std::uint64_t{1} << (proc % 64);
+        if (ready)
+            ready_[proc / 64] |= bit;
+        else
+            ready_[proc / 64] &= ~bit;
+    }
+
+    /**
+     * The processors' FIFO queues of waiting tasks, linked through one
+     * shared node pool.  Freed nodes are reused first, so the nodes in
+     * use stay few and cache-resident however many processors there
+     * are; a std::deque per processor allocates a 512-byte block up
+     * front, and thousands of those no longer fit in L2.
+     */
+    class TaskQueues
+    {
+      public:
+        explicit TaskQueues(std::size_t processors) : queues_(processors) {}
+
+        std::size_t processors() const { return queues_.size(); }
+        std::size_t size(std::size_t proc) const { return queues_[proc].size; }
+        /** Tasks in all queues (walks every queue). */
+        std::size_t total() const;
+        /** Oldest task at @p proc; the queue must not be empty.  A
+         *  push may move the nodes, so the reference lasts until then. */
+        const workload::Task &
+        front(std::size_t proc) const
+        {
+            return nodes_[queues_[proc].head].task;
+        }
+        void push(std::size_t proc, workload::Task task);
+        /** Remove and return the oldest task at @p proc. */
+        workload::Task pop(std::size_t proc);
+
+      private:
+        static constexpr std::uint32_t kNil = UINT32_MAX;
+        struct Queue
+        {
+            std::uint32_t head = kNil;
+            std::uint32_t tail = kNil;
+            std::uint32_t size = 0;
+        };
+        struct Node
+        {
+            workload::Task task;
+            std::uint32_t next = kNil;
+        };
+
+        std::vector<Queue> queues_;
+        std::vector<Node> nodes_;
+        std::uint32_t freeNode_ = kNil; ///< head of the free-node list
+    };
 
     workload::WorkloadParams params_;
     SimOptions options_;
     des::Simulator sim_;
     Rng rng_;
     std::vector<workload::TaskSource> sources_;
-    std::vector<std::deque<workload::Task>> queues_;
+    TaskQueues queues_;
     std::vector<bool> transmitting_;
+    /** Ready set: bit p = !transmitting_[p] && queues_.size(p) > 0. */
+    std::vector<std::uint64_t> ready_;
     std::unique_ptr<workload::MetricsCollector> metrics_;
     std::uint64_t nextTaskId_ = 0;
     /** Tasks between beginTransmission() and completeTask(). */

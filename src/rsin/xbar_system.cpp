@@ -18,6 +18,7 @@ CrossbarSystem::CrossbarSystem(const SystemConfig &config,
     RSIN_REQUIRE(config.network == NetworkClass::Crossbar,
                  "CrossbarSystem: config is not an XBAR system: ",
                  config.str());
+    inputsPerNet_ = config.inputsPerNet;
     resourcesPerBus_ = config.resourcesPerPort;
     nets_.resize(config.networks);
     for (std::size_t n = 0; n < nets_.size(); ++n) {
@@ -32,10 +33,9 @@ CrossbarSystem::CrossbarSystem(const SystemConfig &config,
 }
 
 void
-CrossbarSystem::dispatch()
+CrossbarSystem::onArrival(std::size_t proc)
 {
-    for (auto &net : nets_)
-        dispatchNet(net);
+    dispatchNet(nets_[proc / inputsPerNet_]);
 }
 
 void
@@ -79,14 +79,10 @@ CrossbarSystem::dispatchNet(Net &net)
     // Keep pairing ready processors with eligible buses until one side
     // runs dry.  The crossbar is internally nonblocking, so any ready
     // processor can use any eligible bus.
+    const std::size_t last = net.lastProcessor;
     for (;;) {
-        std::vector<std::size_t> ready;
-        for (std::size_t proc = net.firstProcessor;
-             proc < net.lastProcessor; ++proc) {
-            if (processorReady(proc))
-                ready.push_back(proc);
-        }
-        if (ready.empty())
+        const std::size_t first_ready = nextReady(net.firstProcessor, last);
+        if (first_ready == last)
             return;
         std::size_t bus_index = net.buses.size();
         for (std::size_t b = 0; b < net.buses.size(); ++b) {
@@ -100,14 +96,15 @@ CrossbarSystem::dispatchNet(Net &net)
         if (bus_index == net.buses.size())
             return;
 
-        std::size_t winner = ready.front();
+        std::size_t winner = first_ready;
         switch (arbitration_) {
           case XbarArbitration::IndexPriority:
-            // ready is already in ascending processor order.
+            // The ready set is walked in ascending processor order.
             break;
           case XbarArbitration::FifoArrival: {
             double best = headTask(winner).arrival;
-            for (std::size_t proc : ready) {
+            for (std::size_t proc = nextReady(first_ready + 1, last);
+                 proc < last; proc = nextReady(proc + 1, last)) {
                 const double arrival = headTask(proc).arrival;
                 if (arrival < best) {
                     best = arrival;
@@ -116,10 +113,17 @@ CrossbarSystem::dispatchNet(Net &net)
             }
             break;
           }
-          case XbarArbitration::RandomToken:
-            winner = ready[rng().uniformInt(
-                static_cast<std::uint64_t>(ready.size()))];
+          case XbarArbitration::RandomToken: {
+            std::size_t contenders = 0;
+            for (std::size_t proc = first_ready; proc < last;
+                 proc = nextReady(proc + 1, last))
+                ++contenders;
+            std::uint64_t pick = rng().uniformInt(
+                static_cast<std::uint64_t>(contenders));
+            while (pick-- > 0)
+                winner = nextReady(winner + 1, last);
             break;
+          }
           case XbarArbitration::GateLevel:
             RSIN_PANIC("dispatchNet: gate-level mode dispatches through "
                        "the fabric");
@@ -156,9 +160,9 @@ CrossbarSystem::startOn(Net &net, std::size_t bus_index, std::size_t proc)
                         task = std::move(task)]() mutable {
                            --net.buses[bus_index].busyResources;
                            completeTask(std::move(task));
-                           dispatch();
+                           dispatchNet(net);
                        });
-        dispatch();
+        dispatchNet(net);
     });
 }
 

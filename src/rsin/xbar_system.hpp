@@ -52,7 +52,7 @@ class CrossbarSystem : public SystemSimulation
                    const ShardContext &shard = {});
 
   protected:
-    void dispatch() override;
+    void onArrival(std::size_t proc) override;
 
   private:
     struct Bus
@@ -73,6 +73,7 @@ class CrossbarSystem : public SystemSimulation
     void startOn(Net &net, std::size_t bus_index, std::size_t proc);
 
     std::vector<Net> nets_;
+    std::size_t inputsPerNet_ = 1;
     std::size_t resourcesPerBus_ = 1;
     XbarArbitration arbitration_;
 };

@@ -49,6 +49,7 @@ MultistageNetwork::MultistageNetwork(MultistageKind kind, std::size_t size)
     RSIN_REQUIRE(kind != MultistageKind::Custom,
                  "MultistageNetwork: Custom requires explicit "
                  "permutations");
+    buildWiring();
     buildReachability();
 }
 
@@ -75,6 +76,7 @@ MultistageNetwork::MultistageNetwork(
             seen[pos] = true;
         }
     }
+    buildWiring();
     buildReachability();
 }
 
@@ -87,10 +89,9 @@ MultistageNetwork::shuffle(std::size_t link) const
 }
 
 std::size_t
-MultistageNetwork::stagePosition(std::size_t stage, std::size_t link) const
+MultistageNetwork::computePosition(std::size_t stage,
+                                   std::size_t link) const
 {
-    RSIN_ASSERT(stage < stages_ && link < n_,
-                "stagePosition: out of range");
     switch (kind_) {
       case MultistageKind::Omega:
         return shuffle(link);
@@ -106,26 +107,21 @@ MultistageNetwork::stagePosition(std::size_t stage, std::size_t link) const
       case MultistageKind::Custom:
         return customPerms_[stage][link];
     }
-    RSIN_PANIC("stagePosition: unknown kind");
+    RSIN_PANIC("computePosition: unknown kind");
 }
 
-std::size_t
-MultistageNetwork::boxOf(std::size_t stage, std::size_t link) const
+void
+MultistageNetwork::buildWiring()
 {
-    return stagePosition(stage, link) / 2;
-}
-
-std::size_t
-MultistageNetwork::portOf(std::size_t stage, std::size_t link) const
-{
-    return stagePosition(stage, link) % 2;
-}
-
-std::size_t
-MultistageNetwork::outputLink(std::size_t box, std::size_t q) const
-{
-    RSIN_ASSERT(box < boxesPerStage() && q < 2, "outputLink: out of range");
-    return box * 2 + q;
+    position_.assign(stages_ * n_, 0);
+    inputLink_.assign(stages_ * n_, 0);
+    for (std::size_t stage = 0; stage < stages_; ++stage) {
+        for (std::size_t link = 0; link < n_; ++link) {
+            const std::size_t pos = computePosition(stage, link);
+            position_[stage * n_ + link] = static_cast<std::uint32_t>(pos);
+            inputLink_[stage * n_ + pos] = static_cast<std::uint32_t>(link);
+        }
+    }
 }
 
 void
@@ -206,35 +202,26 @@ MultistageNetwork::path(std::size_t src, std::size_t dst) const
 }
 
 CircuitState::CircuitState(const MultistageNetwork &net)
-    : net_(&net),
-      busy_(net.stages() + 1, std::vector<bool>(net.size(), false))
+    : net_(&net), busy_((net.stages() + 1) * net.size(), 0)
 {
-}
-
-bool
-CircuitState::segmentFree(std::size_t boundary, std::size_t link) const
-{
-    RSIN_REQUIRE(boundary < busy_.size() && link < net_->size(),
-                 "segmentFree: out of range");
-    return !busy_[boundary][link];
 }
 
 void
 CircuitState::claimSegment(std::size_t boundary, std::size_t link)
 {
-    RSIN_REQUIRE(boundary < busy_.size() && link < net_->size(),
+    RSIN_REQUIRE(boundary <= net_->stages() && link < net_->size(),
                  "claimSegment: out of range");
-    RSIN_REQUIRE(!busy_[boundary][link], "claimSegment: already busy");
-    busy_[boundary][link] = true;
+    RSIN_REQUIRE(!busy(boundary, link), "claimSegment: already busy");
+    busy(boundary, link) = 1;
 }
 
 void
 CircuitState::releaseSegment(std::size_t boundary, std::size_t link)
 {
-    RSIN_REQUIRE(boundary < busy_.size() && link < net_->size(),
+    RSIN_REQUIRE(boundary <= net_->stages() && link < net_->size(),
                  "releaseSegment: out of range");
-    RSIN_REQUIRE(busy_[boundary][link], "releaseSegment: not busy");
-    busy_[boundary][link] = false;
+    RSIN_REQUIRE(busy(boundary, link), "releaseSegment: not busy");
+    busy(boundary, link) = 0;
 }
 
 void
@@ -243,8 +230,9 @@ CircuitState::claim(const std::vector<std::size_t> &path)
     RSIN_REQUIRE(path.size() == net_->stages() + 1,
                  "claim: path has wrong length");
     for (std::size_t b = 0; b < path.size(); ++b) {
-        RSIN_REQUIRE(!busy_[b][path[b]], "claim: segment already busy");
-        busy_[b][path[b]] = true;
+        RSIN_REQUIRE(path[b] < net_->size(), "claim: link out of range");
+        RSIN_REQUIRE(!busy(b, path[b]), "claim: segment already busy");
+        busy(b, path[b]) = 1;
     }
 }
 
@@ -254,8 +242,9 @@ CircuitState::release(const std::vector<std::size_t> &path)
     RSIN_REQUIRE(path.size() == net_->stages() + 1,
                  "release: path has wrong length");
     for (std::size_t b = 0; b < path.size(); ++b) {
-        RSIN_REQUIRE(busy_[b][path[b]], "release: segment not busy");
-        busy_[b][path[b]] = false;
+        RSIN_REQUIRE(path[b] < net_->size(), "release: link out of range");
+        RSIN_REQUIRE(busy(b, path[b]), "release: segment not busy");
+        busy(b, path[b]) = 0;
     }
 }
 
@@ -265,7 +254,7 @@ CircuitState::pathFree(const std::vector<std::size_t> &path) const
     RSIN_REQUIRE(path.size() == net_->stages() + 1,
                  "pathFree: path has wrong length");
     for (std::size_t b = 0; b < path.size(); ++b)
-        if (busy_[b][path[b]])
+        if (!segmentFree(b, path[b]))
             return false;
     return true;
 }
@@ -273,18 +262,14 @@ CircuitState::pathFree(const std::vector<std::size_t> &path) const
 std::size_t
 CircuitState::busySegments() const
 {
-    std::size_t n = 0;
-    for (const auto &row : busy_)
-        for (bool b : row)
-            n += b ? 1 : 0;
-    return n;
+    return static_cast<std::size_t>(
+        std::count(busy_.begin(), busy_.end(), std::uint8_t{1}));
 }
 
 void
 CircuitState::clear()
 {
-    for (auto &row : busy_)
-        std::fill(row.begin(), row.end(), false);
+    std::fill(busy_.begin(), busy_.end(), std::uint8_t{0});
 }
 
 } // namespace topology

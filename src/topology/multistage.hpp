@@ -21,8 +21,11 @@
  */
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
+
+#include "common/error.hpp"
 
 namespace rsin {
 namespace topology {
@@ -69,16 +72,48 @@ class MultistageNetwork
      * Inter-stage permutation: array position (box*2 + input port) that
      * boundary-@p stage link @p link feeds in stage @p stage.
      */
-    std::size_t stagePosition(std::size_t stage, std::size_t link) const;
+    std::size_t
+    stagePosition(std::size_t stage, std::size_t link) const
+    {
+        RSIN_ASSERT(stage < stages_ && link < n_,
+                    "stagePosition: out of range");
+        return position_[stage * n_ + link];
+    }
+
+    /**
+     * Inverse of stagePosition for stage @p stage: entry `position`
+     * (box*2 + input port) is the boundary-@p stage link feeding it
+     * (size() entries), for loops that walk the wiring backwards.
+     */
+    const std::uint32_t *
+    inputLinks(std::size_t stage) const
+    {
+        RSIN_ASSERT(stage < stages_, "inputLinks: out of range");
+        return inputLink_.data() + stage * n_;
+    }
 
     /** Box index receiving boundary-@p stage link @p link. */
-    std::size_t boxOf(std::size_t stage, std::size_t link) const;
+    std::size_t
+    boxOf(std::size_t stage, std::size_t link) const
+    {
+        return stagePosition(stage, link) / 2;
+    }
 
     /** Input port (0 = upper, 1 = lower) of that box. */
-    std::size_t portOf(std::size_t stage, std::size_t link) const;
+    std::size_t
+    portOf(std::size_t stage, std::size_t link) const
+    {
+        return stagePosition(stage, link) % 2;
+    }
 
     /** Boundary-(stage+1) link driven by box @p box output port @p q. */
-    std::size_t outputLink(std::size_t box, std::size_t q) const;
+    std::size_t
+    outputLink(std::size_t box, std::size_t q) const
+    {
+        RSIN_ASSERT(box < boxesPerStage() && q < 2,
+                    "outputLink: out of range");
+        return box * 2 + q;
+    }
 
     /**
      * The unique path from input @p src to output @p dst as the list of
@@ -104,12 +139,19 @@ class MultistageNetwork
                  std::size_t dst) const;
 
   private:
+    /** The wiring rule of kind_ (the tables below cache it). */
+    std::size_t computePosition(std::size_t stage, std::size_t link) const;
+    void buildWiring();
     void buildReachability();
 
     MultistageKind kind_;
     std::size_t n_;
     std::size_t stages_;
     std::vector<std::vector<std::size_t>> customPerms_; ///< Custom only
+    /** position_[stage * n + link] = stagePosition(stage, link). */
+    std::vector<std::uint32_t> position_;
+    /** inputLink_[stage * n + stagePosition(stage, l)] = l. */
+    std::vector<std::uint32_t> inputLink_;
     /** reach_[stage][link] = bitmask vector over outputs. */
     std::vector<std::vector<std::vector<bool>>> reach_;
 };
@@ -126,7 +168,22 @@ class CircuitState
 
     const MultistageNetwork &network() const { return *net_; }
 
-    bool segmentFree(std::size_t boundary, std::size_t link) const;
+    bool
+    segmentFree(std::size_t boundary, std::size_t link) const
+    {
+        RSIN_REQUIRE(boundary <= net_->stages() && link < net_->size(),
+                     "segmentFree: out of range");
+        return busy_[boundary * net_->size() + link] == 0;
+    }
+
+    /** Busy flags of boundary @p boundary's links (size() entries,
+     *  nonzero = held), for loops over a whole boundary. */
+    const std::uint8_t *
+    busyFlags(std::size_t boundary) const
+    {
+        RSIN_REQUIRE(boundary <= net_->stages(), "busyFlags: out of range");
+        return busy_.data() + boundary * net_->size();
+    }
 
     /** Claim one segment; it must currently be free. */
     void claimSegment(std::size_t boundary, std::size_t link);
@@ -150,8 +207,15 @@ class CircuitState
     void clear();
 
   private:
+    /** Busy flag of segment (@p boundary, @p link). */
+    std::uint8_t &
+    busy(std::size_t boundary, std::size_t link)
+    {
+        return busy_[boundary * net_->size() + link];
+    }
+
     const MultistageNetwork *net_;
-    std::vector<std::vector<bool>> busy_; ///< [boundary][link]
+    std::vector<std::uint8_t> busy_; ///< [boundary * size + link]
 };
 
 } // namespace topology

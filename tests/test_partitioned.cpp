@@ -15,6 +15,7 @@
 #include "common/spsc_channel.hpp"
 #include "des/partitioned.hpp"
 #include "exec/thread_pool.hpp"
+#include "rsin/analysis.hpp"
 #include "rsin/factory.hpp"
 #include "rsin/partition.hpp"
 
@@ -453,21 +454,107 @@ TEST(PartitionedRunTest, ReplicatedShardedMatchesReplicatedSerial)
     expectSameResult(serial, sharded);
 }
 
+/** A switched-network model under test, with a label for failures. */
+struct SwitchedCase
+{
+    const char *label;
+    const char *config;
+    ModelOptions model;
+};
+
+ModelOptions
+xbarModel(XbarArbitration arbitration)
+{
+    ModelOptions m;
+    m.xbarArbitration = arbitration;
+    return m;
+}
+
+ModelOptions
+omegaModel(OmegaScheduling scheduling, sched::RoutingPolicy policy)
+{
+    ModelOptions m;
+    m.omega.scheduling = scheduling;
+    m.omega.policy = policy;
+    return m;
+}
+
+TEST(PartitionedRunTest, SwitchedNetworksBitIdenticalAcrossShardCounts)
+{
+    // Modes whose routing draws no master-RNG numbers: every network's
+    // event sequence is its own, so sharding by network reproduces the
+    // serial run exactly -- rejections included, because a blocked
+    // task retries only when its own network changes status.
+    using S = OmegaScheduling;
+    using P = sched::RoutingPolicy;
+    const std::vector<SwitchedCase> cases = {
+        {"xbar-index", "32/8x4x2 XBAR/1",
+         xbarModel(XbarArbitration::IndexPriority)},
+        {"xbar-fifo", "32/8x4x2 XBAR/1",
+         xbarModel(XbarArbitration::FifoArrival)},
+        {"omega-most", "32/8x4x4 OMEGA/1",
+         omegaModel(S::Distributed, P::MostResources)},
+        {"omega-upper", "32/8x4x4 OMEGA/1",
+         omegaModel(S::Distributed, P::PreferUpper)},
+        {"omega-address-first", "32/8x4x4 OMEGA/1",
+         omegaModel(S::AddressFirstFree, P::MostResources)},
+        {"cube-most", "32/8x4x4 CUBE/1",
+         omegaModel(S::Distributed, P::MostResources)},
+        {"cube-upper", "32/8x4x4 CUBE/1",
+         omegaModel(S::Distributed, P::PreferUpper)},
+        {"cube-address-first", "32/8x4x4 CUBE/1",
+         omegaModel(S::AddressFirstFree, P::MostResources)},
+    };
+    for (const SwitchedCase &c : cases) {
+        SCOPED_TRACE(c.label);
+        const auto cfg = SystemConfig::parse(c.config);
+        const auto params =
+            makeParams(lambdaForRho(cfg, 0.6, 1.0, 0.5), 1.0, 0.5);
+        const SimOptions opts = smallOptions(31);
+        const SimResult serial = simulate(cfg, params, opts, c.model);
+        ASSERT_EQ(serial.status, RunStatus::Ok);
+        if (cfg.network != NetworkClass::Crossbar) {
+            EXPECT_GT(serial.rejections, 0u);
+        }
+        for (std::size_t shards : {1u, 2u, 4u, 7u}) {
+            SimOptions sharded = opts;
+            sharded.shards = shards;
+            const SimResult result = simulate(cfg, params, sharded, c.model);
+            EXPECT_EQ(result.shardsUsed, shards);
+            expectSameResult(serial, result);
+        }
+    }
+}
+
 TEST(PartitionedRunTest, SwitchedNetworksDeterministicPerShardCount)
 {
-    // XBAR/OMEGA consume master-RNG draws per event, so sharding
-    // changes the stream interleaving: the contract is determinism for
-    // a fixed shard count, not serial bit-equality.
-    const auto xbar = SystemConfig::parse("8/2x4x4 XBAR/2");
+    // RandomToken, RandomTie and address-random draw from the per-run
+    // master RNG, so sharding changes the stream interleaving: the
+    // contract there is determinism for a fixed shard count, not
+    // serial bit-equality.
+    using S = OmegaScheduling;
+    using P = sched::RoutingPolicy;
+    const std::vector<SwitchedCase> cases = {
+        {"xbar-token", "8/2x4x4 XBAR/2",
+         xbarModel(XbarArbitration::RandomToken)},
+        {"omega-random-tie", "8/2x4x4 OMEGA/2",
+         omegaModel(S::Distributed, P::RandomTie)},
+        {"omega-address-random", "8/2x4x4 OMEGA/2",
+         omegaModel(S::AddressRandomFree, P::MostResources)},
+    };
     const auto params = makeParams(0.2, 1.0, 0.5);
-    SimOptions opts = smallOptions(29);
-    opts.shards = 2;
-    const SimResult first = simulate(xbar, params, opts);
-    const SimResult second = simulate(xbar, params, opts);
-    EXPECT_EQ(first.shardsUsed, 2u);
-    expectSameResult(first, second);
-    EXPECT_EQ(first.kernel.arenaBytes, second.kernel.arenaBytes);
-    EXPECT_EQ(first.status, RunStatus::Ok);
+    for (const SwitchedCase &c : cases) {
+        SCOPED_TRACE(c.label);
+        const auto cfg = SystemConfig::parse(c.config);
+        SimOptions opts = smallOptions(29);
+        opts.shards = 2;
+        const SimResult first = simulate(cfg, params, opts, c.model);
+        const SimResult second = simulate(cfg, params, opts, c.model);
+        EXPECT_EQ(first.shardsUsed, 2u);
+        expectSameResult(first, second);
+        EXPECT_EQ(first.kernel.arenaBytes, second.kernel.arenaBytes);
+        EXPECT_EQ(first.status, RunStatus::Ok);
+    }
 }
 
 } // namespace

@@ -10,7 +10,10 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/contract.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "sched/centralized.hpp"
@@ -451,6 +454,130 @@ TEST(FaultToleranceTest, FullSubtreeLossIsDetectedByStatus)
     const auto round = sched.scheduleRound(circuit, pool, {0}, rng);
     EXPECT_EQ(round.served, 0u);
     EXPECT_EQ(round.outcomes[0].launches, 0u);
+}
+
+/** Typed pool: @p per_port resources on each of @p ports ports, types
+ *  dealt round-robin over @p types. */
+ResourcePool
+dealtPool(std::size_t ports, std::size_t per_port, std::size_t types)
+{
+    std::vector<std::vector<std::size_t>> layout(
+        ports, std::vector<std::size_t>(per_port, 0));
+    std::size_t deal = 0;
+    for (auto &port : layout)
+        for (auto &type : port)
+            type = deal++ % types;
+    return ResourcePool(std::move(layout));
+}
+
+std::size_t
+pick(Rng &rng, std::size_t n)
+{
+    return static_cast<std::size_t>(rng.uniformInt(std::uint64_t{n}));
+}
+
+TEST(AvailabilityRegistersTest, IncrementalUpdatesMatchRebuild)
+{
+    // Random routes, transmission ends (path releases) and service ends
+    // (resource releases) against registers kept current by cone
+    // refreshes.  After every step they must equal a from-scratch
+    // build, and a second network routed through the stateless calls
+    // with the same random stream must make the same decisions.
+    for (const MultistageKind kind :
+         {MultistageKind::Omega, MultistageKind::IndirectCube}) {
+        for (const std::size_t n : {2u, 4u, 16u, 64u, 256u}) {
+            for (std::size_t types = 1; types <= 4; ++types) {
+                SCOPED_TRACE(kindName(kind) + " n=" + std::to_string(n) +
+                             " types=" + std::to_string(types));
+                const MultistageNetwork net(kind, n);
+                CircuitState circuit(net);
+                ResourcePool pool = dealtPool(n, 2, types);
+                AvailabilityRegisters registers(circuit, pool);
+                CircuitState oracle_circuit(net);
+                ResourcePool oracle_pool = dealtPool(n, 2, types);
+                const OmegaRouter router(net, RoutingPolicy::RandomTie);
+                Rng route_rng(n * 10 + types);
+                Rng oracle_rng(n * 10 + types);
+                Rng step_rng(n * 100 + types);
+                std::vector<RouteResult> transmitting;
+                std::vector<ResourceRef> serving;
+                for (int step = 0; step < 300; ++step) {
+                    switch (pick(step_rng, 3)) {
+                      case 0: {
+                        const std::size_t src = pick(step_rng, n);
+                        const std::size_t type =
+                            pick(step_rng, types + 1); // incl. absent
+                        ASSERT_EQ(registers.count(type, 0, src),
+                                  router.availability(circuit, pool, src,
+                                                      type));
+                        auto route = router.tryRoute(registers, circuit,
+                                                     pool, src, route_rng,
+                                                     type);
+                        const auto oracle = router.tryRoute(
+                            oracle_circuit, oracle_pool, src, oracle_rng,
+                            type);
+                        ASSERT_EQ(route.has_value(), oracle.has_value());
+                        if (route) {
+                            EXPECT_EQ(route->path, oracle->path);
+                            EXPECT_EQ(route->resource.index,
+                                      oracle->resource.index);
+                            transmitting.push_back(std::move(*route));
+                        }
+                        break;
+                      }
+                      case 1: {
+                        if (transmitting.empty())
+                            break;
+                        const std::size_t k =
+                            pick(step_rng, transmitting.size());
+                        const RouteResult done = transmitting[k];
+                        transmitting.erase(transmitting.begin() +
+                                           static_cast<std::ptrdiff_t>(k));
+                        circuit.release(done.path);
+                        oracle_circuit.release(done.path);
+                        registers.refresh(done.outputPort);
+                        serving.push_back(done.resource);
+                        break;
+                      }
+                      default: {
+                        if (serving.empty())
+                            break;
+                        const std::size_t k = pick(step_rng, serving.size());
+                        const ResourceRef ref = serving[k];
+                        serving.erase(serving.begin() +
+                                      static_cast<std::ptrdiff_t>(k));
+                        pool.release(ref);
+                        oracle_pool.release(ref);
+                        registers.refresh(ref.port,
+                                          pool.typeOf(ref.port, ref.index));
+                        break;
+                      }
+                    }
+                    ASSERT_TRUE(registers ==
+                                AvailabilityRegisters(circuit, pool))
+                        << "step " << step;
+                }
+            }
+        }
+    }
+}
+
+TEST(AvailabilityRegistersTest, StaleRegistersTripTheRebuildContract)
+{
+#if RSIN_CONTRACTS_ENABLED
+    // A change the owner forgot to refresh leaves the registers behind
+    // a rebuild; the next refresh's contract check must catch it.
+    ScopedPanicThrows guard;
+    const MultistageNetwork net(MultistageKind::Omega, 8);
+    CircuitState circuit(net);
+    ResourcePool pool(8, 1);
+    AvailabilityRegisters registers(circuit, pool);
+    pool.claim(3);
+    EXPECT_THROW(registers.refresh(4), PanicError);
+#else
+    GTEST_SKIP() << "contract checks compiled out "
+                    "(reconfigure with -DRSIN_CONTRACTS=ON)";
+#endif
 }
 
 TEST(CentralizedDelayTest, ModelsScaleAsClaimed)

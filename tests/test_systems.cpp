@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/error.hpp"
 #include "queueing/mm_queues.hpp"
@@ -423,6 +425,181 @@ TEST(SimulationDeterminismTest, SameSeedSameResult)
     EXPECT_DOUBLE_EQ(a.meanDelay, b.meanDelay);
     EXPECT_EQ(a.completedTasks, b.completedTasks);
     EXPECT_DOUBLE_EQ(a.simulatedTime, b.simulatedTime);
+}
+
+std::uint64_t
+doubleBits(double v)
+{
+    std::uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+/** One golden cell: a model, and the bit patterns it must reproduce. */
+struct GoldenCell
+{
+    const char *label;
+    const char *config;
+    std::size_t resourceTypes;
+    ModelOptions model;
+    std::uint64_t meanDelay;
+    std::uint64_t timeAvgQueue;
+    std::uint64_t delayHalfWidth;
+    std::uint64_t delayP99;
+    std::uint64_t fired;
+    std::uint64_t completed;
+};
+
+ModelOptions
+xbarModel(XbarArbitration arbitration)
+{
+    ModelOptions m;
+    m.xbarArbitration = arbitration;
+    return m;
+}
+
+ModelOptions
+omegaModel(OmegaScheduling scheduling,
+           sched::RoutingPolicy policy = sched::RoutingPolicy::MostResources)
+{
+    ModelOptions m;
+    m.omega.scheduling = scheduling;
+    m.omega.policy = policy;
+    return m;
+}
+
+TEST(GoldenRunTest, EventLocalDispatchReproducesWholeSystemScan)
+{
+    // Bit patterns recorded with the dispatcher that re-scanned every
+    // network after every event.  Re-dispatching a network no event
+    // touched is a no-op whenever a failed attempt draws no random
+    // number and cannot succeed on unchanged state, so event-local
+    // dispatch must reproduce them exactly: every arbitration, policy
+    // and extension below, on two networks wherever the mode allows.
+    // (address-first and address-random retry differently once other
+    // networks exist, so they are pinned on one network only.)
+    using S = OmegaScheduling;
+    using P = sched::RoutingPolicy;
+    ModelOptions with_return = omegaModel(S::Distributed);
+    with_return.omega.modelReturnNetwork = true;
+    const std::vector<GoldenCell> cells = {
+        {"sbus", "16/4x1x1 SBUS/2", 1, {}, 0x40168ddbe2cddcb8,
+         0x40251865b95fb8f1, 0x3ff819d557405e13, 0x403b0bef46109e0a,
+         9622, 3200},
+        {"xbar-index", "16/2x8x4 XBAR/2", 1,
+         xbarModel(XbarArbitration::IndexPriority), 0x3fe0dc58ffaca7f3,
+         0x3ffa81dba1d4dacd, 0x3fc22f14eca22bb6, 0x401907aaf94d08f2,
+         9618, 3200},
+        {"xbar-fifo", "16/2x8x4 XBAR/2", 1,
+         xbarModel(XbarArbitration::FifoArrival), 0x3fe0ee2f96d70e57,
+         0x3ffa9aa3190e94a8, 0x3fc01430bd7fabf9, 0x4013481b2a994181,
+         9618, 3200},
+        {"xbar-token", "16/2x8x4 XBAR/2", 1,
+         xbarModel(XbarArbitration::RandomToken), 0x3fe12dad8cbfae8e,
+         0x3ffae9b8baff6def, 0x3fbfd9344e6527d3, 0x4017cbcdffc69d8f,
+         9619, 3200},
+        {"xbar-gate", "12/2x6x3 XBAR/2", 1,
+         xbarModel(XbarArbitration::GateLevel), 0x3fe6a54f818424ea,
+         0x3ffab08575dceb3b, 0x3fc2548deb16c589, 0x401d732570ea92b5,
+         9619, 3200},
+        {"omega-most", "16/2x8x8 OMEGA/2", 1,
+         omegaModel(S::Distributed, P::MostResources), 0x3fddce1c96bba07f,
+         0x4001b9e442068fa2, 0x3fbbd5d9c8a714df, 0x40165e495cb57a1d,
+         9627, 3200},
+        {"omega-upper", "16/2x8x8 OMEGA/2", 1,
+         omegaModel(S::Distributed, P::PreferUpper), 0x3fde8bd351dcf83f,
+         0x400227b1e0297f78, 0x3fbb981548ac858f, 0x401686cd739a6d4f,
+         9627, 3200},
+        {"omega-random-tie", "16/2x8x8 OMEGA/2", 1,
+         omegaModel(S::Distributed, P::RandomTie), 0x3fde04981a897e95,
+         0x4001dc73c46971b6, 0x3fbb6ff9f76f4395, 0x4016b5f50d0360ff,
+         9627, 3200},
+        {"omega-address-first", "8/1x8x8 OMEGA/2", 1,
+         omegaModel(S::AddressFirstFree), 0x4010b4c7a06c8ed2,
+         0x4023b00941eb1291, 0x3ffc99c72c40684d, 0x4041c2b6fbe53456,
+         9636, 3200},
+        {"cube-most", "16/2x8x8 CUBE/2", 1,
+         omegaModel(S::Distributed, P::MostResources), 0x3fdd6efd2ba78e54,
+         0x400188461ecf2b40, 0x3fba530f219576c1, 0x40165e495cb57a1d,
+         9627, 3200},
+        {"cube-upper", "16/2x8x8 CUBE/2", 1,
+         omegaModel(S::Distributed, P::PreferUpper), 0x3fde309db47b8bd1,
+         0x4001f981fa3a719e, 0x3fba6642d79fe683, 0x40165e495cb57a1d,
+         9627, 3200},
+        {"cube-random-tie", "16/2x8x8 CUBE/2", 1,
+         omegaModel(S::Distributed, P::RandomTie), 0x3fddc6ae231eda82,
+         0x4001b604a991e8cc, 0x3fba92a7d773de2b, 0x40165e495cb57a1d,
+         9627, 3200},
+        {"cube-address-first", "8/1x8x8 CUBE/2", 1,
+         omegaModel(S::AddressFirstFree), 0x40151bb1a741c576,
+         0x4028ab6791914e72, 0x4002629f2a963f3b, 0x404a7d1caf266875,
+         9620, 3200},
+        {"omega-wide", "64/2x32x32 OMEGA/1", 1, omegaModel(S::Distributed),
+         0x3fd25d81a7738da1, 0x400db04f806aa1fc, 0x3fbbe31492cd7033,
+         0x4010689b7e8001fe, 9658, 3200},
+        {"omega-typed4", "16/2x8x8 OMEGA/2", 4, omegaModel(S::Distributed),
+         0x3fee34f8de3d9318, 0x40114443d913bf73, 0x3fd4549812b943d5,
+         0x40219217b6f4d033, 9626, 3200},
+        {"omega-return", "16/2x8x8 OMEGA/2", 1, with_return,
+         0x3fddf180b6a5e089, 0x4001bec6b03d4837, 0x3fbdf499dd41b40d,
+         0x40165e495cb57a1d, 12871, 3200},
+        {"omega-address-random", "8/1x8x8 OMEGA/2", 1,
+         omegaModel(S::AddressRandomFree), 0x3fe5ba1f7059d73f,
+         0x3ff9a4deb0de3326, 0x3fca4153442309a7, 0x40184fb19c7df8a3,
+         9614, 3200},
+        {"omega-clocked", "8/1x8x8 OMEGA/2", 1,
+         omegaModel(S::DistributedClocked), 0x3fde51ced3055204,
+         0x3ff1dcf944b86782, 0x3fca0b0aff04bb55, 0x4015a010e8b6b838,
+         9613, 3200},
+    };
+    for (const GoldenCell &cell : cells) {
+        const auto cfg = SystemConfig::parse(cell.config);
+        auto params = makeParams(0.0, 1.0, 0.5);
+        params.resourceTypes = cell.resourceTypes;
+        params.lambda = lambdaForRho(cfg, 0.6, params.muN, params.muS);
+        SimOptions opts;
+        opts.seed = 7;
+        opts.warmupTasks = 200;
+        opts.measureTasks = 3000;
+        const SimResult res = simulate(cfg, params, opts, cell.model);
+        ASSERT_TRUE(res.ok()) << cell.label;
+        EXPECT_EQ(doubleBits(res.meanDelay), cell.meanDelay) << cell.label;
+        EXPECT_EQ(doubleBits(res.timeAvgQueue), cell.timeAvgQueue)
+            << cell.label;
+        EXPECT_EQ(doubleBits(res.delayHalfWidth), cell.delayHalfWidth)
+            << cell.label;
+        EXPECT_EQ(doubleBits(res.delayP99), cell.delayP99) << cell.label;
+        EXPECT_EQ(res.kernel.fired, cell.fired) << cell.label;
+        EXPECT_EQ(res.completedTasks, cell.completed) << cell.label;
+    }
+}
+
+TEST(OmegaSystemTest, AddressRandomDelayIndependentOfNetworkCount)
+{
+    // Networks are independent, so at equal per-processor load a second
+    // copy of 8x8x8 OMEGA/2 must not change a network's delay.  A
+    // dispatcher that retries a blocked task at every event of every
+    // network hands address-random tasks extra random draws, and the
+    // delay then falls as networks are added.
+    const auto one = SystemConfig::parse("8/1x8x8 OMEGA/2");
+    const auto two = SystemConfig::parse("16/2x8x8 OMEGA/2");
+    auto params = makeParams(0.0, 1.0, 1.0);
+    params.lambda = lambdaForRho(one, 0.7, params.muN, params.muS);
+    ASSERT_EQ(params.lambda, lambdaForRho(two, 0.7, params.muN, params.muS));
+    ModelOptions random_free;
+    random_free.omega.scheduling = OmegaScheduling::AddressRandomFree;
+    // That effect is ~15% of the delay; 300k tasks bring each CI
+    // to about +-2% so the comparison can see it.
+    SimOptions opts = quickOptions(131);
+    opts.warmupTasks = 20000;
+    opts.measureTasks = 300000;
+    const auto a = simulate(one, params, opts, random_free);
+    opts.seed = 132;
+    const auto b = simulate(two, params, opts, random_free);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_NEAR(b.meanDelay, a.meanDelay,
+                a.delayHalfWidth + b.delayHalfWidth);
 }
 
 TEST(SystemContractTest, CorruptedCountersTripConservationInvariant)

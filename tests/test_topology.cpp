@@ -49,8 +49,11 @@ TEST(MultistageTest, StagePositionIsPermutation)
         const MultistageNetwork net(kind, 16);
         for (std::size_t s = 0; s < net.stages(); ++s) {
             std::set<std::size_t> seen;
-            for (std::size_t l = 0; l < net.size(); ++l)
+            for (std::size_t l = 0; l < net.size(); ++l) {
                 seen.insert(net.stagePosition(s, l));
+                // inputLinks is the inverse permutation.
+                EXPECT_EQ(net.inputLinks(s)[net.stagePosition(s, l)], l);
+            }
             EXPECT_EQ(seen.size(), net.size());
             EXPECT_EQ(*seen.begin(), 0u);
             EXPECT_EQ(*seen.rbegin(), net.size() - 1);
