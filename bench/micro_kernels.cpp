@@ -273,13 +273,33 @@ BM_SparseSpmv(benchmark::State &state)
 }
 BENCHMARK(BM_SparseSpmv)->Arg(4096)->Arg(65536);
 
+/**
+ * Build and solve the chain end to end, as solveXbarChain /
+ * solveOmegaChain do, and report the last solve's deterministic work
+ * counters.
+ */
+template <class Model>
 void
-BM_XbarLdQbd(benchmark::State &state)
+runLdQbd(benchmark::State &state, const markov::NetChainParams &prm)
 {
-    // Exact crossbar chain for a paper sweep cell (arg = buses k of a
-    // square j = k network, r = 2): build + adaptive solve, the cost a
-    // figure point pays instead of a simulation run.
-    const auto k = static_cast<std::size_t>(state.range(0));
+    markov::LdQbdResult res;
+    for (auto _ : state) {
+        const Model model(prm);
+        res = markov::solveStationary(model);
+        auto sol = markov::chainSolution(model, res);
+        benchmark::DoNotOptimize(sol.queueingDelay);
+    }
+    state.counters["factorizations"] =
+        static_cast<double>(res.factorizations);
+    state.counters["gmres_iterations"] =
+        static_cast<double>(res.gmresIterations);
+    state.counters["depth_solves"] = static_cast<double>(res.depthSolves);
+}
+
+/** Chain parameters of a square j = k paper sweep cell, r = 2. */
+markov::NetChainParams
+ldQbdParams(std::size_t k)
+{
     markov::NetChainParams prm;
     prm.processors = k;
     prm.buses = k;
@@ -287,10 +307,17 @@ BM_XbarLdQbd(benchmark::State &state)
     prm.muN = 1.0;
     prm.muS = 0.1;
     prm.lambda = 0.5 * static_cast<double>(prm.resources) * prm.muS;
-    for (auto _ : state) {
-        auto sol = markov::solveXbarChain(prm);
-        benchmark::DoNotOptimize(sol.queueingDelay);
-    }
+    return prm;
+}
+
+void
+BM_XbarLdQbd(benchmark::State &state)
+{
+    // Exact crossbar chain for a paper sweep cell (arg = buses k of a
+    // square j = k network, r = 2): build + adaptive solve, the cost a
+    // figure point pays instead of a simulation run.
+    runLdQbd<markov::XbarChainModel>(
+        state, ldQbdParams(static_cast<std::size_t>(state.range(0))));
 }
 BENCHMARK(BM_XbarLdQbd)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
@@ -299,18 +326,9 @@ void
 BM_OmegaLdQbd(benchmark::State &state)
 {
     const auto k = static_cast<std::size_t>(state.range(0));
-    markov::NetChainParams prm;
-    prm.processors = k;
-    prm.buses = k;
-    prm.resources = 2;
-    prm.muN = 1.0;
-    prm.muS = 0.1;
-    prm.lambda = 0.5 * static_cast<double>(prm.resources) * prm.muS;
+    markov::NetChainParams prm = ldQbdParams(k);
     prm.linkConflict = omegaLinkConflict(k);
-    for (auto _ : state) {
-        auto sol = markov::solveOmegaChain(prm);
-        benchmark::DoNotOptimize(sol.queueingDelay);
-    }
+    runLdQbd<markov::OmegaChainModel>(state, prm);
 }
 BENCHMARK(BM_OmegaLdQbd)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);

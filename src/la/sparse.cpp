@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "common/error.hpp"
+#include "la/kernels.hpp"
 
 namespace rsin {
 namespace la {
@@ -142,45 +143,154 @@ jacobiPreconditioner(const CsrMatrix &a)
     return op;
 }
 
-LinearOperator
-blockDiagonalPreconditioner(std::vector<LuFactors> factors,
-                            std::vector<std::size_t> starts,
-                            std::vector<std::size_t> blockOf,
-                            std::size_t n)
+namespace {
+
+/**
+ * xi -= vals[k] * (row cols[k] of x) for k in [begin, end), x
+ * row-major with @p nrhs columns.  Four rows are folded into each pass
+ * over xi, which cuts the loads and stores of xi to a quarter; every
+ * entry still sees its subtractions one at a time in ascending k, so
+ * the result is bit-identical to one pass per k.
+ */
+void
+subtractRows(double *xi, const double *x, std::size_t nrhs,
+             const std::uint32_t *cols, const double *vals,
+             std::size_t begin, std::size_t end)
 {
-    RSIN_REQUIRE(starts.size() == blockOf.size(),
-                 "blockDiagonalPreconditioner: starts/blockOf mismatch");
-    struct State
+    std::size_t k = begin;
+    for (; k + 4 <= end; k += 4) {
+        const double f0 = vals[k], f1 = vals[k + 1], f2 = vals[k + 2],
+                     f3 = vals[k + 3];
+        const double *x0 = x + cols[k] * nrhs;
+        const double *x1 = x + cols[k + 1] * nrhs;
+        const double *x2 = x + cols[k + 2] * nrhs;
+        const double *x3 = x + cols[k + 3] * nrhs;
+        for (std::size_t c = 0; c < nrhs; ++c)
+            xi[c] = (((xi[c] - f0 * x0[c]) - f1 * x1[c]) - f2 * x2[c]) -
+                    f3 * x3[c];
+    }
+    for (; k < end; ++k) {
+        const double factor = vals[k];
+        const double *xj = x + cols[k] * nrhs;
+        for (std::size_t c = 0; c < nrhs; ++c)
+            xi[c] -= factor * xj[c];
+    }
+}
+
+} // namespace
+
+CompressedLu::CompressedLu(Matrix a)
+    : perm_(a.rows())
+{
+    RSIN_REQUIRE(a.square(), "LU: matrix must be square");
+    const std::size_t n = a.rows();
+    // The same factorization (and singularity threshold) as LuFactors,
+    // so both hold identical factors.
+    const int sign = kernels::factorLu(n, a.data(), n, perm_.data(), 1e-300);
+    RSIN_REQUIRE(sign != 0, "LU: matrix is singular");
+    lowerBegin_.reserve(n + 1);
+    upperBegin_.reserve(n);
+    invPivot_.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const double *row = a.data() + i * n;
+        lowerBegin_.push_back(values_.size());
+        for (std::size_t j = 0; j < n; ++j) {
+            if (j == i) {
+                upperBegin_.push_back(values_.size());
+                invPivot_.push_back(1.0 / row[i]);
+            } else if (row[j] != 0.0) {
+                cols_.push_back(static_cast<std::uint32_t>(j));
+                values_.push_back(row[j]);
+            }
+        }
+    }
+    lowerBegin_.push_back(values_.size());
+}
+
+void
+CompressedLu::solveRows(double *x, std::size_t nrhs) const
+{
+    // kernels::solveLuRows restricted to the stored nonzeros: forward
+    // substitution through the unit lower triangle, then back
+    // substitution through the upper one, each row's updates in
+    // ascending column order.
+    const std::size_t n = size();
+    const std::uint32_t *cols = cols_.data();
+    const double *vals = values_.data();
+    if (nrhs == 1) {
+        // One right-hand side: the running value stays in a register.
+        for (std::size_t i = 0; i < n; ++i) {
+            double xi = x[i];
+            for (std::size_t k = lowerBegin_[i]; k < upperBegin_[i]; ++k)
+                xi -= vals[k] * x[cols[k]];
+            x[i] = xi;
+        }
+        for (std::size_t i = n; i-- > 0;) {
+            double xi = x[i];
+            for (std::size_t k = upperBegin_[i]; k < lowerBegin_[i + 1];
+                 ++k)
+                xi -= vals[k] * x[cols[k]];
+            x[i] = xi * invPivot_[i];
+        }
+        return;
+    }
+    for (std::size_t i = 0; i < n; ++i)
+        subtractRows(x + i * nrhs, x, nrhs, cols, vals, lowerBegin_[i],
+                     upperBegin_[i]);
+    for (std::size_t i = n; i-- > 0;) {
+        double *xi = x + i * nrhs;
+        subtractRows(xi, x, nrhs, cols, vals, upperBegin_[i],
+                     lowerBegin_[i + 1]);
+        const double inv = invPivot_[i];
+        for (std::size_t c = 0; c < nrhs; ++c)
+            xi[c] *= inv;
+    }
+}
+
+LinearOperator
+blockDiagonalPreconditioner(std::vector<const CompressedLu *> blocks,
+                            std::vector<std::size_t> starts, std::size_t n)
+{
+    RSIN_REQUIRE(starts.size() == blocks.size(),
+                 "blockDiagonalPreconditioner: starts/blocks mismatch");
+    // Group the blocks by factorization, in order of first use; each
+    // group is solved as one row-major (size x members) sweep.
+    struct Group
     {
-        std::vector<LuFactors> factors;
+        const CompressedLu *lu = nullptr;
         std::vector<std::size_t> starts;
-        std::vector<std::size_t> blockOf;
     };
-    auto state = std::make_shared<State>(
-        State{std::move(factors), std::move(starts), std::move(blockOf)});
-    for (std::size_t b = 0; b < state->starts.size(); ++b) {
-        RSIN_REQUIRE(state->blockOf[b] < state->factors.size(),
-                     "blockDiagonalPreconditioner: factor index range");
-        const std::size_t end =
-            state->starts[b] + state->factors[state->blockOf[b]].size();
-        RSIN_REQUIRE(end <= n,
+    auto groups = std::make_shared<std::vector<Group>>();
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+        RSIN_REQUIRE(blocks[b] != nullptr &&
+                         starts[b] + blocks[b]->size() <= n,
                      "blockDiagonalPreconditioner: block exceeds n");
+        auto it = std::find_if(groups->begin(), groups->end(),
+                               [&](const Group &g) {
+                                   return g.lu == blocks[b];
+                               });
+        if (it == groups->end())
+            it = groups->insert(groups->end(), Group{blocks[b], {}});
+        it->starts.push_back(starts[b]);
     }
     LinearOperator op;
     op.n = n;
-    op.apply = [state, n](const double *x, double *y) {
+    op.apply = [groups, n](const double *x, double *y) {
         // Rows not covered by any block pass through unchanged.
-        for (std::size_t i = 0; i < n; ++i)
-            y[i] = x[i];
-        for (std::size_t b = 0; b < state->starts.size(); ++b) {
-            const LuFactors &lu = state->factors[state->blockOf[b]];
-            const std::size_t lo = state->starts[b];
-            Vector rhs(lu.size());
-            for (std::size_t i = 0; i < rhs.size(); ++i)
-                rhs[i] = x[lo + i];
-            const Vector sol = lu.solve(rhs);
-            for (std::size_t i = 0; i < sol.size(); ++i)
-                y[lo + i] = sol[i];
+        std::copy(x, x + n, y);
+        Vector rhs;
+        for (const Group &g : *groups) {
+            const std::size_t size = g.lu->size();
+            const std::size_t nrhs = g.starts.size();
+            const std::vector<std::size_t> &perm = g.lu->perm();
+            rhs.resize(size * nrhs);
+            for (std::size_t i = 0; i < size; ++i)
+                for (std::size_t c = 0; c < nrhs; ++c)
+                    rhs[i * nrhs + c] = x[g.starts[c] + perm[i]];
+            g.lu->solveRows(rhs.data(), nrhs);
+            for (std::size_t i = 0; i < size; ++i)
+                for (std::size_t c = 0; c < nrhs; ++c)
+                    y[g.starts[c] + i] = rhs[i * nrhs + c];
         }
     };
     return op;

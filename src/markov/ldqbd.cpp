@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/error.hpp"
@@ -42,25 +43,6 @@ unstableResult(LdQbdBackend backend)
     res.backend = backend;
     res.meanLevel = kInf;
     return res;
-}
-
-/** Spectral radius of R by plain power iteration (as sbus_solvers). */
-double
-spectralRadius(const la::Matrix &rmat)
-{
-    la::Vector v(rmat.rows(), 1.0);
-    double radius = 0.0;
-    for (int it = 0; it < 500; ++it) {
-        la::Vector w = la::leftMultiply(v, rmat);
-        const double mag = la::normInf(w);
-        if (mag == 0.0)
-            return 0.0;
-        for (auto &x : w)
-            x /= mag;
-        radius = mag;
-        v = std::move(w);
-    }
-    return radius;
 }
 
 /** Mean drift of the limiting blocks: up rate minus down rate under
@@ -203,6 +185,8 @@ denseSolveAt(const LdQbdModel &model, const DenseTail &tail,
 LdQbdResult
 solveDense(const LdQbdModel &model, const LdQbdOptions &opts)
 {
+    if (!limitStable(model))
+        return unstableResult(LdQbdBackend::DenseCensored);
     const std::size_t n = model.phases();
     la::Triplets t0, t1, t2;
     model.limitBlocks(t0, t1, t2);
@@ -211,8 +195,7 @@ solveDense(const LdQbdModel &model, const LdQbdOptions &opts)
     const la::Matrix a2_lim = densify(t2, n);
 
     const LogReductionResult lr = logReduction(a0_lim, a1_lim, a2_lim);
-    if (!lr.converged ||
-        spectralRadius(lr.r) >= 1.0 - 1e-12)
+    if (!lr.converged)
         return unstableResult(LdQbdBackend::DenseCensored);
 
     DenseTail tail;
@@ -240,6 +223,9 @@ solveDense(const LdQbdModel &model, const LdQbdOptions &opts)
         std::max<std::size_t>(opts.initialLevels, 2), cap);
     for (;;) {
         const DenseEstimate est = denseSolveAt(model, tail, depth);
+        // One LU of -S_l per level above the boundary, one of S_0.
+        res.factorizations += depth + 1;
+        ++res.depthSolves;
         if (previous_mean >= 0.0)
             rel_change =
                 std::fabs(est.meanLevel - previous_mean) /
@@ -289,17 +275,54 @@ struct SparseEstimate
     la::Vector levelZero;
     la::Vector phaseMarginal;
     bool solved = false;
+    std::size_t gmresIterations = 0;
 };
+
+/**
+ * The preconditioner's level-block factors, shared by every depth of
+ * one solve.  The diagonal block of level l (A1(l) transposed; level 0
+ * with its first row replaced by the normalization row) does not
+ * depend on the depth, so each level is factored once.  Only a top
+ * level, which folds A0 into its block, is factored per depth, and
+ * only while the depth is below blockPrecondLevels.
+ */
+struct LevelFactors
+{
+    std::vector<la::CompressedLu> levels; ///< unfolded blocks by level
+    std::size_t factorizations = 0;
+};
+
+/** Build and factor the transposed diagonal block of @p level; the
+ *  dense block lives only until it is compressed. */
+la::CompressedLu
+factorLevelBlock(const LdQbdModel &model, std::size_t level, bool top)
+{
+    const std::size_t n = model.phases();
+    la::Triplets b0, b1, b2;
+    model.levelBlocks(level, b0, b1, b2);
+    la::Matrix block(n, n, 0.0);
+    for (const auto &e : b1)
+        block(e.col, e.row) += e.value;
+    if (top)
+        for (const auto &e : b0)
+            block(e.col, e.row) += e.value;
+    if (level == 0)
+        for (std::size_t c = 0; c < n; ++c)
+            block(0, c) = 1.0;
+    return la::CompressedLu(std::move(block));
+}
 
 /**
  * Assemble the transposed generator of the chain truncated (reflected)
  * at level @p depth and solve its stationary vector: GMRES on the
  * normalization-patched system, or uniformized power iteration.
- * @p x carries the previous depth's solution as a warm start.
+ * @p x carries the previous depth's solution as a warm start;
+ * @p factors caches the preconditioner's level factors across depths.
  */
 SparseEstimate
 sparseSolveAt(const LdQbdModel &model, const LdQbdOptions &opts,
-              bool use_power, std::size_t depth, la::Vector &x)
+              bool use_power, std::size_t depth, la::Vector &x,
+              LevelFactors &factors)
 {
     const std::size_t n = model.phases();
     const std::size_t states = n * (depth + 1);
@@ -309,14 +332,6 @@ sparseSolveAt(const LdQbdModel &model, const LdQbdOptions &opts,
     // generator conservative).  For the GMRES route the balance
     // equation of state 0 is replaced by the normalization row.
     la::Triplets entries;
-    std::vector<std::size_t> precond_starts, precond_block_of;
-    const std::size_t distinct =
-        std::min<std::size_t>(std::max<std::size_t>(
-                                  opts.blockPrecondLevels, 1),
-                              depth + 1);
-    std::vector<la::Matrix> diag_blocks;
-    diag_blocks.reserve(distinct);
-
     la::Triplets b0, b1, b2;
     for (std::size_t l = 0; l <= depth; ++l) {
         b0.clear();
@@ -325,28 +340,18 @@ sparseSolveAt(const LdQbdModel &model, const LdQbdOptions &opts,
         model.levelBlocks(l, b0, b1, b2);
         const std::size_t base = l * n;
         const bool top = l == depth;
-        const bool build_block = l < distinct;
-        if (build_block)
-            diag_blocks.push_back(la::Matrix(n, n, 0.0));
-        la::Matrix *block = build_block ? &diag_blocks.back() : nullptr;
         const auto emit = [&](std::size_t from, std::size_t to,
-                              double rate, bool diagonal) {
+                              double rate) {
             if (!use_power && to == 0)
                 return; // replaced by the normalization row
             entries.push_back({to, from, rate});
-            if (diagonal && block != nullptr)
-                (*block)(to - base, from - base) += rate;
         };
         for (const auto &e : b1)
-            emit(base + e.row, base + e.col, e.value, true);
-        for (const auto &e : b0) {
-            if (top)
-                emit(base + e.row, base + e.col, e.value, true);
-            else
-                emit(base + e.row, base + n + e.col, e.value, false);
-        }
+            emit(base + e.row, base + e.col, e.value);
+        for (const auto &e : b0)
+            emit(base + e.row, base + (top ? 0 : n) + e.col, e.value);
         for (const auto &e : b2)
-            emit(base + e.row, base - n + e.col, e.value, false);
+            emit(base + e.row, base - n + e.col, e.value);
     }
     if (!use_power)
         for (std::size_t i = 0; i < states; ++i)
@@ -354,6 +359,7 @@ sparseSolveAt(const LdQbdModel &model, const LdQbdOptions &opts,
 
     const la::CsrMatrix m =
         la::CsrMatrix::fromTriplets(states, states, entries);
+    entries = la::Triplets();
 
     SparseEstimate est;
     if (use_power) {
@@ -362,21 +368,33 @@ sparseSolveAt(const LdQbdModel &model, const LdQbdOptions &opts,
         const la::PowerResult pr = la::powerStationary(m, x, popts);
         est.solved = pr.converged;
     } else {
-        // Patch the normalization row into the level-0 diagonal block
-        // copy before factoring.
-        for (std::size_t c = 0; c < n; ++c)
-            diag_blocks[0](0, c) = 1.0;
-        std::vector<la::LuFactors> factors;
-        factors.reserve(diag_blocks.size());
-        for (const auto &blockm : diag_blocks)
-            factors.emplace_back(blockm);
+        // Levels 0 .. distinct-1 get their own block; the deeper ones
+        // share the last.  When that range reaches the top level, the
+        // top block (A0 folded in) is factored for this depth alone.
+        const std::size_t distinct =
+            std::min<std::size_t>(std::max<std::size_t>(
+                                      opts.blockPrecondLevels, 1),
+                                  depth + 1);
+        const std::size_t unfolded = std::min(distinct, depth);
+        while (factors.levels.size() < unfolded) {
+            factors.levels.push_back(factorLevelBlock(
+                model, factors.levels.size(), false));
+            ++factors.factorizations;
+        }
+        std::optional<la::CompressedLu> top;
+        if (unfolded < distinct) {
+            top.emplace(factorLevelBlock(model, depth, true));
+            ++factors.factorizations;
+        }
+        std::vector<const la::CompressedLu *> blocks(depth + 1);
+        std::vector<std::size_t> starts(depth + 1);
         for (std::size_t l = 0; l <= depth; ++l) {
-            precond_starts.push_back(l * n);
-            precond_block_of.push_back(std::min(l, distinct - 1));
+            const std::size_t own = std::min(l, distinct - 1);
+            blocks[l] = own < unfolded ? &factors.levels[own] : &*top;
+            starts[l] = l * n;
         }
         const la::LinearOperator precond = la::blockDiagonalPreconditioner(
-            std::move(factors), std::move(precond_starts),
-            std::move(precond_block_of), states);
+            std::move(blocks), std::move(starts), states);
 
         la::Vector rhs(states, 0.0);
         rhs[0] = 1.0;
@@ -387,8 +405,19 @@ sparseSolveAt(const LdQbdModel &model, const LdQbdOptions &opts,
                 padded[i] = x[i];
             x = std::move(padded);
         }
-        const la::GmresResult gr =
-            la::gmres(la::asOperator(m), rhs, x, opts.gmres, &precond);
+        const la::LinearOperator op = la::asOperator(m);
+        la::GmresResult gr = la::gmres(op, rhs, x, opts.gmres, &precond);
+        est.gmresIterations = gr.iterations;
+        if (gr.iterations == 0) {
+            // Only a warm start can meet the residual target before
+            // the first iteration: the padded previous-depth vector
+            // came back untouched, so this depth would repeat the
+            // previous answer bit for bit and certify a change of
+            // exactly 0.  Solve the depth from zero instead.
+            std::fill(x.begin(), x.end(), 0.0);
+            gr = la::gmres(op, rhs, x, opts.gmres, &precond);
+            est.gmresIterations += gr.iterations;
+        }
         est.solved = gr.converged;
     }
     if (!est.solved)
@@ -456,16 +485,20 @@ solveSparse(const LdQbdModel &model, const LdQbdOptions &opts,
     LdQbdResult res;
     res.backend = backend;
     la::Vector x;
+    LevelFactors factors;
     double previous_mean = -1.0;
     double rel_change = kInf;
     std::size_t depth = std::min(
         std::max<std::size_t>(opts.initialLevels, 4), cap);
     for (;;) {
         const SparseEstimate est =
-            sparseSolveAt(model, opts, use_power, depth, x);
+            sparseSolveAt(model, opts, use_power, depth, x, factors);
         RSIN_REQUIRE(est.solved,
                      "solveStationary: iterative solver did not "
                      "converge at depth ", depth);
+        res.factorizations = factors.factorizations;
+        res.gmresIterations += est.gmresIterations;
+        ++res.depthSolves;
         if (previous_mean >= 0.0)
             rel_change =
                 std::fabs(est.meanLevel - previous_mean) /

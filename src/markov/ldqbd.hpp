@@ -21,11 +21,13 @@
  *
  *  - **Sparse Krylov path** (large blocks): the truncated chain is
  *    assembled as one sparse transposed generator and its stationary
- *    vector solved by restarted GMRES (la/sparse.hpp) with the dense
- *    blocked LU as a block-diagonal preconditioner (one factorization
- *    per shallow level, the deepest one shared by the whole tail); a
- *    uniformized power iteration is available as an independent
- *    backend.  The truncation depth q adapts.
+ *    vector solved by restarted GMRES (la/sparse.hpp) with a
+ *    block-diagonal preconditioner of compressed LU factors (one per
+ *    shallow level, the deepest one shared by the whole tail and
+ *    applied to it as one multi-right-hand-side sweep).  The level
+ *    blocks do not depend on the depth, so each is factored once per
+ *    solve.  A uniformized power iteration is available as an
+ *    independent backend.  The truncation depth q adapts.
  *
  * Both paths grow their depth until the delay estimate stops moving
  * and return a *certified truncation bound*: a safety-factored
@@ -127,6 +129,16 @@ struct LdQbdResult
     /** Certified relative truncation bound on meanLevel (and hence on
      *  the queueing delay computed from it). */
     double truncationBound = 0.0;
+
+    // Deterministic work counters: equal on every run of the same solve.
+    /** Level-block LU factorizations (dense: one per level of every
+     *  depth swept; sparse Krylov: one per distinct preconditioner
+     *  block of the whole solve; power: none). */
+    std::size_t factorizations = 0;
+    /** GMRES inner iterations summed over all depths (Krylov only). */
+    std::size_t gmresIterations = 0;
+    /** Truncation depths solved (one per doubling, the first included). */
+    std::size_t depthSolves = 0;
 };
 
 /**

@@ -3,21 +3,28 @@
  * Tests for the exact crossbar/Omega LD-QBD chains and the
  * solveStationary dispatch: oracle agreement with the single-bus
  * matrix-geometric solver (a crossbar with one bus *is* the SBUS
- * chain), dense-vs-sparse backend agreement, and the certified
+ * chain), dense-vs-sparse backend agreement, the certified
  * truncation bound covering the observed truncation error across a
- * parameter sweep.
+ * parameter sweep, golden bit patterns of the paper's cells, and the
+ * deterministic work counters.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "markov/ldqbd.hpp"
 #include "markov/omega_model.hpp"
 #include "markov/sbus_model.hpp"
 #include "markov/sbus_solvers.hpp"
 #include "markov/xbar_model.hpp"
+#include "rsin/analysis.hpp"
+#include "rsin/config.hpp"
 
 namespace rsin {
 namespace markov {
@@ -27,6 +34,28 @@ double
 relDiff(double a, double b)
 {
     return std::fabs(a - b) / std::max(std::fabs(b), 1e-12);
+}
+
+/**
+ * The chain rsin::xbarExact / omegaExact solve for a paper config at
+ * mu_s / mu_n = @p ratio (mu_n = 1) and traffic intensity @p rho.
+ */
+std::unique_ptr<XbarChainModel>
+paperChain(const char *config, double ratio, double rho)
+{
+    const SystemConfig cfg = SystemConfig::parse(config);
+    NetChainParams prm;
+    prm.processors = cfg.inputsPerNet;
+    prm.buses = cfg.outputsPerNet;
+    prm.resources = cfg.resourcesPerPort;
+    prm.muN = 1.0;
+    prm.muS = ratio;
+    prm.lambda = lambdaForRho(cfg, rho, prm.muN, prm.muS);
+    if (cfg.network == NetworkClass::Omega) {
+        prm.linkConflict = omegaLinkConflict(cfg.inputsPerNet);
+        return std::make_unique<OmegaChainModel>(prm);
+    }
+    return std::make_unique<XbarChainModel>(prm);
 }
 
 TEST(NetChainTest, PhaseCountsMatchTheClosedForm)
@@ -265,6 +294,48 @@ TEST(SolveStationaryTest, InstabilityDetectedByEveryBackend)
     const SbusSolution sol = solveXbarChain(prm);
     EXPECT_FALSE(sol.stable);
     EXPECT_TRUE(std::isinf(sol.normalizedDelay));
+
+    // Close to capacity on both sides, the dense and Krylov verdicts
+    // must agree.  Each of the two buses above cycles through one
+    // transmission (mean 1/muN) and one service (1/muS) per task, so
+    // the four processors saturate at lambda = 2 / 11 / 4.  (Closer
+    // below capacity GMRES stops converging on this 6-phase chain.)
+    struct Point
+    {
+        std::unique_ptr<XbarChainModel> model;
+        bool stable;
+        const char *label;
+    };
+    std::vector<Point> points;
+    for (const double load : {0.9, 1.01}) {
+        prm.lambda = load * (2.0 / 11.0) / 4.0;
+        points.push_back({std::make_unique<XbarChainModel>(prm),
+                          load < 1.0,
+                          load < 1.0 ? "4/2 xbar at 0.9 capacity"
+                                     : "4/2 xbar at 1.01 capacity"});
+    }
+    // The Omega reference cells either side of its knee at ratio 10.
+    points.push_back({paperChain("16/4x4x4 OMEGA/2", 10.0, 0.8), true,
+                      "16/4x4x4 OMEGA/2 ratio 10 rho 0.8"});
+    points.push_back({paperChain("16/4x4x4 OMEGA/2", 10.0, 0.9), false,
+                      "16/4x4x4 OMEGA/2 ratio 10 rho 0.9"});
+    for (const Point &point : points) {
+        // The verdict precedes the depth loop; a shallow cap keeps the
+        // stable solves cheap.
+        LdQbdOptions opts;
+        opts.maxLevels = 16;
+        opts.backend = LdQbdBackend::DenseCensored;
+        const LdQbdResult dense = solveStationary(*point.model, opts);
+        opts.backend = LdQbdBackend::SparseKrylov;
+        const LdQbdResult krylov = solveStationary(*point.model, opts);
+        EXPECT_EQ(dense.stable, point.stable) << point.label;
+        EXPECT_EQ(krylov.stable, dense.stable) << point.label;
+        if (!point.stable) {
+            opts.backend = LdQbdBackend::SparsePower;
+            EXPECT_FALSE(solveStationary(*point.model, opts).stable)
+                << point.label;
+        }
+    }
 }
 
 /**
@@ -321,6 +392,132 @@ TEST(SolveStationaryTest, TruncationBoundCoversObservedError)
                     }
                 }
     EXPECT_GE(cells, 30u); // the sweep must actually run
+}
+
+/**
+ * The sparse path warm-starts each depth from the zero-padded previous
+ * one.  At light load that vector can already meet the GMRES residual
+ * target; returned untouched, it would repeat the previous depth's
+ * answer bit for bit and "certify" a bound of exactly 0.  Every depth
+ * must be a real solve, so the bound is positive and covers the
+ * distance to a cold solve at twice the depth.
+ */
+TEST(SolveStationaryTest, EveryDepthIsARealSolve)
+{
+    for (const char *config : {"16/2x8x8 XBAR/2", "16/2x8x8 OMEGA/2"})
+        for (const double rho : {0.1, 0.2}) {
+            const auto model = paperChain(config, 0.1, rho);
+            const LdQbdResult res = solveStationary(*model);
+            ASSERT_EQ(res.backend, LdQbdBackend::SparseKrylov);
+            ASSERT_TRUE(res.stable && res.converged);
+            EXPECT_GT(res.truncationBound, 0.0)
+                << config << " rho " << rho;
+
+            LdQbdOptions cold;
+            cold.initialLevels = 2 * res.levelsUsed;
+            cold.maxLevels = 2 * res.levelsUsed;
+            const LdQbdResult deep = solveStationary(*model, cold);
+            ASSERT_EQ(deep.levelsUsed, 2 * res.levelsUsed);
+            EXPECT_LE(relDiff(res.meanLevel, deep.meanLevel),
+                      res.truncationBound)
+                << config << " rho " << rho;
+        }
+}
+
+/**
+ * Bit patterns recorded with the solver that refactored every level
+ * block at every depth and solved the preconditioner's blocks one
+ * dense single-vector sweep at a time: factoring once and sweeping
+ * only the nonzeros, many right-hand sides at once, must reproduce
+ * them exactly.  The dense path is pinned too (its instability gate
+ * changed from the spectral radius of R to the drift test).
+ */
+TEST(SolveStationaryTest, GoldenBitsOfThePaperCells)
+{
+    struct Golden
+    {
+        const char *config;
+        double rho;
+        LdQbdBackend backend;
+        std::uint64_t meanLevel;
+        std::uint64_t truncationBound;
+        std::size_t levelsUsed;
+    };
+    const Golden cells[] = {
+        {"16/2x8x8 XBAR/2", 0.3, LdQbdBackend::SparseKrylov,
+         0x3f95680ef76a701f, 0x3e8bb46d7348f7e5, 16},
+        {"16/2x8x8 XBAR/2", 0.5, LdQbdBackend::SparseKrylov,
+         0x3fb028918b58869e, 0x3ed3a0e281929a7c, 32},
+        {"16/2x8x8 OMEGA/2", 0.3, LdQbdBackend::SparseKrylov,
+         0x3f95727f03197ba7, 0x3e8e570f5562dd5b, 16},
+        {"16/2x8x8 OMEGA/2", 0.5, LdQbdBackend::SparseKrylov,
+         0x3fb0a26e6a51acd7, 0x3ed544d8b22d1667, 32},
+        {"16/4x4x4 XBAR/2", 0.5, LdQbdBackend::DenseCensored,
+         0x3fafbc064622f163, 0x3e404bb4461d9b25, 32},
+    };
+    for (const Golden &cell : cells) {
+        const auto model = paperChain(cell.config, 0.1, cell.rho);
+        const LdQbdResult res = solveStationary(*model);
+        EXPECT_EQ(res.backend, cell.backend) << cell.config;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(res.meanLevel),
+                  cell.meanLevel)
+            << cell.config << " rho " << cell.rho;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(res.truncationBound),
+                  cell.truncationBound)
+            << cell.config << " rho " << cell.rho;
+        EXPECT_EQ(res.levelsUsed, cell.levelsUsed)
+            << cell.config << " rho " << cell.rho;
+    }
+}
+
+TEST(SolveStationaryTest, WorkCountersAreDeterministic)
+{
+    // A default 495-phase sparse solve that doubles 8 -> 16 -> 32
+    // factors its blockPrecondLevels = 8 level blocks once.
+    const auto sparse_model = paperChain("16/2x8x8 XBAR/2", 0.1, 0.5);
+    const LdQbdResult sparse = solveStationary(*sparse_model);
+    ASSERT_EQ(sparse.backend, LdQbdBackend::SparseKrylov);
+    ASSERT_EQ(sparse.levelsUsed, 32u);
+    EXPECT_EQ(sparse.factorizations, 8u);
+    EXPECT_EQ(sparse.depthSolves, 3u);
+    EXPECT_GT(sparse.gmresIterations, 0u);
+    const LdQbdResult again = solveStationary(*sparse_model);
+    EXPECT_EQ(again.factorizations, sparse.factorizations);
+    EXPECT_EQ(again.gmresIterations, sparse.gmresIterations);
+    EXPECT_EQ(again.depthSolves, sparse.depthSolves);
+
+    // Below blockPrecondLevels the top level folds A0 into its block,
+    // so each such depth factors that block on its own: depth 4 takes
+    // levels 0-3 plus its top, depth 8 adds levels 4-7.
+    LdQbdOptions shallow;
+    shallow.initialLevels = 4;
+    shallow.maxLevels = 8;
+    const LdQbdResult folded = solveStationary(*sparse_model, shallow);
+    EXPECT_EQ(folded.depthSolves, 2u);
+    EXPECT_EQ(folded.factorizations, 5u + 4u);
+
+    // The dense path factors one block per level of every depth.
+    const auto dense_model = paperChain("16/4x4x4 XBAR/2", 0.1, 0.5);
+    const LdQbdResult dense = solveStationary(*dense_model);
+    ASSERT_EQ(dense.backend, LdQbdBackend::DenseCensored);
+    ASSERT_EQ(dense.levelsUsed, 32u);
+    EXPECT_EQ(dense.depthSolves, 3u);
+    EXPECT_EQ(dense.factorizations, 9u + 17u + 33u);
+    EXPECT_EQ(dense.gmresIterations, 0u);
+
+    // Power iteration factors nothing and runs no GMRES.
+    NetChainParams prm;
+    prm.processors = 4;
+    prm.buses = 2;
+    prm.resources = 1;
+    prm.lambda = 0.02;
+    const XbarChainModel small(prm);
+    LdQbdOptions power;
+    power.backend = LdQbdBackend::SparsePower;
+    const LdQbdResult pw = solveStationary(small, power);
+    EXPECT_EQ(pw.factorizations, 0u);
+    EXPECT_EQ(pw.gmresIterations, 0u);
+    EXPECT_GE(pw.depthSolves, 1u);
 }
 
 } // namespace

@@ -1,16 +1,21 @@
 /**
  * @file
  * Unit tests for the sparse engine: CSR assembly and kernels against
- * the dense oracles, GMRES against dense LU, and the uniformized power
- * iteration against stationaryFromGenerator.
+ * the dense oracles, compressed LU factors and the block-diagonal
+ * preconditioner bit for bit against dense LU, GMRES against dense LU,
+ * and the uniformized power iteration against stationaryFromGenerator.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "la/matrix.hpp"
 #include "la/sparse.hpp"
@@ -136,6 +141,154 @@ randomSystem(Rng &rng, std::size_t n, Matrix &dense_out)
     return CsrMatrix::fromTriplets(n, n, entries);
 }
 
+/**
+ * Random nonsingular block with ~@p density off-diagonal fill: the
+ * other entries are exact zeros, which the factorization keeps as
+ * zero multipliers wherever no fill-in reaches them.
+ */
+Matrix
+randomBlock(Rng &rng, std::size_t n, double density)
+{
+    Matrix out(n, n, 0.0);
+    for (std::size_t r = 0; r < n; ++r) {
+        double offsum = 0.0;
+        for (std::size_t c = 0; c < n; ++c)
+            if (c != r && rng.uniform01() < density) {
+                out(r, c) = rng.uniform(-1.0, 1.0);
+                offsum += std::fabs(out(r, c));
+            }
+        // Weak dominance keeps it nonsingular while still pivoting.
+        out(r, r) = (rng.uniform01() < 0.5 ? -1.0 : 1.0) *
+                    (0.3 * offsum + 0.5 + rng.uniform01());
+    }
+    return out;
+}
+
+Vector
+randomVector(Rng &rng, std::size_t n)
+{
+    Vector v(n);
+    for (auto &x : v)
+        x = rng.uniform01() < 0.2 ? 0.0 : rng.uniform(-1.0, 1.0);
+    return v;
+}
+
+void
+expectBitIdentical(const Vector &got, const Vector &want,
+                   const std::string &label)
+{
+    ASSERT_EQ(got.size(), want.size()) << label;
+    for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                  std::bit_cast<std::uint64_t>(want[i]))
+            << label << " entry " << i << ": " << got[i] << " vs "
+            << want[i];
+}
+
+TEST(CompressedLuTest, SolvesBitIdenticalToDenseLu)
+{
+    Rng rng(555);
+    struct Shape
+    {
+        std::size_t n;
+        double density;
+    };
+    for (const Shape shape : {Shape{1, 0.0}, Shape{9, 0.1},
+                              Shape{40, 0.05}, Shape{40, 0.2},
+                              Shape{97, 0.08}, Shape{33, 1.0}}) {
+        const Matrix a = randomBlock(rng, shape.n, shape.density);
+        const LuFactors dense(a);
+        const CompressedLu compressed(a);
+        ASSERT_EQ(compressed.size(), shape.n);
+        if (shape.density < 1.0 && shape.n > 1) {
+            EXPECT_LT(compressed.nnz(), shape.n * (shape.n - 1))
+                << "no exact zeros survived at n=" << shape.n;
+        }
+        for (const std::size_t nrhs : {1u, 37u}) {
+            std::vector<Vector> columns;
+            for (std::size_t c = 0; c < nrhs; ++c)
+                columns.push_back(randomVector(rng, shape.n));
+            // Row-major, rows permuted as solveRows expects.
+            Vector x(shape.n * nrhs);
+            for (std::size_t i = 0; i < shape.n; ++i)
+                for (std::size_t c = 0; c < nrhs; ++c)
+                    x[i * nrhs + c] = columns[c][compressed.perm()[i]];
+            compressed.solveRows(x.data(), nrhs);
+            for (std::size_t c = 0; c < nrhs; ++c) {
+                const std::string label =
+                    "n=" + std::to_string(shape.n) + " nrhs=" +
+                    std::to_string(nrhs) + " column " + std::to_string(c);
+                Vector got(shape.n);
+                for (std::size_t i = 0; i < shape.n; ++i)
+                    got[i] = x[i * nrhs + c];
+                expectBitIdentical(got, dense.solve(columns[c]), label);
+            }
+        }
+    }
+}
+
+TEST(CompressedLuTest, SingularBlockThrows)
+{
+    const Matrix a{{1.0, 2.0}, {2.0, 4.0}};
+    EXPECT_THROW(CompressedLu{a}, FatalError);
+}
+
+TEST(BlockPreconditionerTest, MatchesPerBlockLuBitForBit)
+{
+    // Three factorizations of two sizes laid out A B C C B A, plus
+    // three uncovered rows at the end that must pass through.
+    Rng rng(808);
+    const Matrix ma = randomBlock(rng, 5, 0.3);
+    const Matrix mb = randomBlock(rng, 8, 0.2);
+    const Matrix mc = randomBlock(rng, 8, 1.0);
+    const CompressedLu ca(ma), cb(mb), cc(mc);
+    const LuFactors la(ma), lb(mb), lc(mc);
+    const std::vector<const CompressedLu *> blocks = {&ca, &cb, &cc,
+                                                      &cc, &cb, &ca};
+    const std::vector<const LuFactors *> oracle = {&la, &lb, &lc,
+                                                   &lc, &lb, &la};
+    std::vector<std::size_t> starts;
+    std::size_t n = 0;
+    for (const CompressedLu *b : blocks) {
+        starts.push_back(n);
+        n += b->size();
+    }
+    const std::size_t covered = n;
+    n += 3;
+    const LinearOperator precond =
+        blockDiagonalPreconditioner(blocks, starts, n);
+    ASSERT_EQ(precond.n, n);
+    for (int trial = 0; trial < 3; ++trial) {
+        const Vector x = randomVector(rng, n);
+        Vector y(n, -7.0);
+        precond.apply(x.data(), y.data());
+        for (std::size_t b = 0; b < blocks.size(); ++b) {
+            const std::size_t size = blocks[b]->size();
+            const Vector slice(x.begin() + static_cast<std::ptrdiff_t>(
+                                               starts[b]),
+                               x.begin() + static_cast<std::ptrdiff_t>(
+                                               starts[b] + size));
+            const Vector got(
+                y.begin() + static_cast<std::ptrdiff_t>(starts[b]),
+                y.begin() + static_cast<std::ptrdiff_t>(starts[b] + size));
+            expectBitIdentical(got, oracle[b]->solve(slice),
+                               "block " + std::to_string(b));
+        }
+        for (std::size_t i = covered; i < n; ++i)
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(y[i]),
+                      std::bit_cast<std::uint64_t>(x[i]));
+    }
+}
+
+TEST(BlockPreconditionerTest, RejectsBlocksPastTheEnd)
+{
+    const CompressedLu c(Matrix::identity(4));
+    EXPECT_THROW(blockDiagonalPreconditioner({&c, &c}, {0, 3}, 6),
+                 FatalError);
+    EXPECT_THROW(blockDiagonalPreconditioner({&c}, {0, 4}, 8),
+                 FatalError);
+}
+
 TEST(GmresTest, MatchesDenseLuOnPropertyGrid)
 {
     Rng rng(123);
@@ -180,11 +333,9 @@ TEST(GmresTest, RightPreconditionersPreserveTheSolution)
             block0(r, c) = dense(r, c);
             block1(r, c) = dense(16 + r, 16 + c);
         }
-    std::vector<LuFactors> factors;
-    factors.emplace_back(block0);
-    factors.emplace_back(block1);
+    const CompressedLu factor0(block0), factor1(block1);
     const LinearOperator block = blockDiagonalPreconditioner(
-        std::move(factors), {0, 16, 32}, {0, 1, 1}, n);
+        {&factor0, &factor1, &factor1}, {0, 16, 32}, n);
     Vector x_block(n, 0.0);
     const GmresResult res_b =
         gmres(asOperator(m), b, x_block, {}, &block);
