@@ -104,10 +104,10 @@ runLog()
  *   --out PATH      write the collected run records to PATH at exit
  *   --format F      artifact format, json (default) or csv
  *   --progress      live cells-done line on stderr during sweeps
- * Cell results are seed-deterministic, so none of these change a
- * table cell, only wall-clock time and side artifacts (sharded
- * switched-network runs are the one exception; see
- * src/rsin/partitioned_run.hpp for the exactness contract).
+ * Cell results are seed-deterministic, and a sharded run reproduces
+ * the serial one bit for bit (src/rsin/partitioned_run.hpp), so none
+ * of these change a table cell, only wall-clock time and side
+ * artifacts.
  */
 inline void
 initBench(int argc, const char *const *argv,

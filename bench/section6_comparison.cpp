@@ -8,12 +8,11 @@
  *
  * --scale large switches to the campaign-scale variant the paper could
  * not run: the same cross-class comparison at p = 131072 processors
- * (p >= 1e5) for workload ratios 0.1 and 10, executed through the
- * partitioned DES engine.  Pass --jobs N --shards N (or --shards 0)
- * to spread each run over N calendar shards; every row uses the
- * default arbitration and routing policy, so rows are bit-identical at
- * any shard count.  The table reports wall-clock and
- * event throughput next to the delay so the scaling is visible.
+ * (p >= 1e5) for workload ratios 0.1 and 10, executed as partitioned
+ * runs.  Pass --jobs N --shards N (or --shards 0) to spread each run
+ * over N calendar shards; rows are bit-identical at any shard count.
+ * The table reports wall-clock and event throughput next to the delay
+ * so the scaling is visible.
  */
 
 #include "figure_common.hpp"

@@ -72,7 +72,7 @@ main(int argc, char **argv)
                    " thread to run cells concurrently.\n"
                    "--shards P runs each simulation on P calendar"
                    " shards (partitioned\n"
-                   "  by network; SBUS output is bit-identical at any"
+                   "  by network; the output is bit-identical at any"
                    " P).  --shards 0\n"
                    "  means auto -- one shard per worker of the pool"
                    " driving the run\n"

@@ -334,7 +334,7 @@ class Simulator
      * value when the calendar is empty.  Non-const because it settles
      * lazily-cancelled entries off the top (like step() would).  This
      * is the peek the partitioned driver uses to stop a shard exactly
-     * at its conservative safe bound.
+     * at its window horizon.
      */
     std::optional<double> nextEventTime();
 

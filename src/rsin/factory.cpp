@@ -48,7 +48,7 @@ simulate(const SystemConfig &config, const workload::WorkloadParams &params,
     }
     if (requested > 1) {
         const PartitionPlan plan = planPartition(config, requested);
-        if (plan.kind != PartitionKind::None)
+        if (plan.shardCount() >= 2)
             return runPartitioned(config, params, options, model, plan,
                                   executor);
     }

@@ -38,10 +38,10 @@ makeSystem(const SystemConfig &config,
  * Build and run in one call.  When options.shards requests a
  * partitioned run (0 = auto, >1 = explicit) and the configuration can
  * be split (more than one network), the system is sharded by network
- * and executed through des::PartitionedSimulator; @p executor then
- * supplies the worker threads (null runs the shards on the calling
- * thread, with an identical result).  See src/rsin/partitioned_run.hpp
- * for the bit-exactness contract against the serial calendar.
+ * and executed through runPartitioned; @p executor then supplies the
+ * worker threads (null runs the shards on the calling thread).  The
+ * result is the serial one, bit for bit, in every mode and at any
+ * shard count; see src/rsin/partitioned_run.hpp for the contract.
  */
 SimResult simulate(const SystemConfig &config,
                    const workload::WorkloadParams &params,

@@ -26,6 +26,7 @@ OmegaSystem::OmegaSystem(const SystemConfig &config,
     for (std::size_t n = 0; n < nets_.size(); ++n) {
         Net &net = nets_[n];
         net.firstProcessor = n * config.inputsPerNet;
+        net.rng = networkRng(n, config.inputsPerNet);
         net.topo = std::make_unique<topology::MultistageNetwork>(
             kind, config.inputsPerNet);
         net.circuit = std::make_unique<topology::CircuitState>(*net.topo);
@@ -88,7 +89,7 @@ OmegaSystem::scheduleRequest(Net &net, std::size_t input, std::size_t type)
         RSIN_PANIC("scheduleRequest: clocked mode dispatches in batches");
       case OmegaScheduling::Distributed:
         return net.router->tryRoute(*net.avail, *net.circuit, *net.pool,
-                                    input, rng(), type);
+                                    input, net.rng, type);
       case OmegaScheduling::AddressRandomFree: {
         // Centralized scheduler: pick a random output that has a free
         // resource of the right type, then route by destination tag.
@@ -98,7 +99,7 @@ OmegaSystem::scheduleRequest(Net &net, std::size_t input, std::size_t type)
                 frees.push_back(port);
         if (frees.empty())
             return std::nullopt;
-        const std::size_t dst = frees[rng().uniformInt(
+        const std::size_t dst = frees[net.rng.uniformInt(
             static_cast<std::uint64_t>(frees.size()))];
         return net.router->tryRouteAddressed(*net.circuit, *net.pool,
                                              input, dst, type);
@@ -131,7 +132,7 @@ OmegaSystem::dispatchNetClocked(Net &net)
     if (sources.empty())
         return;
     const auto round = net.clocked->scheduleRound(*net.circuit, *net.pool,
-                                                  sources, rng());
+                                                  sources, net.rng);
     for (const auto &outcome : round.outcomes) {
         if (!outcome.served) {
             noteRejection();
@@ -237,7 +238,7 @@ OmegaSystem::dispatchReturns(Net &net)
         net.returnBusy[port] = true;
         workload::Task task = std::move(net.returnQueues[port].front());
         net.returnQueues[port].pop_front();
-        const double duration = rng().exponential(mu_r);
+        const double duration = net.rng.exponential(mu_r);
         sim().schedule(duration, [this, &net, port, path,
                                   task = std::move(task)]() mutable {
             net.returnCircuit->release(path);

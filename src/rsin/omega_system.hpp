@@ -102,6 +102,9 @@ class OmegaSystem : public SystemSimulation
         std::unique_ptr<topology::CircuitState> returnCircuit;
         std::vector<std::deque<workload::Task>> returnQueues;
         std::vector<bool> returnBusy;
+        /** Every draw this network makes: routing ties, random
+         *  addresses, clocked rounds, return times (networkRng). */
+        Rng rng;
     };
 
     void dispatchNet(Net &net);

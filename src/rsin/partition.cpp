@@ -12,7 +12,7 @@ planPartition(const SystemConfig &config, std::size_t requestedShards)
     config.validate();
     PartitionPlan plan;
     if (requestedShards <= 1 || config.networks <= 1)
-        return plan; // PartitionKind::None
+        return plan; // no shards: run serially
 
     const std::size_t shardCount =
         std::min(requestedShards, config.networks);
@@ -20,7 +20,6 @@ planPartition(const SystemConfig &config, std::size_t requestedShards)
     const std::size_t base = config.networks / shardCount;
     const std::size_t extra = config.networks % shardCount;
 
-    plan.kind = PartitionKind::ByNetwork;
     plan.shards.reserve(shardCount);
     std::size_t nextNetwork = 0;
     for (std::size_t s = 0; s < shardCount; ++s) {

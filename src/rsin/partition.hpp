@@ -2,17 +2,16 @@
 
 /**
  * @file
- * Partitioning of an RSIN system model across conservative shards.
+ * Partitioning of an RSIN system model across shards.
  *
  * All three network classes of the paper are unions of i identical
  * independent cells (a bus partition, a crossbar, an omega net), and
  * assumption (c) -- zero propagation delay with instant status
  * broadcast -- makes every event *within* a cell instantaneously
- * visible to the whole cell.  The only boundary with non-zero
- * lookahead is therefore the cell boundary, so the partitioning unit
- * is whole networks: PartitionKind::ByNetwork assigns each shard a
- * contiguous block of networks together with their processors and
- * resource pools.
+ * visible to the whole cell, so a cell cannot be split.  The
+ * partitioning unit is therefore whole networks: planPartition assigns
+ * each shard a contiguous block of networks together with their
+ * processors and resource pools, and no event ever crosses a shard.
  *
  * A shard runs the ordinary serial model on its slice and, instead of
  * reducing observations locally, appends them to a ShardLog.  The
@@ -30,13 +29,6 @@
 
 namespace rsin {
 
-/** How a system model is split across shards. */
-enum class PartitionKind
-{
-    None,      ///< unsplittable (one network): run serially
-    ByNetwork, ///< contiguous blocks of whole networks per shard
-};
-
 /** One shard's slice of the system. */
 struct ShardBounds
 {
@@ -52,10 +44,10 @@ struct ShardBounds
     }
 };
 
-/** Full partitioning decision for one run. */
+/** Full partitioning decision for one run: two or more shards make a
+ *  partitioned run, fewer mean "run serially". */
 struct PartitionPlan
 {
-    PartitionKind kind = PartitionKind::None;
     std::vector<ShardBounds> shards;
 
     std::size_t shardCount() const { return shards.size(); }
@@ -66,7 +58,7 @@ struct PartitionPlan
  * are dealt out in contiguous, maximally balanced blocks; with fewer
  * networks than requested shards the plan shrinks to one shard per
  * network, and a single-network system (or requestedShards <= 1)
- * yields PartitionKind::None.
+ * yields a plan with no shards.
  */
 PartitionPlan planPartition(const SystemConfig &config,
                             std::size_t requestedShards);
@@ -128,8 +120,9 @@ struct ShardLog
 /**
  * Marks a SystemSimulation as one shard of a partitioned run: capture
  * observations into @p log instead of reducing them locally, offset
- * RNG streams and reported processor indices by @p processorOffset so
- * they match the serial run's global numbering.
+ * RNG streams (per processor and per network) and reported processor
+ * indices by @p processorOffset so they match the serial run's global
+ * numbering.
  */
 struct ShardContext
 {

@@ -1,108 +1,138 @@
 #include "partitioned_run.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <compare>
 #include <cstdint>
-#include <limits>
 #include <memory>
-#include <utility>
+#include <optional>
 #include <vector>
 
-#include "common/contract.hpp"
 #include "common/error.hpp"
-#include "des/partitioned.hpp"
 
 namespace rsin {
 
 namespace {
 
-/**
- * Position of one fired event in the reconstructed global order:
- * time bits first (order-preserving for non-negative times), then
- * shard, then the shard-local fired index.  Within a shard this is
- * exactly the serial order; across shards it matches the serial order
- * wherever timestamps are distinct.
- */
-struct Cut
+/** Order-preserving bit pattern of a non-negative event time. */
+std::uint64_t
+timeToBits(double time)
 {
-    bool valid = false;
-    std::uint64_t timeBits = 0;
-    std::size_t shard = 0;
-    std::uint64_t firedIndex = 0;
-    double time = 0.0;
-
-    /** Strict "this stops the run earlier than other" comparison. */
-    bool
-    before(const Cut &other) const
-    {
-        if (timeBits != other.timeBits)
-            return timeBits < other.timeBits;
-        if (shard != other.shard)
-            return shard < other.shard;
-        return firedIndex < other.firedIndex;
-    }
-};
-
-/** Keep the earlier of two candidates. */
-void
-takeEarlier(Cut &best, const Cut &candidate)
-{
-    if (!candidate.valid)
-        return;
-    if (!best.valid || candidate.before(best))
-        best = candidate;
+    RSIN_ASSERT(time >= 0.0, "timeToBits: negative event time");
+    return std::bit_cast<std::uint64_t>(time);
 }
 
 /**
- * Is a record produced at (timeBits, shard, firedIndex) part of the
- * run up to and including the cut event?  The cut event's own records
- * are included (the serial loop finishes the stopping event before it
- * checks the stop conditions); equal-time records on other shards are
- * not (they follow the cut in the canonical global order).
+ * A position in the reconstructed global order of one window's events,
+ * and the one definition of that order: time bits first
+ * (order-preserving for non-negative times), then shard, then a
+ * shard-local index that grows with the shard's event order -- an
+ * event's position in its shard's window journal, or a record's
+ * position in its log.  Within a shard this is exactly the serial
+ * order; across shards it matches the serial order wherever timestamps
+ * are distinct.  Kept to 16 bytes: the merge sorts one per record.
  */
-bool
-included(const Cut &cut, std::uint64_t timeBits, std::size_t shard,
-         std::uint64_t firedIndex)
-{
-    if (!cut.valid)
-        return true;
-    if (timeBits != cut.timeBits)
-        return timeBits < cut.timeBits;
-    return shard == cut.shard && firedIndex <= cut.firedIndex;
-}
-
-/** Reference to one log record, sortable into the global order. */
 struct MergeRef
 {
     std::uint64_t timeBits = 0;
     std::uint32_t shard = 0;
     std::uint32_t index = 0;
 
-    bool
-    operator<(const MergeRef &other) const
-    {
-        if (timeBits != other.timeBits)
-            return timeBits < other.timeBits;
-        if (shard != other.shard)
-            return shard < other.shard;
-        return index < other.index;
-    }
+    auto operator<=>(const MergeRef &) const = default;
 };
 
-/** Sorted global-order index over one record type of all shard logs. */
-template <typename Records, typename TimeOf>
+/** The event that stops the run (its index is a journal position). */
+using Cut = std::optional<MergeRef>;
+
+/** Keep the earlier of @p cut and @p candidate. */
+void
+takeEarlier(Cut &cut, const MergeRef &candidate)
+{
+    if (!cut || candidate < *cut)
+        cut = candidate;
+}
+
+/**
+ * Is the event at @p at part of the run up to and including the cut
+ * event?  The cut event's own records are included: the serial loop
+ * finishes the stopping event before it checks the stop conditions.
+ */
+bool
+included(const Cut &cut, const MergeRef &at)
+{
+    return !cut || at <= *cut;
+}
+
+/** One fired event: its time and the shard counters just after. */
+struct JournalEntry
+{
+    std::uint64_t timeBits = 0;
+    std::uint64_t scheduledAfter = 0;
+    std::uint64_t cancelledAfter = 0;
+};
+
+/** One shard: its slice of the model and the current window's events. */
+struct Shard
+{
+    ShardLog log;
+    std::unique_ptr<SystemSimulation> system; ///< captures into log
+    std::vector<JournalEntry> journal;
+    des::KernelCounters base; ///< kernel counters as the window began
+};
+
+/**
+ * The position of shard @p s's event with lifetime fired index
+ * @p fired, at time bits @p timeBits, which must have fired in the
+ * current window.
+ */
+MergeRef
+eventAt(const std::vector<Shard> &shards, std::size_t s,
+        std::uint64_t timeBits, std::uint64_t fired)
+{
+    const Shard &shard = shards[s];
+    RSIN_ASSERT(fired > shard.base.fired &&
+                    fired - shard.base.fired <= shard.journal.size(),
+                "eventAt: event outside the current window");
+    return {timeBits, static_cast<std::uint32_t>(s),
+            static_cast<std::uint32_t>(fired - shard.base.fired - 1)};
+}
+
+/**
+ * Fire @p shard's events up to and including @p horizon, journaling
+ * each one, and stop as soon as the model parks the shard: the global
+ * stop point then lies at or before the parking event.
+ */
+void
+advanceShard(Shard &shard, double horizon)
+{
+    des::Simulator &sim = shard.system->partitionKernel();
+    shard.journal.clear();
+    shard.base = sim.counters();
+    while (!shard.system->captureParked()) {
+        const std::optional<double> next = sim.nextEventTime();
+        if (!next || *next > horizon)
+            return;
+        sim.step();
+        shard.journal.push_back(
+            {timeToBits(sim.now()), sim.scheduled(), sim.cancelled()});
+    }
+}
+
+/** Sorted global-order index over one record type of all shards. */
+template <typename Records, typename BitsOf>
 std::vector<MergeRef>
-mergeOrder(const std::vector<ShardLog> &logs, Records records,
-           TimeOf timeOf)
+mergeOrder(const std::vector<Shard> &shards, Records records,
+           BitsOf bitsOf)
 {
     std::vector<MergeRef> order;
     std::size_t total = 0;
-    for (const ShardLog &log : logs)
-        total += records(log).size();
+    for (const Shard &shard : shards)
+        total += records(shard).size();
     order.reserve(total);
-    for (std::size_t s = 0; s < logs.size(); ++s) {
-        const auto &recs = records(logs[s]);
+    for (std::size_t s = 0; s < shards.size(); ++s) {
+        const auto &recs = records(shards[s]);
         for (std::size_t i = 0; i < recs.size(); ++i)
-            order.push_back({des::timeToBits(timeOf(recs[i])),
+            order.push_back({bitsOf(recs[i]),
                              static_cast<std::uint32_t>(s),
                              static_cast<std::uint32_t>(i)});
     }
@@ -131,51 +161,52 @@ makeShardSystem(const SystemConfig &config,
     RSIN_PANIC("makeShardSystem: unknown network class");
 }
 
-/**
- * Exact cross-shard kernel counters as of the cut event: for the cut
- * shard, its journal prefix through the cut event; for every other
- * shard, its journal prefix strictly before the cut time.  Window
- * bases cover everything committed in earlier windows.
- */
+/** Sum of all shards' lifetime kernel counters, as of now. */
 des::KernelCounters
-countersAtCut(const des::PartitionedSimulator &psim, const Cut &cut)
+totals(const std::vector<Shard> &shards)
 {
     des::KernelCounters sum;
-    for (std::size_t s = 0; s < psim.shardCount(); ++s) {
-        const auto &journal = psim.journal(s);
-        const auto &base = psim.windowBase(s);
-        std::size_t count;
-        if (s == cut.shard) {
-            RSIN_ASSERT(cut.firedIndex >= base.fired &&
-                            cut.firedIndex - base.fired <=
-                                journal.size(),
-                        "countersAtCut: cut outside the cut shard's "
-                        "window journal");
-            count = static_cast<std::size_t>(cut.firedIndex -
-                                             base.fired);
-        } else {
-            const auto firstAtOrAfter = std::lower_bound(
-                journal.begin(), journal.end(), cut.timeBits,
-                [](const des::PartitionedSimulator::JournalEntry &e,
-                   std::uint64_t bits) { return e.timeBits < bits; });
-            count = static_cast<std::size_t>(firstAtOrAfter -
-                                             journal.begin());
-        }
-        if (count == 0) {
-            sum.scheduled += base.scheduled;
-            sum.cancelled += base.cancelled;
-            sum.fired += base.fired;
-        } else {
-            const auto &last = journal[count - 1];
-            sum.scheduled += last.scheduledAfter;
-            sum.cancelled += last.cancelledAfter;
-            sum.fired += base.fired + count;
-        }
+    for (const Shard &shard : shards) {
+        const des::KernelCounters c =
+            shard.system->partitionKernel().counters();
+        sum.scheduled += c.scheduled;
+        sum.fired += c.fired;
+        sum.cancelled += c.cancelled;
+        sum.arenaBytes += c.arenaBytes;
+    }
+    return sum;
+}
+
+/**
+ * Exact cross-shard kernel counters as of the cut event: every shard
+ * contributes the prefix of its window journal at or before the cut.
+ * Window bases cover everything committed in earlier windows.
+ */
+des::KernelCounters
+countersAtCut(const std::vector<Shard> &shards, const MergeRef &cut)
+{
+    des::KernelCounters sum;
+    for (std::size_t s = 0; s < shards.size(); ++s) {
+        const Shard &shard = shards[s];
+        const std::vector<JournalEntry> &journal = shard.journal;
+        const auto firstAfter = std::partition_point(
+            journal.begin(), journal.end(), [&](const JournalEntry &e) {
+                return MergeRef{e.timeBits, static_cast<std::uint32_t>(s),
+                                static_cast<std::uint32_t>(
+                                    &e - journal.data())} <= cut;
+            });
+        const auto count =
+            static_cast<std::uint64_t>(firstAfter - journal.begin());
+        sum.fired += shard.base.fired + count;
+        sum.scheduled += count == 0 ? shard.base.scheduled
+                                    : firstAfter[-1].scheduledAfter;
+        sum.cancelled += count == 0 ? shard.base.cancelled
+                                    : firstAfter[-1].cancelledAfter;
     }
     // Arena high-water marks are a property of the shards' lifetimes,
     // not of the cut; report their sum (the one counter a partitioned
     // run does not reproduce bit-for-bit).
-    sum.arenaBytes = psim.totals().arenaBytes;
+    sum.arenaBytes = totals(shards).arenaBytes;
     return sum;
 }
 
@@ -187,40 +218,39 @@ runPartitioned(const SystemConfig &config,
                const SimOptions &options, const ModelOptions &model,
                const PartitionPlan &plan, common::Executor *executor)
 {
-    RSIN_REQUIRE(plan.kind != PartitionKind::None &&
-                     plan.shardCount() >= 1,
-                 "runPartitioned: plan has no shards");
+    RSIN_REQUIRE(plan.shardCount() >= 2,
+                 "runPartitioned: need at least two shards, the plan "
+                 "has ", plan.shardCount());
     config.validate();
 
+    // The paper's networks are independent, so the shards share no
+    // model state and exchange no events: the only cross-shard
+    // interaction is the global stop condition, which the merge below
+    // reconstructs.
     const std::size_t shardCount = plan.shardCount();
-    std::vector<ShardLog> logs(shardCount);
-    std::vector<std::unique_ptr<SystemSimulation>> systems(shardCount);
-    des::PartitionedSimulator psim(shardCount);
+    std::vector<Shard> shards(shardCount);
     for (std::size_t s = 0; s < shardCount; ++s) {
         const ShardBounds &bounds = plan.shards[s];
         SystemConfig shardConfig = config;
         shardConfig.networks = bounds.networks();
         shardConfig.processors = bounds.processors();
-        systems[s] =
-            makeShardSystem(shardConfig, params, options, model,
-                            ShardContext{&logs[s], bounds.firstProcessor});
-        psim.attach(s, systems[s]->partitionKernel());
-        psim.setEventHook(s, [sys = systems[s].get()] {
-            return !sys->captureParked();
-        });
+        shards[s].system = makeShardSystem(
+            shardConfig, params, options, model,
+            ShardContext{&shards[s].log, bounds.firstProcessor});
     }
-    // ByNetwork shards share no model state, so no channels are
-    // connected here: the paper's networks are independent and every
-    // observable cross-shard interaction is the global stop condition,
-    // which the merge below reconstructs.  The transmit time still
-    // supplies the synchronization bound -- it paces how far a window
-    // can usefully run ahead of the merge (see docs/PERF.md).
-
-    for (std::size_t s = 0; s < shardCount; ++s)
-        systems[s]->primePartitionedRun();
+    for (Shard &shard : shards)
+        shard.system->primePartitionedRun();
 
     workload::MetricsCollector metrics(options.warmupTasks);
     TimeWeighted queueTrace;
+    const auto finish = [&](bool saturated, double simulatedTime,
+                            const des::KernelCounters &kernel) {
+        SimResult result =
+            assembleSimResult(metrics, queueTrace, saturated, options,
+                              params, simulatedTime, kernel);
+        result.shardsUsed = shardCount;
+        return result;
+    };
     const std::uint64_t quota =
         options.warmupTasks + options.measureTasks;
     std::int64_t globalQueued = 0;
@@ -228,13 +258,8 @@ runPartitioned(const SystemConfig &config,
 
     // Degenerate stop conditions the serial loop hits before its first
     // step(): a zero quota or a zero event budget.
-    if (quota == 0 || options.maxEvents == 0) {
-        SimResult result =
-            assembleSimResult(metrics, queueTrace, false, options,
-                              params, 0.0, psim.totals());
-        result.shardsUsed = shardCount;
-        return result;
-    }
+    if (quota == 0 || options.maxEvents == 0)
+        return finish(false, 0.0, totals(shards));
 
     // Window sizing: aim for the full measurement quota in one or two
     // windows (aggregate completion rate ~= aggregate arrival rate for
@@ -249,110 +274,90 @@ runPartitioned(const SystemConfig &config,
 
     while (true) {
         horizon += window;
-        psim.beginWindow();
-        psim.advanceWindow(horizon, executor);
-
-        std::uint64_t windowFired = 0;
-        for (std::size_t s = 0; s < shardCount; ++s)
-            windowFired += psim.journal(s).size();
+        if (executor != nullptr && executor->size() > 1) {
+            executor->parallelFor(shardCount, [&](std::size_t s) {
+                advanceShard(shards[s], horizon);
+            });
+        } else {
+            for (Shard &shard : shards)
+                advanceShard(shard, horizon);
+        }
 
         // ---- locate the earliest stop candidate in this window ----
         Cut cut;
 
-        // (a) The quota-th completion overall.
+        // (a) The quota-th completion overall (earlier windows fed
+        // fewer than the quota, or the run would have ended there).
         const std::vector<MergeRef> completionOrder = mergeOrder(
-            logs, [](const ShardLog &l) -> const auto & {
-                return l.completions;
+            shards,
+            [](const Shard &shard) -> const auto & {
+                return shard.log.completions;
             },
-            [](const ShardLog::Completion &c) { return c.serviceEnd; });
-        {
-            std::uint64_t count = metrics.completed();
-            for (const MergeRef &ref : completionOrder) {
-                if (++count < quota)
-                    continue;
-                const ShardLog::Completion &c =
-                    logs[ref.shard].completions[ref.index];
-                takeEarlier(cut, {true, ref.timeBits, ref.shard,
-                                  c.firedIndex, c.serviceEnd});
-                break;
-            }
+            [](const ShardLog::Completion &c) {
+                return timeToBits(c.serviceEnd);
+            });
+        if (metrics.completed() + completionOrder.size() >= quota) {
+            const MergeRef &ref =
+                completionOrder[quota - metrics.completed() - 1];
+            const ShardLog::Completion &c =
+                shards[ref.shard].log.completions[ref.index];
+            takeEarlier(cut, eventAt(shards, ref.shard, ref.timeBits,
+                                     c.firedIndex));
         }
 
         // (b) Saturation: the first global queue-limit crossing, or
         // the earliest model-detected satEvent.
         Cut satCut;
         const std::vector<MergeRef> queueOrder = mergeOrder(
-            logs, [](const ShardLog &l) -> const auto & {
-                return l.queueChanges;
+            shards,
+            [](const Shard &shard) -> const auto & {
+                return shard.log.queueChanges;
             },
-            [](const ShardLog::QueueChange &q) { return q.time; });
-        {
-            std::int64_t queued = globalQueued;
-            for (const MergeRef &ref : queueOrder) {
-                const ShardLog::QueueChange &q =
-                    logs[ref.shard].queueChanges[ref.index];
-                queued += q.delta;
-                if (q.delta > 0 &&
-                    queued > static_cast<std::int64_t>(
-                                 options.saturationQueueLimit)) {
-                    takeEarlier(satCut, {true, ref.timeBits, ref.shard,
-                                         q.firedIndex, q.time});
-                    break;
-                }
+            [](const ShardLog::QueueChange &q) {
+                return timeToBits(q.time);
+            });
+        std::int64_t queued = globalQueued;
+        for (const MergeRef &ref : queueOrder) {
+            const ShardLog::QueueChange &q =
+                shards[ref.shard].log.queueChanges[ref.index];
+            queued += q.delta;
+            if (q.delta > 0 &&
+                queued > static_cast<std::int64_t>(
+                             options.saturationQueueLimit)) {
+                takeEarlier(satCut, eventAt(shards, ref.shard,
+                                            ref.timeBits, q.firedIndex));
+                break;
             }
-            for (std::size_t s = 0; s < shardCount; ++s)
-                for (const ShardLog::Mark &mark : logs[s].satEvents)
-                    takeEarlier(satCut,
-                                {true, des::timeToBits(mark.time), s,
-                                 mark.firedIndex, mark.time});
         }
-        takeEarlier(cut, satCut);
+        for (std::size_t s = 0; s < shardCount; ++s)
+            for (const ShardLog::Mark &mark : shards[s].log.satEvents)
+                takeEarlier(satCut, eventAt(shards, s,
+                                            timeToBits(mark.time),
+                                            mark.firedIndex));
+        if (satCut)
+            takeEarlier(cut, *satCut);
 
         // (c) The maxEvents safety valve: the budget-exhausting event
         // in the merged journal order.
+        std::uint64_t windowFired = 0;
+        for (const Shard &shard : shards)
+            windowFired += shard.journal.size();
         if (cumFired + windowFired >= options.maxEvents) {
-            struct JournalRef
-            {
-                std::uint64_t timeBits;
-                std::uint32_t shard;
-                std::uint32_t index;
-                bool
-                operator<(const JournalRef &o) const
-                {
-                    if (timeBits != o.timeBits)
-                        return timeBits < o.timeBits;
-                    if (shard != o.shard)
-                        return shard < o.shard;
-                    return index < o.index;
-                }
-            };
-            std::vector<JournalRef> order;
-            order.reserve(static_cast<std::size_t>(windowFired));
-            for (std::size_t s = 0; s < shardCount; ++s) {
-                const auto &journal = psim.journal(s);
-                for (std::size_t i = 0; i < journal.size(); ++i)
-                    order.push_back({journal[i].timeBits,
-                                     static_cast<std::uint32_t>(s),
-                                     static_cast<std::uint32_t>(i)});
-            }
-            std::sort(order.begin(), order.end());
-            const std::uint64_t need = options.maxEvents - cumFired;
-            RSIN_ASSERT(need >= 1 && need <= order.size(),
-                        "runPartitioned: maxEvents cut out of range");
-            const JournalRef &ref = order[need - 1];
-            takeEarlier(cut,
-                        {true, ref.timeBits, ref.shard,
-                         psim.windowBase(ref.shard).fired + ref.index + 1,
-                         des::bitsToTime(ref.timeBits)});
+            const std::vector<MergeRef> eventOrder = mergeOrder(
+                shards,
+                [](const Shard &shard) -> const auto & {
+                    return shard.journal;
+                },
+                [](const JournalEntry &e) { return e.timeBits; });
+            takeEarlier(cut, eventOrder[options.maxEvents - cumFired - 1]);
         }
-
-        const bool saturatedAtCut = satCut.valid && !cut.before(satCut);
 
         // ---- commit observations at or before the cut, in order ----
         for (const MergeRef &ref : completionOrder) {
             const ShardLog::Completion &c =
-                logs[ref.shard].completions[ref.index];
-            if (!included(cut, ref.timeBits, ref.shard, c.firedIndex))
+                shards[ref.shard].log.completions[ref.index];
+            if (!included(cut, eventAt(shards, ref.shard, ref.timeBits,
+                                       c.firedIndex)))
                 continue;
             workload::Task task;
             task.processor = c.processor;
@@ -365,43 +370,41 @@ runPartitioned(const SystemConfig &config,
         }
         for (const MergeRef &ref : queueOrder) {
             const ShardLog::QueueChange &q =
-                logs[ref.shard].queueChanges[ref.index];
-            if (!included(cut, ref.timeBits, ref.shard, q.firedIndex))
+                shards[ref.shard].log.queueChanges[ref.index];
+            if (!included(cut, eventAt(shards, ref.shard, ref.timeBits,
+                                       q.firedIndex)))
                 continue;
             globalQueued += q.delta;
             queueTrace.record(q.time,
                               static_cast<double>(globalQueued));
         }
         for (std::size_t s = 0; s < shardCount; ++s)
-            for (const ShardLog::Mark &mark : logs[s].rejections)
-                if (included(cut, des::timeToBits(mark.time), s,
-                             mark.firedIndex))
+            for (const ShardLog::Mark &mark : shards[s].log.rejections)
+                if (included(cut, eventAt(shards, s,
+                                          timeToBits(mark.time),
+                                          mark.firedIndex)))
                     metrics.taskRejected();
 
-        if (cut.valid) {
-            SimResult result = assembleSimResult(
-                metrics, queueTrace, saturatedAtCut, options, params,
-                cut.time, countersAtCut(psim, cut));
-            result.shardsUsed = shardCount;
-            return result;
-        }
+        if (cut)
+            return finish(satCut && *satCut == *cut,
+                          std::bit_cast<double>(cut->timeBits),
+                          countersAtCut(shards, *cut));
 
         cumFired += windowFired;
-        for (ShardLog &log : logs)
-            log.clear();
-
-        if (psim.drained()) {
+        bool drained = true;
+        double lastEventTime = 0.0;
+        for (Shard &shard : shards) {
+            shard.log.clear();
+            des::Simulator &sim = shard.system->partitionKernel();
+            // A parked shard's calendar is frozen, never drained.
+            drained = drained && !shard.system->captureParked() &&
+                      sim.pending() == 0;
+            lastEventTime = std::max(lastEventTime, sim.now());
+        }
+        if (drained) {
             // Every calendar emptied (e.g. a zero-arrival workload):
             // the serial clock would rest at its last fired event.
-            double simulatedTime = 0.0;
-            for (std::size_t s = 0; s < shardCount; ++s)
-                simulatedTime =
-                    std::max(simulatedTime, psim.lastEventTime(s));
-            SimResult result = assembleSimResult(
-                metrics, queueTrace, false, options, params,
-                simulatedTime, psim.totals());
-            result.shardsUsed = shardCount;
-            return result;
+            return finish(false, lastEventTime, totals(shards));
         }
 
         // Adapt the window to the observed completion rate.

@@ -60,6 +60,18 @@ SystemSimulation::SystemSimulation(std::size_t processors,
         options_.warmupTasks);
 }
 
+Rng
+SystemSimulation::networkRng(std::size_t net,
+                             std::size_t inputsPerNet) const
+{
+    RSIN_ASSERT(inputsPerNet > 0 &&
+                    shard_.processorOffset % inputsPerNet == 0,
+                "networkRng: a shard must start on a network boundary");
+    constexpr std::uint64_t kRoutingStreamTag = 0x726f757465; // "route"
+    return Rng(mixSeed(options_.seed, kRoutingStreamTag,
+                       shard_.processorOffset / inputsPerNet + net, 0));
+}
+
 std::uint64_t
 SystemSimulation::completedCount() const
 {

@@ -170,12 +170,12 @@ class SystemSimulation
 
     /** @name Partitioned-driver interface (capture mode only)
      *  The merge driver primes the arrival streams, then steps the
-     *  calendar through des::PartitionedSimulator and reads the shard
-     *  log; the run loop and result assembly live in the driver. */
+     *  calendar window by window and reads the shard log; the run loop
+     *  and result assembly live in the driver (partitioned_run.hpp). */
     ///@{
     /** Schedule the initial arrival on every processor. */
     void primePartitionedRun();
-    /** The shard's event calendar, for the conservative driver. */
+    /** The shard's event calendar, which the driver steps. */
     des::Simulator &partitionKernel() { return sim_; }
     /**
      * True once this shard hit a terminal condition (its local queue
@@ -268,8 +268,23 @@ class SystemSimulation
             metrics_->taskRejected();
     }
 
-    /** A master RNG for subclass needs (tie-breaks etc.). */
+    /**
+     * A master RNG for the single-network models (the packet and
+     * multi-resource systems).  A model with several networks draws
+     * from networkRng instead: one shared stream would hand its
+     * numbers to the networks in calendar order, which sharding
+     * changes.
+     */
     Rng &rng() { return rng_; }
+
+    /**
+     * A new routing stream for network @p net of this instance, whose
+     * networks serve @p inputsPerNet processors each.  It is seeded from
+     * the run seed and the network's global index, so a network draws
+     * the same numbers in the serial run and in whichever shard owns
+     * it.
+     */
+    Rng networkRng(std::size_t net, std::size_t inputsPerNet) const;
 
     /** Subclass-detected saturation (e.g. auxiliary queues growing). */
     void

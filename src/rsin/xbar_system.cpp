@@ -25,6 +25,7 @@ CrossbarSystem::CrossbarSystem(const SystemConfig &config,
         nets_[n].firstProcessor = n * config.inputsPerNet;
         nets_[n].lastProcessor = (n + 1) * config.inputsPerNet;
         nets_[n].buses.resize(config.outputsPerNet);
+        nets_[n].rng = networkRng(n, config.inputsPerNet);
         if (arbitration_ == XbarArbitration::GateLevel) {
             nets_[n].fabric = std::make_unique<logic::CrossbarFabric>(
                 config.inputsPerNet, config.outputsPerNet);
@@ -118,7 +119,7 @@ CrossbarSystem::dispatchNet(Net &net)
             for (std::size_t proc = first_ready; proc < last;
                  proc = nextReady(proc + 1, last))
                 ++contenders;
-            std::uint64_t pick = rng().uniformInt(
+            std::uint64_t pick = net.rng.uniformInt(
                 static_cast<std::uint64_t>(contenders));
             while (pick-- > 0)
                 winner = nextReady(winner + 1, last);

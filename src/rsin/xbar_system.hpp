@@ -66,6 +66,7 @@ class CrossbarSystem : public SystemSimulation
         std::size_t lastProcessor = 0;
         std::vector<Bus> buses;
         std::unique_ptr<logic::CrossbarFabric> fabric; ///< GateLevel
+        Rng rng; ///< RandomToken draws (networkRng)
     };
 
     void dispatchNet(Net &net);

@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the partitioned-execution stack: the SPSC channel and
- * clock-broadcast primitives, the conservative PartitionedSimulator
- * engine, and the rsin merge driver's bit-exactness against the serial
- * calendar oracle.
+ * Tests for partitioned execution: partition planning, and the rsin
+ * merge driver's bit-exactness against the serial calendar oracle for
+ * every network class and mode, at several shard counts, on the
+ * calling thread and on a thread pool.
  */
 
 #include <gtest/gtest.h>
@@ -11,9 +11,6 @@
 #include <cstring>
 #include <vector>
 
-#include "common/error.hpp"
-#include "common/spsc_channel.hpp"
-#include "des/partitioned.hpp"
 #include "exec/thread_pool.hpp"
 #include "rsin/analysis.hpp"
 #include "rsin/factory.hpp"
@@ -23,211 +20,6 @@ namespace rsin {
 namespace {
 
 // ---------------------------------------------------------------- //
-// common: SPSC channel and clock broadcast                         //
-// ---------------------------------------------------------------- //
-
-TEST(SpscChannelTest, FifoOrderAndCapacity)
-{
-    common::SpscChannel<int> ch(4);
-    EXPECT_GE(ch.capacity(), 4u);
-    EXPECT_TRUE(ch.empty());
-    std::size_t pushed = 0;
-    while (ch.tryPush(static_cast<int>(pushed)))
-        ++pushed;
-    EXPECT_EQ(pushed, ch.capacity());
-    int value = -1;
-    for (std::size_t i = 0; i < pushed; ++i) {
-        ASSERT_TRUE(ch.tryPop(value));
-        EXPECT_EQ(value, static_cast<int>(i));
-    }
-    EXPECT_FALSE(ch.tryPop(value));
-    EXPECT_TRUE(ch.empty());
-}
-
-TEST(SpscChannelTest, ReusableAfterDrain)
-{
-    common::SpscChannel<int> ch(2);
-    int out = 0;
-    for (int round = 0; round < 100; ++round) {
-        ASSERT_TRUE(ch.tryPush(round));
-        ASSERT_TRUE(ch.tryPop(out));
-        EXPECT_EQ(out, round);
-    }
-}
-
-TEST(ClockBroadcastTest, PublishIsMonotone)
-{
-    common::ClockBroadcast clock;
-    EXPECT_EQ(clock.read(), 0.0);
-    clock.publish(3.5);
-    EXPECT_EQ(clock.read(), 3.5);
-    clock.publish(2.0); // stale publication must not move time backward
-    EXPECT_EQ(clock.read(), 3.5);
-    clock.publish(7.25);
-    EXPECT_EQ(clock.read(), 7.25);
-}
-
-TEST(PartitionedDesTest, TimeBitsOrderPreserving)
-{
-    const double times[] = {0.0, 1e-12, 0.5, 1.0, 3.25, 1e9};
-    for (std::size_t i = 1; i < std::size(times); ++i) {
-        EXPECT_LT(des::timeToBits(times[i - 1]), des::timeToBits(times[i]));
-        EXPECT_EQ(des::bitsToTime(des::timeToBits(times[i])), times[i]);
-    }
-}
-
-// ---------------------------------------------------------------- //
-// des: conservative engine                                          //
-// ---------------------------------------------------------------- //
-
-/** Two-shard pipeline: shard 0 emits a cross-shard event per local
- *  event; returns shard 1's delivery times in execution order. */
-std::vector<double>
-runPipeline(common::Executor *executor, std::size_t ringCapacity,
-            int events, double lookahead)
-{
-    des::Simulator producer;
-    des::Simulator consumer;
-    des::PartitionedSimulator psim(2);
-    psim.attach(0, producer);
-    psim.attach(1, consumer);
-    psim.connect(0, 1, lookahead, ringCapacity);
-
-    std::vector<double> delivered;
-    for (int i = 0; i < events; ++i) {
-        const double at = 1.0 + static_cast<double>(i);
-        producer.scheduleAt(at, [&psim, &producer, &consumer, &delivered,
-                                 lookahead] {
-            psim.send(0, 1, producer.now() + lookahead,
-                      [&consumer, &delivered] {
-                          // Runs on shard 1: record its own clock.
-                          delivered.push_back(consumer.now());
-                      });
-        });
-    }
-    psim.beginWindow();
-    psim.advanceWindow(1000.0, executor);
-    EXPECT_TRUE(psim.drained());
-    return delivered;
-}
-
-TEST(PartitionedDesTest, CrossShardDeliveryInTimestampOrder)
-{
-    const auto delivered = runPipeline(nullptr, 256, 20, 0.25);
-    ASSERT_EQ(delivered.size(), 20u);
-    for (std::size_t i = 0; i < delivered.size(); ++i)
-        EXPECT_EQ(delivered[i], 1.25 + static_cast<double>(i));
-}
-
-TEST(PartitionedDesTest, RingOverflowSpillsLosslessly)
-{
-    // A ring of 2 slots against 64 sends per window exercises the
-    // mutex-guarded overflow path; nothing may be lost or reordered.
-    const auto delivered = runPipeline(nullptr, 2, 64, 0.5);
-    ASSERT_EQ(delivered.size(), 64u);
-    for (std::size_t i = 0; i < delivered.size(); ++i)
-        EXPECT_EQ(delivered[i], 1.5 + static_cast<double>(i));
-}
-
-TEST(PartitionedDesTest, ThreadPoolMatchesSerialExecution)
-{
-    const auto serial = runPipeline(nullptr, 8, 40, 0.125);
-    exec::ThreadPool pool(2);
-    const auto pooled = runPipeline(&pool, 8, 40, 0.125);
-    EXPECT_EQ(serial, pooled);
-}
-
-TEST(PartitionedDesTest, NullMessagesUnblockIdleSender)
-{
-    // The consumer has local work far past the producer's only event;
-    // progress beyond it requires the producer's clock broadcasts (the
-    // null-message role), since the producer sends nothing at all.
-    des::Simulator producer;
-    des::Simulator consumer;
-    des::PartitionedSimulator psim(2);
-    psim.attach(0, producer);
-    psim.attach(1, consumer);
-    psim.connect(0, 1, 0.5);
-    int fired = 0;
-    for (int i = 0; i < 10; ++i)
-        consumer.scheduleAt(static_cast<double>(i) + 1.0,
-                            [&fired] { ++fired; });
-    psim.beginWindow();
-    psim.advanceWindow(50.0, nullptr);
-    EXPECT_EQ(fired, 10);
-    EXPECT_TRUE(psim.drained());
-}
-
-TEST(PartitionedDesTest, EventHookParksShard)
-{
-    des::Simulator sim0;
-    des::Simulator sim1;
-    des::PartitionedSimulator psim(2);
-    psim.attach(0, sim0);
-    psim.attach(1, sim1);
-    int fired0 = 0;
-    int fired1 = 0;
-    for (int i = 0; i < 10; ++i) {
-        sim0.scheduleAt(static_cast<double>(i) + 1.0,
-                        [&fired0] { ++fired0; });
-        sim1.scheduleAt(static_cast<double>(i) + 1.0,
-                        [&fired1] { ++fired1; });
-    }
-    // Shard 0 parks after its third event; shard 1 runs to the end.
-    psim.setEventHook(0, [&fired0] { return fired0 < 3; });
-    psim.beginWindow();
-    psim.advanceWindow(100.0, nullptr);
-    EXPECT_EQ(fired0, 3);
-    EXPECT_EQ(fired1, 10);
-    EXPECT_TRUE(psim.parked(0));
-    EXPECT_FALSE(psim.parked(1));
-    EXPECT_FALSE(psim.drained()); // a parked shard is never drained
-}
-
-TEST(PartitionedDesTest, JournalTracksPerEventCounters)
-{
-    des::Simulator sim0;
-    des::PartitionedSimulator psim(1);
-    psim.attach(0, sim0);
-    sim0.scheduleAt(1.0, [&sim0] { sim0.schedule(0.5, [] {}); });
-    psim.beginWindow();
-    psim.advanceWindow(10.0, nullptr);
-    const auto &journal = psim.journal(0);
-    ASSERT_EQ(journal.size(), 2u);
-    EXPECT_EQ(des::bitsToTime(journal[0].timeBits), 1.0);
-    EXPECT_EQ(journal[0].scheduledAfter, 2u); // the nested schedule
-    EXPECT_EQ(des::bitsToTime(journal[1].timeBits), 1.5);
-    EXPECT_EQ(psim.windowBase(0).fired, 0u);
-    EXPECT_EQ(psim.totals().fired, 2u);
-}
-
-TEST(PartitionedDesTest, ZeroLookaheadConnectionRejected)
-{
-    des::Simulator sim0;
-    des::Simulator sim1;
-    des::PartitionedSimulator psim(2);
-    psim.attach(0, sim0);
-    psim.attach(1, sim1);
-    EXPECT_THROW(psim.connect(0, 1, 0.0), FatalError);
-}
-
-TEST(PartitionedDesTest, LookaheadViolationRejected)
-{
-    des::Simulator sim0;
-    des::Simulator sim1;
-    des::PartitionedSimulator psim(2);
-    psim.attach(0, sim0);
-    psim.attach(1, sim1);
-    psim.connect(0, 1, 1.0);
-    sim0.scheduleAt(1.0, [&psim, &sim0] {
-        // Promises delivery sooner than the declared lookahead.
-        psim.send(0, 1, sim0.now() + 0.25, [] {});
-    });
-    psim.beginWindow();
-    EXPECT_THROW(psim.advanceWindow(10.0, nullptr), FatalError);
-}
-
-// ---------------------------------------------------------------- //
 // rsin: partition planning                                          //
 // ---------------------------------------------------------------- //
 
@@ -235,7 +27,6 @@ TEST(PartitionPlanTest, BalancedContiguousBlocks)
 {
     const auto cfg = SystemConfig::parse("16/8x1x1 SBUS/2");
     const auto plan = planPartition(cfg, 3);
-    ASSERT_EQ(plan.kind, PartitionKind::ByNetwork);
     ASSERT_EQ(plan.shardCount(), 3u);
     // 8 networks over 3 shards: 3 + 3 + 2, contiguous, in order.
     EXPECT_EQ(plan.shards[0].networks(), 3u);
@@ -251,9 +42,9 @@ TEST(PartitionPlanTest, ClampsToNetworkCountAndRefusesSingles)
 {
     const auto cfg = SystemConfig::parse("8/4x1x1 SBUS/2");
     EXPECT_EQ(planPartition(cfg, 64).shardCount(), 4u);
-    EXPECT_EQ(planPartition(cfg, 1).kind, PartitionKind::None);
+    EXPECT_EQ(planPartition(cfg, 1).shardCount(), 0u);
     const auto single = SystemConfig::parse("4/1x1x1 SBUS/2");
-    EXPECT_EQ(planPartition(single, 8).kind, PartitionKind::None);
+    EXPECT_EQ(planPartition(single, 8).shardCount(), 0u);
 }
 
 // ---------------------------------------------------------------- //
@@ -333,12 +124,18 @@ TEST(PartitionedRunTest, SbusBitIdenticalAcrossShardCounts)
     const SimResult serial = simulate(cfg, params, opts);
     ASSERT_EQ(serial.status, RunStatus::Ok);
     ASSERT_EQ(serial.shardsUsed, 1u);
+    exec::ThreadPool pool(4);
+    common::Executor *const executors[] = {nullptr, &pool};
     for (std::size_t shards : {2u, 4u, 7u}) {
+        SCOPED_TRACE(shards);
         SimOptions sharded = opts;
         sharded.shards = shards;
-        const SimResult result = simulate(cfg, params, sharded);
-        EXPECT_EQ(result.shardsUsed, shards);
-        expectSameResult(serial, result);
+        for (common::Executor *executor : executors) {
+            const SimResult result =
+                simulate(cfg, params, sharded, {}, executor);
+            EXPECT_EQ(result.shardsUsed, shards);
+            expectSameResult(serial, result);
+        }
     }
 }
 
@@ -479,12 +276,22 @@ omegaModel(OmegaScheduling scheduling, sched::RoutingPolicy policy)
     return m;
 }
 
+ModelOptions
+omegaReturnModel(double muReturn)
+{
+    ModelOptions m;
+    m.omega.modelReturnNetwork = true;
+    m.omega.muReturn = muReturn;
+    return m;
+}
+
 TEST(PartitionedRunTest, SwitchedNetworksBitIdenticalAcrossShardCounts)
 {
-    // Modes whose routing draws no master-RNG numbers: every network's
-    // event sequence is its own, so sharding by network reproduces the
-    // serial run exactly -- rejections included, because a blocked
-    // task retries only when its own network changes status.
+    // Every network's event sequence is its own and every number it
+    // draws comes from its own streams, so sharding by network
+    // reproduces the serial run exactly -- rejections included,
+    // because a blocked task retries only when its own network changes
+    // status.  Each row runs on the calling thread and on a pool.
     using S = OmegaScheduling;
     using P = sched::RoutingPolicy;
     const std::vector<SwitchedCase> cases = {
@@ -492,19 +299,34 @@ TEST(PartitionedRunTest, SwitchedNetworksBitIdenticalAcrossShardCounts)
          xbarModel(XbarArbitration::IndexPriority)},
         {"xbar-fifo", "32/8x4x2 XBAR/1",
          xbarModel(XbarArbitration::FifoArrival)},
+        {"xbar-token", "32/8x4x2 XBAR/1",
+         xbarModel(XbarArbitration::RandomToken)},
+        {"xbar-gate", "32/8x4x2 XBAR/1",
+         xbarModel(XbarArbitration::GateLevel)},
         {"omega-most", "32/8x4x4 OMEGA/1",
          omegaModel(S::Distributed, P::MostResources)},
         {"omega-upper", "32/8x4x4 OMEGA/1",
          omegaModel(S::Distributed, P::PreferUpper)},
+        {"omega-random-tie", "32/8x4x4 OMEGA/1",
+         omegaModel(S::Distributed, P::RandomTie)},
         {"omega-address-first", "32/8x4x4 OMEGA/1",
          omegaModel(S::AddressFirstFree, P::MostResources)},
+        {"omega-address-random", "32/8x4x4 OMEGA/1",
+         omegaModel(S::AddressRandomFree, P::MostResources)},
+        {"omega-clocked", "32/8x4x4 OMEGA/1",
+         omegaModel(S::DistributedClocked, P::RandomTie)},
+        {"omega-return", "32/8x4x4 OMEGA/1", omegaReturnModel(0.0)},
         {"cube-most", "32/8x4x4 CUBE/1",
          omegaModel(S::Distributed, P::MostResources)},
         {"cube-upper", "32/8x4x4 CUBE/1",
          omegaModel(S::Distributed, P::PreferUpper)},
+        {"cube-random-tie", "32/8x4x4 CUBE/1",
+         omegaModel(S::Distributed, P::RandomTie)},
         {"cube-address-first", "32/8x4x4 CUBE/1",
          omegaModel(S::AddressFirstFree, P::MostResources)},
     };
+    exec::ThreadPool pool(4);
+    common::Executor *const executors[] = {nullptr, &pool};
     for (const SwitchedCase &c : cases) {
         SCOPED_TRACE(c.label);
         const auto cfg = SystemConfig::parse(c.config);
@@ -517,43 +339,40 @@ TEST(PartitionedRunTest, SwitchedNetworksBitIdenticalAcrossShardCounts)
             EXPECT_GT(serial.rejections, 0u);
         }
         for (std::size_t shards : {1u, 2u, 4u, 7u}) {
+            SCOPED_TRACE(shards);
             SimOptions sharded = opts;
             sharded.shards = shards;
-            const SimResult result = simulate(cfg, params, sharded, c.model);
-            EXPECT_EQ(result.shardsUsed, shards);
-            expectSameResult(serial, result);
+            for (common::Executor *executor : executors) {
+                const SimResult result =
+                    simulate(cfg, params, sharded, c.model, executor);
+                EXPECT_EQ(result.shardsUsed, shards);
+                expectSameResult(serial, result);
+            }
         }
     }
 }
 
-TEST(PartitionedRunTest, SwitchedNetworksDeterministicPerShardCount)
+TEST(PartitionedRunTest, ReturnPathSaturationBitIdentical)
 {
-    // RandomToken, RandomTie and address-random draw from the per-run
-    // master RNG, so sharding changes the stream interleaving: the
-    // contract there is determinism for a fixed shard count, not
-    // serial bit-equality.
-    using S = OmegaScheduling;
-    using P = sched::RoutingPolicy;
-    const std::vector<SwitchedCase> cases = {
-        {"xbar-token", "8/2x4x4 XBAR/2",
-         xbarModel(XbarArbitration::RandomToken)},
-        {"omega-random-tie", "8/2x4x4 OMEGA/2",
-         omegaModel(S::Distributed, P::RandomTie)},
-        {"omega-address-random", "8/2x4x4 OMEGA/2",
-         omegaModel(S::AddressRandomFree, P::MostResources)},
-    };
-    const auto params = makeParams(0.2, 1.0, 0.5);
-    for (const SwitchedCase &c : cases) {
-        SCOPED_TRACE(c.label);
-        const auto cfg = SystemConfig::parse(c.config);
-        SimOptions opts = smallOptions(29);
-        opts.shards = 2;
-        const SimResult first = simulate(cfg, params, opts, c.model);
-        const SimResult second = simulate(cfg, params, opts, c.model);
-        EXPECT_EQ(first.shardsUsed, 2u);
-        expectSameResult(first, second);
-        EXPECT_EQ(first.kernel.arenaBytes, second.kernel.arenaBytes);
-        EXPECT_EQ(first.status, RunStatus::Ok);
+    // A slow return network saturates through noteSaturated(), not
+    // through the processor queues: the shard that detects it parks,
+    // and the run must stop at exactly the serial detection event.
+    const auto cfg = SystemConfig::parse("32/8x4x4 OMEGA/1");
+    const auto params =
+        makeParams(lambdaForRho(cfg, 0.6, 1.0, 0.5), 1.0, 0.5);
+    SimOptions opts = smallOptions(37);
+    opts.saturationQueueLimit = 40;
+    const ModelOptions model = omegaReturnModel(0.05);
+    const SimResult serial = simulate(cfg, params, opts, model);
+    ASSERT_EQ(serial.status, RunStatus::Saturated);
+    exec::ThreadPool pool(4);
+    for (std::size_t shards : {2u, 4u, 7u}) {
+        SCOPED_TRACE(shards);
+        SimOptions sharded = opts;
+        sharded.shards = shards;
+        expectSameResult(serial, simulate(cfg, params, sharded, model));
+        expectSameResult(serial,
+                         simulate(cfg, params, sharded, model, &pool));
     }
 }
 

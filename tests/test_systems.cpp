@@ -477,7 +477,11 @@ TEST(GoldenRunTest, EventLocalDispatchReproducesWholeSystemScan)
     // dispatch must reproduce them exactly: every arbitration, policy
     // and extension below, on two networks wherever the mode allows.
     // (address-first and address-random retry differently once other
-    // networks exist, so they are pinned on one network only.)
+    // networks exist, so they are pinned on one network only.)  The
+    // rows that draw routing numbers -- xbar-token, omega-random-tie,
+    // cube-random-tie, omega-return and omega-address-random -- were
+    // re-recorded when every network got its own routing stream
+    // (SystemSimulation::networkRng), and now pin those streams.
     using S = OmegaScheduling;
     using P = sched::RoutingPolicy;
     ModelOptions with_return = omegaModel(S::Distributed);
@@ -495,9 +499,9 @@ TEST(GoldenRunTest, EventLocalDispatchReproducesWholeSystemScan)
          0x3ffa9aa3190e94a8, 0x3fc01430bd7fabf9, 0x4013481b2a994181,
          9618, 3200},
         {"xbar-token", "16/2x8x4 XBAR/2", 1,
-         xbarModel(XbarArbitration::RandomToken), 0x3fe12dad8cbfae8e,
-         0x3ffae9b8baff6def, 0x3fbfd9344e6527d3, 0x4017cbcdffc69d8f,
-         9619, 3200},
+         xbarModel(XbarArbitration::RandomToken), 0x3fe24f974be90109,
+         0x3ffcafafac2f4829, 0x3fc2350866fee89d, 0x401c715e44539ca6,
+         9618, 3200},
         {"xbar-gate", "12/2x6x3 XBAR/2", 1,
          xbarModel(XbarArbitration::GateLevel), 0x3fe6a54f818424ea,
          0x3ffab08575dceb3b, 0x3fc2548deb16c589, 0x401d732570ea92b5,
@@ -511,8 +515,8 @@ TEST(GoldenRunTest, EventLocalDispatchReproducesWholeSystemScan)
          0x400227b1e0297f78, 0x3fbb981548ac858f, 0x401686cd739a6d4f,
          9627, 3200},
         {"omega-random-tie", "16/2x8x8 OMEGA/2", 1,
-         omegaModel(S::Distributed, P::RandomTie), 0x3fde04981a897e95,
-         0x4001dc73c46971b6, 0x3fbb6ff9f76f4395, 0x4016b5f50d0360ff,
+         omegaModel(S::Distributed, P::RandomTie), 0x3fddc94afc25612e,
+         0x4001bebe07bce736, 0x3fbba213597901d1, 0x40167fde7d97f742,
          9627, 3200},
         {"omega-address-first", "8/1x8x8 OMEGA/2", 1,
          omegaModel(S::AddressFirstFree), 0x4010b4c7a06c8ed2,
@@ -527,8 +531,8 @@ TEST(GoldenRunTest, EventLocalDispatchReproducesWholeSystemScan)
          0x4001f981fa3a719e, 0x3fba6642d79fe683, 0x40165e495cb57a1d,
          9627, 3200},
         {"cube-random-tie", "16/2x8x8 CUBE/2", 1,
-         omegaModel(S::Distributed, P::RandomTie), 0x3fddc6ae231eda82,
-         0x4001b604a991e8cc, 0x3fba92a7d773de2b, 0x40165e495cb57a1d,
+         omegaModel(S::Distributed, P::RandomTie), 0x3fddc994bf737861,
+         0x4001be2c8c6b9e92, 0x3fba7c5260a13322, 0x40165e495cb57a1d,
          9627, 3200},
         {"cube-address-first", "8/1x8x8 CUBE/2", 1,
          omegaModel(S::AddressFirstFree), 0x40151bb1a741c576,
@@ -541,12 +545,12 @@ TEST(GoldenRunTest, EventLocalDispatchReproducesWholeSystemScan)
          0x3fee34f8de3d9318, 0x40114443d913bf73, 0x3fd4549812b943d5,
          0x40219217b6f4d033, 9626, 3200},
         {"omega-return", "16/2x8x8 OMEGA/2", 1, with_return,
-         0x3fddf180b6a5e089, 0x4001bec6b03d4837, 0x3fbdf499dd41b40d,
-         0x40165e495cb57a1d, 12871, 3200},
+         0x3fddbf8218f36164, 0x4001bc48181a6386, 0x3fbb70cd974cd12f,
+         0x40165e495cb57a1d, 12854, 3200},
         {"omega-address-random", "8/1x8x8 OMEGA/2", 1,
-         omegaModel(S::AddressRandomFree), 0x3fe5ba1f7059d73f,
-         0x3ff9a4deb0de3326, 0x3fca4153442309a7, 0x40184fb19c7df8a3,
-         9614, 3200},
+         omegaModel(S::AddressRandomFree), 0x3fe5d8e2ec5ee12e,
+         0x3ff9bd89f8eff90e, 0x3fce900538c6ca3e, 0x401933435ea0408a,
+         9613, 3200},
         {"omega-clocked", "8/1x8x8 OMEGA/2", 1,
          omegaModel(S::DistributedClocked), 0x3fde51ced3055204,
          0x3ff1dcf944b86782, 0x3fca0b0aff04bb55, 0x4015a010e8b6b838,
