@@ -24,6 +24,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "common/args.hpp"
+#include "common/error.hpp"
 #include "common/table.hpp"
 #include "common/text.hpp"
 #include "exec/sweep_runner.hpp"
@@ -113,26 +115,34 @@ inline void
 initBench(int argc, const char *const *argv,
           const std::set<std::string> &extra_options = {})
 {
-    std::set<std::string> options{"jobs", "shards", "out", "format"};
-    options.insert(extra_options.begin(), extra_options.end());
-    const ArgParser args(argc, argv, {"progress"}, options);
-    auto &ctx = benchContext();
-    for (const auto &name : extra_options)
-        ctx.extra[name] = args.get(name);
-    const std::size_t jobs = args.getJobs();
-    if (jobs > 1)
-        ctx.pool = std::make_unique<exec::ThreadPool>(jobs);
-    ctx.shards = args.getShards();
-    ctx.out = args.get("out");
-    ctx.format = obs::parseFormat(args.get("format", "json"));
-    std::string bench = args.program();
-    const auto slash = bench.find_last_of('/');
-    if (slash != std::string::npos)
-        bench = bench.substr(slash + 1);
-    ctx.log.setBench(bench);
-    ctx.observer = std::make_unique<exec::SweepObserver>(
-        bench, args.flag("progress") ? &std::cerr : nullptr);
-    ctx.start = std::chrono::steady_clock::now();
+    try {
+        std::set<std::string> options{"jobs", "shards", "out", "format"};
+        options.insert(extra_options.begin(), extra_options.end());
+        const ArgParser args(argc, argv, {"progress"}, options);
+        auto &ctx = benchContext();
+        for (const auto &name : extra_options)
+            ctx.extra[name] = args.get(name);
+        const std::size_t jobs = args.getJobs();
+        ctx.shards = args.getShards();
+        ctx.out = args.get("out");
+        ctx.format = obs::parseFormat(args.get("format", "json"));
+        // Every flag is valid before the first worker thread starts.
+        if (jobs > 1)
+            ctx.pool = std::make_unique<exec::ThreadPool>(jobs);
+        std::string bench = args.program();
+        const auto slash = bench.find_last_of('/');
+        if (slash != std::string::npos)
+            bench = bench.substr(slash + 1);
+        ctx.log.setBench(bench);
+        ctx.observer = std::make_unique<exec::SweepObserver>(
+            bench, args.flag("progress") ? &std::cerr : nullptr);
+        ctx.start = std::chrono::steady_clock::now();
+    } catch (const FatalError &e) {
+        // A bad flag is a usage error, not a crash: report it and exit
+        // 1, as rsin_sweep and rsin_campaign do.
+        std::cerr << e.what() << "\n";
+        std::exit(1);
+    }
 }
 
 /**

@@ -42,17 +42,17 @@ main()
                 prm.p, prm.r, rho, prm.muN, prm.muS);
             const SbusChain sbus(prm);
             if (!sbus.stable()) {
-                table.row({formatf("%.1f", ratio), formatf("%.1f", rho),
+                table.row({formatf("%.1f", ratio), formatf("%.2f", rho),
                            "unstable", "-"});
                 continue;
             }
             const Ctmc chain = sbus.buildTruncated(60);
             la::Vector init(chain.states(), 0.0);
             init[0] = 1.0;
-            const auto pi = chain.stationaryIterative(1e-13);
+            const auto pi = chain.stationaryDense();
             const double t =
                 timeToConverge(chain, init, pi, 1e-3, 0.25);
-            table.row({formatf("%.1f", ratio), formatf("%.1f", rho),
+            table.row({formatf("%.1f", ratio), formatf("%.2f", rho),
                        formatf("%.3g", t * prm.muS),
                        formatf("%.0f", t * prm.arrivalRate())});
         }

@@ -1,8 +1,8 @@
 #include "kernels.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <vector>
 
 namespace rsin {
 namespace la {
@@ -17,12 +17,10 @@ constexpr std::size_t kKc = 256;
 constexpr std::size_t kNc = 128;
 
 /**
- * C[0..4) x [0..nc) += alpha * A(rows i..i+4, cols k0..k0+kc) * Btile.
- * @p arow points at A(i, k0) with row stride @p lda (alda = lda) when
- * A is stored normally, or at A(k0, i) with @p lda when A is accessed
- * transposed (then consecutive of the four rows are adjacent doubles).
+ * C[0..Rows) x [0..nc) += alpha * A(rows i..i+Rows, cols k0..k0+kc) *
+ * Btile; @p arow points at A(i, k0) with row stride @p lda.
  */
-template <bool TransA, std::size_t Rows>
+template <std::size_t Rows>
 inline void
 micro(const double *arow, std::size_t lda, const double *btile,
       std::size_t ldb, double *crow, std::size_t ldc, std::size_t kc,
@@ -35,8 +33,7 @@ micro(const double *arow, std::size_t lda, const double *btile,
         double av[Rows];
         bool all_zero = true;
         for (std::size_t t = 0; t < Rows; ++t) {
-            const double raw = TransA ? arow[kk * lda + t]
-                                      : arow[t * lda + kk];
+            const double raw = arow[t * lda + kk];
             av[t] = alpha * raw;
             all_zero = all_zero && raw == 0.0;
         }
@@ -51,33 +48,15 @@ micro(const double *arow, std::size_t lda, const double *btile,
     }
 }
 
-template <bool TransA>
-inline void
-microBlock(std::size_t m, const double *a, std::size_t lda,
-           std::size_t k0, const double *btile, std::size_t ldb,
-           double *c, std::size_t ldc, std::size_t j0, std::size_t kc,
-           std::size_t nc, double alpha)
-{
-    std::size_t i = 0;
-    for (; i + 4 <= m; i += 4) {
-        const double *arow = TransA ? a + k0 * lda + i
-                                    : a + i * lda + k0;
-        micro<TransA, 4>(arow, lda, btile, ldb, c + i * ldc + j0, ldc,
-                         kc, nc, alpha);
-    }
-    for (; i < m; ++i) {
-        const double *arow = TransA ? a + k0 * lda + i
-                                    : a + i * lda + k0;
-        micro<TransA, 1>(arow, lda, btile, ldb, c + i * ldc + j0, ldc,
-                         kc, nc, alpha);
-    }
-}
+} // namespace
 
-void
-gemmImpl(std::size_t m, std::size_t n, std::size_t k, double alpha,
-         const double *a, std::size_t lda, bool trans_a, const double *b,
-         std::size_t ldb, bool trans_b, double *c, std::size_t ldc,
-         bool accumulate)
+// Kept out of line: inlined into factorLu's trailing update (which GCC
+// 12 does when gemm has no other caller in this file), the dense
+// 70-phase LD-QBD solve measured about 9% slower (x86-64, -O3).
+[[gnu::noinline]] void
+gemm(std::size_t m, std::size_t n, std::size_t k, double alpha,
+     const double *a, std::size_t lda, const double *b, std::size_t ldb,
+     double *c, std::size_t ldc, bool accumulate)
 {
     if (!accumulate) {
         for (std::size_t i = 0; i < m; ++i)
@@ -85,58 +64,20 @@ gemmImpl(std::size_t m, std::size_t n, std::size_t k, double alpha,
     }
     if (m == 0 || n == 0 || k == 0 || alpha == 0.0)
         return;
-    // A transposed tile is read directly (the four per-row loads are
-    // adjacent); a B transposed tile is packed once per (k0, j0) tile
-    // so the micro-kernel always streams B rows contiguously.
-    std::vector<double> packed;
-    if (trans_b)
-        packed.resize(std::min(kKc, k) * std::min(kNc, n));
     for (std::size_t k0 = 0; k0 < k; k0 += kKc) {
         const std::size_t kc = std::min(kKc, k - k0);
         for (std::size_t j0 = 0; j0 < n; j0 += kNc) {
             const std::size_t nc = std::min(kNc, n - j0);
-            const double *btile;
-            std::size_t bld;
-            if (trans_b) {
-                for (std::size_t kk = 0; kk < kc; ++kk)
-                    for (std::size_t j = 0; j < nc; ++j)
-                        packed[kk * nc + j] =
-                            b[(j0 + j) * ldb + (k0 + kk)];
-                btile = packed.data();
-                bld = nc;
-            } else {
-                btile = b + k0 * ldb + j0;
-                bld = ldb;
-            }
-            if (trans_a)
-                microBlock<true>(m, a, lda, k0, btile, bld, c, ldc, j0,
-                                 kc, nc, alpha);
-            else
-                microBlock<false>(m, a, lda, k0, btile, bld, c, ldc,
-                                  j0, kc, nc, alpha);
+            const double *btile = b + k0 * ldb + j0;
+            std::size_t i = 0;
+            for (; i + 4 <= m; i += 4)
+                micro<4>(a + i * lda + k0, lda, btile, ldb,
+                         c + i * ldc + j0, ldc, kc, nc, alpha);
+            for (; i < m; ++i)
+                micro<1>(a + i * lda + k0, lda, btile, ldb,
+                         c + i * ldc + j0, ldc, kc, nc, alpha);
         }
     }
-}
-
-} // namespace
-
-void
-gemm(std::size_t m, std::size_t n, std::size_t k, double alpha,
-     const double *a, std::size_t lda, const double *b, std::size_t ldb,
-     double *c, std::size_t ldc, bool accumulate)
-{
-    gemmImpl(m, n, k, alpha, a, lda, false, b, ldb, false, c, ldc,
-             accumulate);
-}
-
-void
-gemmT(std::size_t m, std::size_t n, std::size_t k, double alpha,
-      const double *a, std::size_t lda, bool trans_a, const double *b,
-      std::size_t ldb, bool trans_b, double *c, std::size_t ldc,
-      bool accumulate)
-{
-    gemmImpl(m, n, k, alpha, a, lda, trans_a, b, ldb, trans_b, c, ldc,
-             accumulate);
 }
 
 void
@@ -167,7 +108,7 @@ gaxpyCol(std::size_t m, std::size_t n, const double *a, std::size_t lda,
     }
 }
 
-int
+bool
 factorLu(std::size_t n, double *a, std::size_t lda, std::size_t *perm,
          double tiny)
 {
@@ -178,7 +119,6 @@ factorLu(std::size_t n, double *a, std::size_t lda, std::size_t *perm,
     constexpr std::size_t kNb = 48;
     for (std::size_t i = 0; i < n; ++i)
         perm[i] = i;
-    int sign = 1;
     for (std::size_t p0 = 0; p0 < n; p0 += kNb) {
         const std::size_t pb = std::min(kNb, n - p0);
         const std::size_t pend = p0 + pb;
@@ -193,12 +133,11 @@ factorLu(std::size_t n, double *a, std::size_t lda, std::size_t *perm,
                 }
             }
             if (best <= tiny)
-                return 0;
+                return false;
             if (pivot != col) {
                 for (std::size_t j = 0; j < n; ++j)
                     std::swap(a[col * lda + j], a[pivot * lda + j]);
                 std::swap(perm[col], perm[pivot]);
-                sign = -sign;
             }
             const double inv = 1.0 / a[col * lda + col];
             for (std::size_t r = col + 1; r < n; ++r) {
@@ -231,7 +170,7 @@ factorLu(std::size_t n, double *a, std::size_t lda, std::size_t *perm,
              a + p0 * lda + pend, lda, a + pend * lda + pend, lda,
              true);
     }
-    return sign;
+    return true;
 }
 
 void

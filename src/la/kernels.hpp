@@ -9,8 +9,7 @@
  * Everything works on raw row-major storage with explicit leading
  * dimensions, so the Matrix class stays a thin owner and the solvers
  * in markov/ can run on sub-blocks without copying.  All kernels are
- * sequential and allocation-free except gemm()'s transpose packing,
- * which uses a caller-invisible scratch tile.
+ * sequential and allocation-free.
  */
 
 #include <cstddef>
@@ -29,20 +28,6 @@ void gemm(std::size_t m, std::size_t n, std::size_t k, double alpha,
           const double *a, std::size_t lda, const double *b,
           std::size_t ldb, double *c, std::size_t ldc, bool accumulate);
 
-/**
- * Transpose-aware GEMM: C = alpha * op(A) * op(B) with op = transpose
- * when the corresponding flag is set.  A transposed left operand is
- * read in place (its access pattern is already contiguous per k step);
- * a transposed right operand is packed into a contiguous tile
- * internally, so callers never materialize an explicit transpose.
- * Shapes are those of op(A) (m x k) and op(B) (k x n); leading
- * dimensions are those of the *stored* operands.
- */
-void gemmT(std::size_t m, std::size_t n, std::size_t k, double alpha,
-           const double *a, std::size_t lda, bool trans_a,
-           const double *b, std::size_t ldb, bool trans_b, double *c,
-           std::size_t ldc, bool accumulate);
-
 /** y = x^T A (row GAXPY): A is m x n / @p lda, x has m, y has n. */
 void gaxpyRow(std::size_t m, std::size_t n, const double *a,
               std::size_t lda, const double *x, double *y);
@@ -55,11 +40,11 @@ void gaxpyCol(std::size_t m, std::size_t n, const double *a,
  * In-place blocked LU with partial pivoting on an n x n row-major
  * matrix: on return @p a holds the unit-lower / upper factors and
  * @p perm the row permutation (perm[i] = original row now in row i).
- * Returns the permutation sign, or 0 if the matrix is numerically
- * singular (pivot magnitude below @p tiny).
+ * Returns false if the matrix is numerically singular (pivot magnitude
+ * below @p tiny).
  */
-int factorLu(std::size_t n, double *a, std::size_t lda,
-             std::size_t *perm, double tiny);
+bool factorLu(std::size_t n, double *a, std::size_t lda,
+              std::size_t *perm, double tiny);
 
 /**
  * Solve L U X = B for @p nrhs right-hand-side columns, X row-major

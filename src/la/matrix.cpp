@@ -202,9 +202,9 @@ LuFactors::LuFactors(const Matrix &a)
     : lu_(a), perm_(a.rows())
 {
     RSIN_REQUIRE(a.square(), "LU: matrix must be square");
-    permSign_ = kernels::factorLu(lu_.rows(), lu_.data(), lu_.cols(),
-                                  perm_.data(), 1e-300);
-    RSIN_REQUIRE(permSign_ != 0, "LU: matrix is singular");
+    const bool regular = kernels::factorLu(lu_.rows(), lu_.data(),
+                                           lu_.cols(), perm_.data(), 1e-300);
+    RSIN_REQUIRE(regular, "LU: matrix is singular");
 }
 
 Vector
@@ -279,15 +279,6 @@ LuFactors::rightSolve(const Matrix &x) const
         for (std::size_t k = 0; k < n; ++k)
             y(r, perm_[k]) = w(r, k);
     return y;
-}
-
-double
-LuFactors::determinant() const
-{
-    double det = permSign_;
-    for (std::size_t i = 0; i < lu_.rows(); ++i)
-        det *= lu_(i, i);
-    return det;
 }
 
 Vector

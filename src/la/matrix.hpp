@@ -118,15 +118,11 @@ class LuFactors
      */
     Matrix rightSolve(const Matrix &x) const;
 
-    /** Determinant from the factorization. */
-    double determinant() const;
-
     std::size_t size() const { return lu_.rows(); }
 
   private:
     Matrix lu_;
     std::vector<std::size_t> perm_;
-    int permSign_ = 1;
 };
 
 /** One-shot solve of A x = b. */

@@ -70,31 +70,6 @@ CsrMatrix::operator*(const Vector &x) const
     return y;
 }
 
-void
-CsrMatrix::multiplyTransposed(const double *x, double *y) const
-{
-    for (std::size_t c = 0; c < cols_; ++c)
-        y[c] = 0.0;
-    for (std::size_t r = 0; r < rows_; ++r) {
-        const double xr = x[r];
-        if (xr == 0.0)
-            continue;
-        for (std::size_t k = rowPtr_[r]; k < rowPtr_[r + 1]; ++k)
-            y[colIdx_[k]] += values_[k] * xr;
-    }
-}
-
-CsrMatrix
-CsrMatrix::transpose() const
-{
-    Triplets entries;
-    entries.reserve(nnz());
-    for (std::size_t r = 0; r < rows_; ++r)
-        for (std::size_t k = rowPtr_[r]; k < rowPtr_[r + 1]; ++k)
-            entries.push_back({colIdx_[k], r, values_[k]});
-    return fromTriplets(cols_, rows_, entries);
-}
-
 Matrix
 CsrMatrix::dense() const
 {
@@ -105,18 +80,6 @@ CsrMatrix::dense() const
     return out;
 }
 
-Vector
-CsrMatrix::diagonal() const
-{
-    RSIN_REQUIRE(rows_ == cols_, "CsrMatrix::diagonal: not square");
-    Vector d(rows_, 0.0);
-    for (std::size_t r = 0; r < rows_; ++r)
-        for (std::size_t k = rowPtr_[r]; k < rowPtr_[r + 1]; ++k)
-            if (colIdx_[k] == r)
-                d[r] += values_[k];
-    return d;
-}
-
 LinearOperator
 asOperator(const CsrMatrix &a)
 {
@@ -124,22 +87,6 @@ asOperator(const CsrMatrix &a)
     LinearOperator op;
     op.n = a.rows();
     op.apply = [&a](const double *x, double *y) { a.multiply(x, y); };
-    return op;
-}
-
-LinearOperator
-jacobiPreconditioner(const CsrMatrix &a)
-{
-    auto inv = std::make_shared<Vector>(a.diagonal());
-    for (auto &d : *inv)
-        d = d != 0.0 ? 1.0 / d : 1.0;
-    LinearOperator op;
-    op.n = a.rows();
-    op.apply = [inv](const double *x, double *y) {
-        const Vector &scale = *inv;
-        for (std::size_t i = 0; i < scale.size(); ++i)
-            y[i] = x[i] * scale[i];
-    };
     return op;
 }
 
@@ -186,8 +133,9 @@ CompressedLu::CompressedLu(Matrix a)
     const std::size_t n = a.rows();
     // The same factorization (and singularity threshold) as LuFactors,
     // so both hold identical factors.
-    const int sign = kernels::factorLu(n, a.data(), n, perm_.data(), 1e-300);
-    RSIN_REQUIRE(sign != 0, "LU: matrix is singular");
+    const bool regular =
+        kernels::factorLu(n, a.data(), n, perm_.data(), 1e-300);
+    RSIN_REQUIRE(regular, "LU: matrix is singular");
     lowerBegin_.reserve(n + 1);
     upperBegin_.reserve(n);
     invPivot_.reserve(n);
@@ -421,62 +369,6 @@ gmres(const LinearOperator &a, const Vector &b, Vector &x,
     }
     result.residual = std::sqrt(res) / bnorm;
     result.converged = result.residual <= opts.tolerance;
-    return result;
-}
-
-PowerResult
-powerStationary(const CsrMatrix &q_transposed, Vector &pi,
-                const PowerOptions &opts)
-{
-    const std::size_t n = q_transposed.rows();
-    RSIN_REQUIRE(q_transposed.cols() == n,
-                 "powerStationary: generator not square");
-    // Uniformization rate: just above the largest exit rate, so the
-    // kernel stays substochastic-safe and aperiodic.
-    double max_exit = 0.0;
-    const Vector diag = q_transposed.diagonal();
-    for (double d : diag)
-        max_exit = std::max(max_exit, -d);
-    const double uni = max_exit > 0.0 ? 1.05 * max_exit : 1.0;
-
-    if (pi.size() != n)
-        pi.assign(n, 0.0);
-    double mass = 0.0;
-    for (double v : pi)
-        mass += v;
-    if (mass <= 0.0)
-        pi.assign(n, 1.0 / static_cast<double>(n));
-    else
-        for (auto &v : pi)
-            v /= mass;
-
-    PowerResult result;
-    Vector next(n, 0.0);
-    for (; result.iterations < opts.maxIterations; ++result.iterations) {
-        // next = pi + (Q^T pi) / uni  (row-vector pi P as columns).
-        q_transposed.multiply(pi.data(), next.data());
-        double total = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-            next[i] = pi[i] + next[i] / uni;
-            // Uniformized kernels keep probabilities nonnegative up to
-            // roundoff; clamp the dust so the renormalization is safe.
-            if (next[i] < 0.0)
-                next[i] = 0.0;
-            total += next[i];
-        }
-        for (auto &v : next)
-            v /= total;
-        double change = 0.0;
-        for (std::size_t i = 0; i < n; ++i)
-            change = std::max(change, std::fabs(next[i] - pi[i]));
-        pi.swap(next);
-        result.residual = change;
-        if (change <= opts.tolerance) {
-            ++result.iterations;
-            result.converged = true;
-            break;
-        }
-    }
     return result;
 }
 

@@ -11,15 +11,13 @@
  * needs:
  *
  *  - CsrMatrix: compressed-sparse-row storage built from triplets
- *    (duplicates summed), with y = A x and y = A^T x kernels;
+ *    (duplicates summed), with a y = A x kernel;
  *  - gmres(): restarted GMRES with optional right preconditioning over
  *    an abstract operator, so callers can compose the matrix with any
  *    preconditioner without materializing products;
- *  - preconditioners: point Jacobi, and a block-diagonal one over
- *    CompressedLu factors (the dense blocked LU kept as its nonzeros),
- *    which is what the QBD solver uses with one block per chain level;
- *  - powerStationary(): uniformized power iteration, the slow-but-sure
- *    fallback and an independent cross-check on the Krylov route.
+ *  - a block-diagonal preconditioner over CompressedLu factors (the
+ *    dense blocked LU kept as its nonzeros), which the QBD solver uses
+ *    with one block per chain level.
  *
  * Everything is double end-to-end (rsin-lint R3) and container choice
  * is deterministic (R2: no unordered containers).
@@ -68,17 +66,8 @@ class CsrMatrix
     void multiply(const double *x, double *y) const;
     Vector operator*(const Vector &x) const;
 
-    /** y = A^T x; x has rows() entries, y cols() (no aliasing). */
-    void multiplyTransposed(const double *x, double *y) const;
-
-    /** Explicit transpose (same storage class). */
-    CsrMatrix transpose() const;
-
     /** Dense rendering, for oracle tests and small-system debugging. */
     Matrix dense() const;
-
-    /** Diagonal entries (0 where absent); matrix must be square. */
-    Vector diagonal() const;
 
     const std::vector<std::size_t> &rowPtr() const { return rowPtr_; }
     const std::vector<std::size_t> &colIdx() const { return colIdx_; }
@@ -105,9 +94,6 @@ struct LinearOperator
 
 /** Matrix view of @p a as a LinearOperator (y = A x). */
 LinearOperator asOperator(const CsrMatrix &a);
-
-/** Point-Jacobi preconditioner: y = x / diag(A), zeros passed through. */
-LinearOperator jacobiPreconditioner(const CsrMatrix &a);
 
 /**
  * LU factors of a dense square block, kept as their nonzeros only.
@@ -194,31 +180,6 @@ struct GmresResult
 GmresResult gmres(const LinearOperator &a, const Vector &b, Vector &x,
                   const GmresOptions &opts = {},
                   const LinearOperator *right_precond = nullptr);
-
-/** Knobs for powerStationary(). */
-struct PowerOptions
-{
-    std::size_t maxIterations = 200000;
-    double tolerance = 1e-12; ///< max-norm change per step at stop
-};
-
-/** Outcome of powerStationary(). */
-struct PowerResult
-{
-    bool converged = false;
-    std::size_t iterations = 0;
-    double residual = 0.0; ///< last max-norm step change
-};
-
-/**
- * Stationary distribution of the CTMC whose *transposed* generator is
- * @p q_transposed (i.e. entry (i, j) holds the rate j -> i), by power
- * iteration on the uniformized kernel P = I + Q / Lambda with Lambda
- * just above the largest exit rate.  Writes the normalized
- * distribution into @p pi (also the starting point when nonzero).
- */
-PowerResult powerStationary(const CsrMatrix &q_transposed, Vector &pi,
-                            const PowerOptions &opts = {});
 
 } // namespace la
 } // namespace rsin

@@ -1,8 +1,5 @@
 #include "ctmc.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/error.hpp"
 
 namespace rsin {
@@ -68,49 +65,6 @@ Ctmc::stationaryDense() const
 {
     RSIN_REQUIRE(states() > 0, "stationaryDense: empty chain");
     return la::stationaryFromGenerator(generator());
-}
-
-la::Vector
-Ctmc::stationaryIterative(double tol, std::size_t max_sweeps) const
-{
-    const std::size_t n = states();
-    RSIN_REQUIRE(n > 0, "stationaryIterative: empty chain");
-
-    // Build the reversed adjacency (inflows) and exit rates once.
-    std::vector<double> exit(n, 0.0);
-    std::vector<std::vector<Transition>> in(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (const auto &t : adj_[i]) {
-            exit[i] += t.rate;
-            in[t.to].push_back({i, t.rate});
-        }
-    }
-
-    la::Vector pi(n, 1.0 / static_cast<double>(n));
-    for (std::size_t sweep = 0; sweep < max_sweeps; ++sweep) {
-        double delta = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (exit[i] <= 0.0)
-                continue; // absorbing state: leave mass as-is
-            // Balance: pi_i * exit_i = sum_j pi_j * rate(j -> i).
-            double inflow = 0.0;
-            for (const auto &t : in[i])
-                inflow += pi[t.to] * t.rate;
-            const double updated = inflow / exit[i];
-            delta = std::max(delta, std::fabs(updated - pi[i]));
-            pi[i] = updated;
-        }
-        // Renormalize each sweep to pin the free scale of the fixpoint.
-        double sum = 0.0;
-        for (double v : pi)
-            sum += v;
-        RSIN_REQUIRE(sum > 0.0, "stationaryIterative: mass vanished");
-        for (auto &v : pi)
-            v /= sum;
-        if (delta < tol)
-            break;
-    }
-    return pi;
 }
 
 double

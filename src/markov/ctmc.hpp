@@ -26,7 +26,7 @@ struct Transition
     double rate;
 };
 
-/** Sparse finite CTMC with stationary-distribution solvers. */
+/** Sparse finite CTMC with a dense stationary-distribution solver. */
 class Ctmc
 {
   public:
@@ -54,15 +54,6 @@ class Ctmc
      * Suitable up to a few thousand states.
      */
     la::Vector stationaryDense() const;
-
-    /**
-     * Stationary distribution via Gauss-Seidel sweeps on the balance
-     * equations of the uniformized chain; handles larger sparse chains.
-     * @param tol max-norm change per sweep at which to stop
-     * @param max_sweeps iteration budget
-     */
-    la::Vector stationaryIterative(double tol = 1e-12,
-                                   std::size_t max_sweeps = 200000) const;
 
     /**
      * Verify that @p pi satisfies global balance; returns the max-norm

@@ -16,6 +16,15 @@ namespace markov {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/** Auto dispatch: the dense censored path up to this block size. */
+constexpr std::size_t kDenseBlockLimit = 192;
+/** Sparse path: distinct level-block LU factorizations for the
+ *  block-diagonal preconditioner (deeper levels share the last). */
+constexpr std::size_t kBlockPrecondLevels = 8;
+/** Multiplier turning the observed depth-doubling change into the
+ *  certified bound (covers the geometric remainder of the series of
+ *  future changes). */
+constexpr double kBoundSafety = 4.0;
 
 la::Matrix
 densify(const la::Triplets &entries, std::size_t n)
@@ -53,21 +62,10 @@ limitStable(const LdQbdModel &model)
     const std::size_t n = model.phases();
     la::Triplets t0, t1, t2;
     model.limitBlocks(t0, t1, t2);
-    la::Vector xi;
-    if (n <= 2048) {
-        const la::Matrix a =
-            densify(t0, n) + densify(t1, n) + densify(t2, n);
-        xi = la::stationaryFromGenerator(a);
-    } else {
-        la::Triplets all;
-        all.reserve(t0.size() + t1.size() + t2.size());
-        // Transposed phase-marginal generator for powerStationary.
-        for (const auto *list : {&t0, &t1, &t2})
-            for (const auto &e : *list)
-                all.push_back({e.col, e.row, e.value});
-        const la::CsrMatrix qt = la::CsrMatrix::fromTriplets(n, n, all);
-        la::powerStationary(qt, xi);
-    }
+    // Named, so the three dense addends are freed before the LU runs.
+    const la::Matrix generator =
+        densify(t0, n) + densify(t1, n) + densify(t2, n);
+    const la::Vector xi = la::stationaryFromGenerator(generator);
     la::Vector up(n, 0.0), down(n, 0.0);
     for (const auto &e : t0)
         up[e.row] += e.value;
@@ -78,26 +76,56 @@ limitStable(const LdQbdModel &model)
     return drift_up < drift_down * (1.0 - 1e-12);
 }
 
-// ---------------------------------------------------------------------
-// Dense censored path.
-
-struct DenseTail
-{
-    la::Matrix rmat;       ///< rate matrix R of the limiting chain
-    la::Matrix censoredTop;///< A1_lim + A0_lim G
-    la::Vector rTail1;     ///< R (I-R)^{-1} 1
-    la::Vector rTail2;     ///< R (I-R)^{-2} 1
-    std::unique_ptr<la::LuFactors> imr; ///< LU of I - R
-};
-
-struct DenseEstimate
+/** One truncation depth's answer: all the depth loop needs from a
+ *  backend. */
+struct DepthEstimate
 {
     double meanLevel = 0.0;
     double tailMass = 0.0;
-    double tailMeanRel = 0.0; ///< tail's relative E[l] contribution
+    /** Relative error the levels beyond the depth can still cause in
+     *  meanLevel (the certificate's tail term). */
+    double tailError = 0.0;
     la::Vector levelZero;
     la::Vector phaseMarginal;
 };
+
+// ---------------------------------------------------------------------
+// Dense censored backend.
+
+struct DenseTail
+{
+    la::Matrix censoredTop; ///< A1_lim + A0_lim G
+    la::Vector rTail1;      ///< R (I-R)^{-1} 1
+    la::Vector rTail2;      ///< R (I-R)^{-2} 1
+    std::unique_ptr<la::LuFactors> imr; ///< LU of I - R
+};
+
+/** The limiting chain's censored top block and closed-form tail
+ *  moments; nullopt when logarithmic reduction does not converge. */
+std::optional<DenseTail>
+denseTail(const LdQbdModel &model)
+{
+    const std::size_t n = model.phases();
+    la::Triplets t0, t1, t2;
+    model.limitBlocks(t0, t1, t2);
+    const la::Matrix a0_lim = densify(t0, n);
+    const la::Matrix a1_lim = densify(t1, n);
+    const la::Matrix a2_lim = densify(t2, n);
+
+    const LogReductionResult lr = logReduction(a0_lim, a1_lim, a2_lim);
+    if (!lr.converged)
+        return std::nullopt;
+    DenseTail tail;
+    tail.censoredTop = a1_lim + a0_lim * lr.g;
+    tail.imr = std::make_unique<la::LuFactors>(
+        la::Matrix::identity(n) - lr.r);
+    const la::Vector ones(n, 1.0);
+    const la::Vector t1v = tail.imr->solve(ones); // (I-R)^{-1} 1
+    const la::Vector t2v = tail.imr->solve(t1v);  // (I-R)^{-2} 1
+    tail.rTail1 = lr.r * t1v;
+    tail.rTail2 = lr.r * t2v;
+    return tail;
+}
 
 /**
  * One censored solve at level-dependent depth L: banded backward
@@ -105,7 +133,7 @@ struct DenseEstimate
  * folded into the top block, then a forward substitution pass and the
  * closed-form geometric tail moments.
  */
-DenseEstimate
+DepthEstimate
 denseSolveAt(const LdQbdModel &model, const DenseTail &tail,
              std::size_t depth)
 {
@@ -169,10 +197,16 @@ denseSolveAt(const LdQbdModel &model, const DenseTail &tail,
             marginal[p] += pis[l][p];
     }
 
-    DenseEstimate est;
+    DepthEstimate est;
     est.meanLevel = mean / norm;
     est.tailMass = tail_mass / norm;
-    est.tailMeanRel = tail_mean / std::max(mean, 1e-12);
+    // Levels below the depth use their exact level-dependent blocks,
+    // so the only modelling error is the homogeneous tail standing in
+    // for the still level-dependent blocks beyond it: its block
+    // entries are off by at most the homogeneity gap, and the damage
+    // is confined to the tail's share of the mean.
+    const double tail_mean_rel = tail_mean / std::max(mean, 1e-12);
+    est.tailError = model.homogeneityGap(depth) * tail_mean_rel;
     est.levelZero = pis[0];
     for (auto &v : est.levelZero)
         v /= norm;
@@ -182,115 +216,8 @@ denseSolveAt(const LdQbdModel &model, const DenseTail &tail,
     return est;
 }
 
-LdQbdResult
-solveDense(const LdQbdModel &model, const LdQbdOptions &opts)
-{
-    if (!limitStable(model))
-        return unstableResult(LdQbdBackend::DenseCensored);
-    const std::size_t n = model.phases();
-    la::Triplets t0, t1, t2;
-    model.limitBlocks(t0, t1, t2);
-    const la::Matrix a0_lim = densify(t0, n);
-    const la::Matrix a1_lim = densify(t1, n);
-    const la::Matrix a2_lim = densify(t2, n);
-
-    const LogReductionResult lr = logReduction(a0_lim, a1_lim, a2_lim);
-    if (!lr.converged)
-        return unstableResult(LdQbdBackend::DenseCensored);
-
-    DenseTail tail;
-    tail.rmat = lr.r;
-    tail.censoredTop = a1_lim + a0_lim * lr.g;
-    tail.imr = std::make_unique<la::LuFactors>(
-        la::Matrix::identity(n) - lr.r);
-    const la::Vector ones(n, 1.0);
-    const la::Vector t1v = tail.imr->solve(ones);  // (I-R)^{-1} 1
-    const la::Vector t2v = tail.imr->solve(t1v);   // (I-R)^{-2} 1
-    tail.rTail1 = lr.r * t1v;
-    tail.rTail2 = lr.r * t2v;
-
-    // Memory-bounded depth cap: one n x n LU per level is stored.
-    const std::size_t mem_levels =
-        std::max<std::size_t>(64, 30'000'000 / std::max<std::size_t>(
-                                                   n * n, 1));
-    const std::size_t cap = std::min(opts.maxLevels, mem_levels);
-
-    LdQbdResult res;
-    res.backend = LdQbdBackend::DenseCensored;
-    double previous_mean = -1.0;
-    double rel_change = kInf;
-    std::size_t depth = std::min(
-        std::max<std::size_t>(opts.initialLevels, 2), cap);
-    for (;;) {
-        const DenseEstimate est = denseSolveAt(model, tail, depth);
-        // One LU of -S_l per level above the boundary, one of S_0.
-        res.factorizations += depth + 1;
-        ++res.depthSolves;
-        if (previous_mean >= 0.0)
-            rel_change =
-                std::fabs(est.meanLevel - previous_mean) /
-                std::max(est.meanLevel, 1e-12);
-        previous_mean = est.meanLevel;
-        res.levelsUsed = depth;
-        res.meanLevel = est.meanLevel;
-        res.tailMass = est.tailMass;
-        res.levelZero = est.levelZero;
-        res.phaseMarginal = est.phaseMarginal;
-        // Levels below the depth use their exact level-dependent
-        // blocks, so the only modelling error is the homogeneous tail
-        // standing in for the still level-dependent blocks beyond it:
-        // its block entries are off by at most the homogeneity gap,
-        // and the damage is confined to the tail's share of the mean.
-        res.truncationBound =
-            opts.boundSafety *
-            ((std::isfinite(rel_change) ? rel_change : 0.0) +
-             model.homogeneityGap(depth) * est.tailMeanRel);
-        // Converged once the estimate stops moving, or once the
-        // remaining level dependence (weighted by the tail share it
-        // could affect) is itself below tolerance -- deeper sweeps
-        // cannot move the answer by more.
-        if (rel_change <= opts.relTolerance)
-            break;
-        if (std::isfinite(rel_change) &&
-            model.homogeneityGap(depth) * est.tailMeanRel <=
-                opts.relTolerance)
-            break;
-        if (depth >= cap) {
-            res.converged = false;
-            break;
-        }
-        depth = std::min(depth * 2, cap);
-    }
-    return res;
-}
-
 // ---------------------------------------------------------------------
-// Sparse truncated path.
-
-struct SparseEstimate
-{
-    double meanLevel = 0.0;
-    double tailMass = 0.0;     ///< extrapolated geometric tail bound
-    double tailMeanRel = 0.0;  ///< its relative E[l] contribution
-    la::Vector levelZero;
-    la::Vector phaseMarginal;
-    bool solved = false;
-    std::size_t gmresIterations = 0;
-};
-
-/**
- * The preconditioner's level-block factors, shared by every depth of
- * one solve.  The diagonal block of level l (A1(l) transposed; level 0
- * with its first row replaced by the normalization row) does not
- * depend on the depth, so each level is factored once.  Only a top
- * level, which folds A0 into its block, is factored per depth, and
- * only while the depth is below blockPrecondLevels.
- */
-struct LevelFactors
-{
-    std::vector<la::CompressedLu> levels; ///< unfolded blocks by level
-    std::size_t factorizations = 0;
-};
+// Sparse Krylov backend.
 
 /** Build and factor the transposed diagonal block of @p level; the
  *  dense block lives only until it is compressed. */
@@ -314,23 +241,28 @@ factorLevelBlock(const LdQbdModel &model, std::size_t level, bool top)
 
 /**
  * Assemble the transposed generator of the chain truncated (reflected)
- * at level @p depth and solve its stationary vector: GMRES on the
- * normalization-patched system, or uniformized power iteration.
- * @p x carries the previous depth's solution as a warm start;
- * @p factors caches the preconditioner's level factors across depths.
+ * at level @p depth and solve its stationary vector by GMRES on the
+ * normalization-patched system.  @p x carries the previous depth's
+ * solution as a warm start.  @p levels holds the preconditioner's
+ * level-block factors, shared by every depth of one solve: the
+ * diagonal block of level l (A1(l) transposed; level 0 with its first
+ * row replaced by the normalization row) does not depend on the depth,
+ * so each level is factored once.  Only a top level, which folds A0
+ * into its block, is factored per depth, and only while the depth is
+ * below kBlockPrecondLevels.  The factorizations and GMRES iterations
+ * are added to @p res.
  */
-SparseEstimate
-sparseSolveAt(const LdQbdModel &model, const LdQbdOptions &opts,
-              bool use_power, std::size_t depth, la::Vector &x,
-              LevelFactors &factors)
+DepthEstimate
+sparseSolveAt(const LdQbdModel &model, std::size_t depth, la::Vector &x,
+              std::vector<la::CompressedLu> &levels, LdQbdResult &res)
 {
     const std::size_t n = model.phases();
     const std::size_t states = n * (depth + 1);
 
     // Transposed entries: M[to][from] = rate.  The top level folds A0
     // into the diagonal block (reflecting truncation, which keeps the
-    // generator conservative).  For the GMRES route the balance
-    // equation of state 0 is replaced by the normalization row.
+    // generator conservative), and the balance equation of state 0 is
+    // replaced by the normalization row.
     la::Triplets entries;
     la::Triplets b0, b1, b2;
     for (std::size_t l = 0; l <= depth; ++l) {
@@ -342,9 +274,8 @@ sparseSolveAt(const LdQbdModel &model, const LdQbdOptions &opts,
         const bool top = l == depth;
         const auto emit = [&](std::size_t from, std::size_t to,
                               double rate) {
-            if (!use_power && to == 0)
-                return; // replaced by the normalization row
-            entries.push_back({to, from, rate});
+            if (to != 0)
+                entries.push_back({to, from, rate});
         };
         for (const auto &e : b1)
             emit(base + e.row, base + e.col, e.value);
@@ -353,75 +284,56 @@ sparseSolveAt(const LdQbdModel &model, const LdQbdOptions &opts,
         for (const auto &e : b2)
             emit(base + e.row, base - n + e.col, e.value);
     }
-    if (!use_power)
-        for (std::size_t i = 0; i < states; ++i)
-            entries.push_back({0, i, 1.0});
+    for (std::size_t i = 0; i < states; ++i)
+        entries.push_back({0, i, 1.0});
 
     const la::CsrMatrix m =
         la::CsrMatrix::fromTriplets(states, states, entries);
     entries = la::Triplets();
 
-    SparseEstimate est;
-    if (use_power) {
-        la::PowerOptions popts;
-        popts.tolerance = std::min(opts.relTolerance * 1e-3, 1e-10);
-        const la::PowerResult pr = la::powerStationary(m, x, popts);
-        est.solved = pr.converged;
-    } else {
-        // Levels 0 .. distinct-1 get their own block; the deeper ones
-        // share the last.  When that range reaches the top level, the
-        // top block (A0 folded in) is factored for this depth alone.
-        const std::size_t distinct =
-            std::min<std::size_t>(std::max<std::size_t>(
-                                      opts.blockPrecondLevels, 1),
-                                  depth + 1);
-        const std::size_t unfolded = std::min(distinct, depth);
-        while (factors.levels.size() < unfolded) {
-            factors.levels.push_back(factorLevelBlock(
-                model, factors.levels.size(), false));
-            ++factors.factorizations;
-        }
-        std::optional<la::CompressedLu> top;
-        if (unfolded < distinct) {
-            top.emplace(factorLevelBlock(model, depth, true));
-            ++factors.factorizations;
-        }
-        std::vector<const la::CompressedLu *> blocks(depth + 1);
-        std::vector<std::size_t> starts(depth + 1);
-        for (std::size_t l = 0; l <= depth; ++l) {
-            const std::size_t own = std::min(l, distinct - 1);
-            blocks[l] = own < unfolded ? &factors.levels[own] : &*top;
-            starts[l] = l * n;
-        }
-        const la::LinearOperator precond = la::blockDiagonalPreconditioner(
-            std::move(blocks), std::move(starts), states);
-
-        la::Vector rhs(states, 0.0);
-        rhs[0] = 1.0;
-        if (x.size() != states) {
-            la::Vector padded(states, 0.0);
-            for (std::size_t i = 0;
-                 i < std::min(x.size(), states); ++i)
-                padded[i] = x[i];
-            x = std::move(padded);
-        }
-        const la::LinearOperator op = la::asOperator(m);
-        la::GmresResult gr = la::gmres(op, rhs, x, opts.gmres, &precond);
-        est.gmresIterations = gr.iterations;
-        if (gr.iterations == 0) {
-            // Only a warm start can meet the residual target before
-            // the first iteration: the padded previous-depth vector
-            // came back untouched, so this depth would repeat the
-            // previous answer bit for bit and certify a change of
-            // exactly 0.  Solve the depth from zero instead.
-            std::fill(x.begin(), x.end(), 0.0);
-            gr = la::gmres(op, rhs, x, opts.gmres, &precond);
-            est.gmresIterations += gr.iterations;
-        }
-        est.solved = gr.converged;
+    // Levels 0 .. distinct-1 get their own block; the deeper ones
+    // share the last.  When that range reaches the top level, the top
+    // block (A0 folded in) is factored for this depth alone.
+    const std::size_t distinct = std::min(kBlockPrecondLevels, depth + 1);
+    const std::size_t unfolded = std::min(distinct, depth);
+    while (levels.size() < unfolded) {
+        levels.push_back(factorLevelBlock(model, levels.size(), false));
+        ++res.factorizations;
     }
-    if (!est.solved)
-        return est;
+    std::optional<la::CompressedLu> top;
+    if (unfolded < distinct) {
+        top.emplace(factorLevelBlock(model, depth, true));
+        ++res.factorizations;
+    }
+    std::vector<const la::CompressedLu *> blocks(depth + 1);
+    std::vector<std::size_t> starts(depth + 1);
+    for (std::size_t l = 0; l <= depth; ++l) {
+        const std::size_t own = std::min(l, distinct - 1);
+        blocks[l] = own < unfolded ? &levels[own] : &*top;
+        starts[l] = l * n;
+    }
+    const la::LinearOperator precond = la::blockDiagonalPreconditioner(
+        std::move(blocks), std::move(starts), states);
+
+    la::Vector rhs(states, 0.0);
+    rhs[0] = 1.0;
+    x.resize(states, 0.0);
+    const la::LinearOperator op = la::asOperator(m);
+    la::GmresResult gr = la::gmres(op, rhs, x, {}, &precond);
+    res.gmresIterations += gr.iterations;
+    if (gr.iterations == 0) {
+        // Only a warm start can meet the residual target before the
+        // first iteration: the padded previous-depth vector came back
+        // untouched, so this depth would repeat the previous answer
+        // bit for bit and certify a change of exactly 0.  Solve the
+        // depth from zero instead.
+        std::fill(x.begin(), x.end(), 0.0);
+        gr = la::gmres(op, rhs, x, {}, &precond);
+        res.gmresIterations += gr.iterations;
+    }
+    RSIN_REQUIRE(gr.converged,
+                 "solveStationary: iterative solver did not converge at "
+                 "depth ", depth);
 
     // Metrics from the (re)normalized level masses; clamp the
     // iterative solver's negative dust.
@@ -439,6 +351,7 @@ sparseSolveAt(const LdQbdModel &model, const LdQbdOptions &opts,
     for (std::size_t l = 0; l <= depth; ++l)
         mean += static_cast<double>(l) * level_mass[l];
     mean /= total;
+    DepthEstimate est;
     est.meanLevel = mean;
     est.levelZero.assign(n, 0.0);
     est.phaseMarginal.assign(n, 0.0);
@@ -461,43 +374,30 @@ sparseSolveAt(const LdQbdModel &model, const LdQbdOptions &opts,
     const double tail_mean =
         top_mass * (static_cast<double>(depth) * eta / (1.0 - eta) +
                     eta / ((1.0 - eta) * (1.0 - eta)));
-    est.tailMeanRel = tail_mean / std::max(mean, 1e-12);
+    est.tailError = tail_mean / std::max(mean, 1e-12);
     return est;
 }
 
-LdQbdResult
-solveSparse(const LdQbdModel &model, const LdQbdOptions &opts,
-            bool use_power)
+// ---------------------------------------------------------------------
+// The depth loop both backends run through.
+
+/**
+ * Double the depth from max(initialLevels, @p first) up to @p cap until
+ * the mean level stops moving, or until the tail term says the levels
+ * beyond the depth cannot move it by more than the tolerance.
+ * @p solve_at(depth) solves one depth and adds its work to @p res.
+ */
+template <class SolveAt>
+void
+doubleDepth(const LdQbdOptions &opts, std::size_t first, std::size_t cap,
+            LdQbdResult &res, SolveAt solve_at)
 {
-    const LdQbdBackend backend = use_power ? LdQbdBackend::SparsePower
-                                           : LdQbdBackend::SparseKrylov;
-    if (!limitStable(model))
-        return unstableResult(backend);
-
-    const std::size_t n = model.phases();
-    // Keep the assembled system within a sane footprint.
-    const std::size_t state_cap = 1'500'000;
-    const std::size_t cap = std::min(
-        opts.maxLevels,
-        std::max<std::size_t>(opts.initialLevels,
-                              state_cap / std::max<std::size_t>(n, 1)));
-
-    LdQbdResult res;
-    res.backend = backend;
-    la::Vector x;
-    LevelFactors factors;
     double previous_mean = -1.0;
     double rel_change = kInf;
-    std::size_t depth = std::min(
-        std::max<std::size_t>(opts.initialLevels, 4), cap);
+    std::size_t depth =
+        std::min(std::max(opts.initialLevels, first), cap);
     for (;;) {
-        const SparseEstimate est =
-            sparseSolveAt(model, opts, use_power, depth, x, factors);
-        RSIN_REQUIRE(est.solved,
-                     "solveStationary: iterative solver did not "
-                     "converge at depth ", depth);
-        res.factorizations = factors.factorizations;
-        res.gmresIterations += est.gmresIterations;
+        DepthEstimate est = solve_at(depth);
         ++res.depthSolves;
         if (previous_mean >= 0.0)
             rel_change =
@@ -507,19 +407,15 @@ solveSparse(const LdQbdModel &model, const LdQbdOptions &opts,
         res.levelsUsed = depth;
         res.meanLevel = est.meanLevel;
         res.tailMass = est.tailMass;
-        res.levelZero = est.levelZero;
-        res.phaseMarginal = est.phaseMarginal;
+        res.levelZero = std::move(est.levelZero);
+        res.phaseMarginal = std::move(est.phaseMarginal);
         res.truncationBound =
-            opts.boundSafety *
+            kBoundSafety *
             ((std::isfinite(rel_change) ? rel_change : 0.0) +
-             est.tailMeanRel);
-        // Converged once the estimate stops moving, or once the
-        // extrapolated tail contribution is itself below tolerance
-        // (doubling further cannot move the truncated answer by more).
+             est.tailError);
         if (rel_change <= opts.relTolerance)
             break;
-        if (std::isfinite(rel_change) &&
-            est.tailMeanRel <= opts.relTolerance)
+        if (std::isfinite(rel_change) && est.tailError <= opts.relTolerance)
             break;
         if (depth >= cap) {
             res.converged = false;
@@ -527,7 +423,6 @@ solveSparse(const LdQbdModel &model, const LdQbdOptions &opts,
         }
         depth = std::min(depth * 2, cap);
     }
-    return res;
 }
 
 } // namespace
@@ -535,19 +430,46 @@ solveSparse(const LdQbdModel &model, const LdQbdOptions &opts,
 LdQbdResult
 solveStationary(const LdQbdModel &model, const LdQbdOptions &opts)
 {
-    switch (opts.backend) {
-      case LdQbdBackend::DenseCensored:
-        return solveDense(model, opts);
-      case LdQbdBackend::SparseKrylov:
-        return solveSparse(model, opts, false);
-      case LdQbdBackend::SparsePower:
-        return solveSparse(model, opts, true);
-      case LdQbdBackend::Auto:
-        break;
+    const std::size_t n = model.phases();
+    const bool dense =
+        opts.backend == LdQbdBackend::DenseCensored ||
+        (opts.backend == LdQbdBackend::Auto && n <= kDenseBlockLimit);
+    const LdQbdBackend backend =
+        dense ? LdQbdBackend::DenseCensored : LdQbdBackend::SparseKrylov;
+    if (!limitStable(model))
+        return unstableResult(backend);
+
+    LdQbdResult res;
+    res.backend = backend;
+    if (dense) {
+        const std::optional<DenseTail> tail = denseTail(model);
+        if (!tail)
+            return unstableResult(backend);
+        // Memory-bounded depth cap: one n x n LU per level is stored.
+        const std::size_t mem_levels = std::max<std::size_t>(
+            64, 30'000'000 / std::max<std::size_t>(n * n, 1));
+        doubleDepth(opts, 2, std::min(opts.maxLevels, mem_levels), res,
+                    [&](std::size_t depth) {
+                        // One LU of -S_l per level above the boundary,
+                        // one of S_0.
+                        res.factorizations += depth + 1;
+                        return denseSolveAt(model, *tail, depth);
+                    });
+        return res;
     }
-    if (model.phases() <= opts.denseBlockLimit)
-        return solveDense(model, opts);
-    return solveSparse(model, opts, false);
+
+    // Keep the assembled system within a sane footprint.
+    const std::size_t state_cap = 1'500'000;
+    const std::size_t cap = std::min(
+        opts.maxLevels,
+        std::max<std::size_t>(opts.initialLevels,
+                              state_cap / std::max<std::size_t>(n, 1)));
+    la::Vector x;
+    std::vector<la::CompressedLu> levels;
+    doubleDepth(opts, 4, cap, res, [&](std::size_t depth) {
+        return sparseSolveAt(model, depth, x, levels, res);
+    });
+    return res;
 }
 
 } // namespace markov

@@ -26,14 +26,14 @@
  *    shallow level, the deepest one shared by the whole tail and
  *    applied to it as one multi-right-hand-side sweep).  The level
  *    blocks do not depend on the depth, so each is factored once per
- *    solve.  A uniformized power iteration is available as an
- *    independent backend.  The truncation depth q adapts.
+ *    solve.  The truncation depth q adapts.
  *
- * Both paths grow their depth until the delay estimate stops moving
- * and return a *certified truncation bound*: a safety-factored
- * a-posteriori bound combining the observed depth-doubling change with
- * the homogeneity gap (dense) or the extrapolated geometric tail mass
- * (sparse).  tests/test_ldqbd.cpp validates the certificate against
+ * Both backends run through one depth-doubling loop: it grows the
+ * depth until the delay estimate stops moving and returns a *certified
+ * truncation bound*, a safety-factored a-posteriori bound combining
+ * the observed depth-doubling change with a per-backend tail term (the
+ * homogeneity gap for dense, the extrapolated geometric tail mass for
+ * sparse).  tests/test_ldqbd.cpp validates the certificate against
  * observed truncation error across a parameter sweep.
  */
 
@@ -84,31 +84,20 @@ class LdQbdModel
 /** Which solver backend handled (or should handle) a chain. */
 enum class LdQbdBackend
 {
-    Auto,          ///< dispatch on block size (solve option only)
+    Auto,          ///< dense up to 192 phases, else sparse (option only)
     DenseCensored, ///< log-reduction + censored level sweep + R tail
     SparseKrylov,  ///< truncated sparse chain via block-precond GMRES
-    SparsePower,   ///< truncated sparse chain via power iteration
 };
 
 /** Tuning knobs for solveStationary(). */
 struct LdQbdOptions
 {
     LdQbdBackend backend = LdQbdBackend::Auto;
-    /** Auto dispatch: dense censored path when phases() <= this. */
-    std::size_t denseBlockLimit = 192;
     /** Stop growing the depth once the relative delay change per
      *  doubling falls below this. */
     double relTolerance = 1e-8;
     std::size_t initialLevels = 8;
     std::size_t maxLevels = 2048;
-    /** Sparse path: distinct level-block LU factorizations for the
-     *  block-diagonal preconditioner (deeper levels share the last). */
-    std::size_t blockPrecondLevels = 8;
-    la::GmresOptions gmres{};
-    /** Multiplier turning the observed depth-doubling change into the
-     *  certified bound (covers the geometric remainder of the series
-     *  of future changes). */
-    double boundSafety = 4.0;
 };
 
 /** Stationary solution of a level-dependent QBD chain. */
@@ -132,10 +121,10 @@ struct LdQbdResult
 
     // Deterministic work counters: equal on every run of the same solve.
     /** Level-block LU factorizations (dense: one per level of every
-     *  depth swept; sparse Krylov: one per distinct preconditioner
-     *  block of the whole solve; power: none). */
+     *  depth swept; sparse: one per distinct preconditioner block of
+     *  the whole solve). */
     std::size_t factorizations = 0;
-    /** GMRES inner iterations summed over all depths (Krylov only). */
+    /** GMRES inner iterations summed over all depths (sparse only). */
     std::size_t gmresIterations = 0;
     /** Truncation depths solved (one per doubling, the first included). */
     std::size_t depthSolves = 0;

@@ -7,9 +7,18 @@
 namespace rsin {
 namespace markov {
 
+namespace {
+
+/** Truncation tolerance on the Poisson tail mass. */
+constexpr double kTailTolerance = 1e-12;
+/** Hard cap on the number of jump terms. */
+constexpr std::size_t kMaxTerms = 1000000;
+
+} // namespace
+
 la::Vector
 transientDistribution(const Ctmc &chain, const la::Vector &initial,
-                      double t, const TransientOptions &opts)
+                      double t)
 {
     const std::size_t n = chain.states();
     RSIN_REQUIRE(initial.size() == n,
@@ -63,21 +72,21 @@ transientDistribution(const Ctmc &chain, const la::Vector &initial,
     la::Vector acc(n, 0.0);
     double log_weight = -lt;      // log of Poisson pmf at k = 0
     double covered = 0.0;
-    for (std::size_t k = 0; k < opts.maxTerms; ++k) {
+    for (std::size_t k = 0; k < kMaxTerms; ++k) {
         const double weight = std::exp(log_weight);
         if (weight > 0.0) {
             for (std::size_t s = 0; s < n; ++s)
                 acc[s] += weight * vk[s];
             covered += weight;
         }
-        if (covered >= 1.0 - opts.tailTolerance)
+        if (covered >= 1.0 - kTailTolerance)
             break;
         vk = step(vk);
         log_weight += std::log(lt) - std::log(static_cast<double>(k + 1));
     }
     RSIN_REQUIRE(covered >= 1.0 - 1e-6,
                  "transientDistribution: Poisson series did not cover "
-                 "the mass; t too large for maxTerms");
+                 "the mass; t too large for the term cap");
     // Renormalize the truncated series.
     for (auto &v : acc)
         v /= covered;

@@ -22,21 +22,13 @@
 namespace rsin {
 namespace markov {
 
-/** Options for the uniformization computation. */
-struct TransientOptions
-{
-    /** Truncation tolerance on the Poisson tail mass. */
-    double tailTolerance = 1e-12;
-    /** Hard cap on the number of jump terms. */
-    std::size_t maxTerms = 1000000;
-};
-
 /**
  * Distribution at time @p t starting from @p initial (must sum to 1).
+ * The Poisson series stops once it covers all but 1e-12 of the mass,
+ * and after at most a million jump terms.
  */
 la::Vector transientDistribution(const Ctmc &chain,
-                                 const la::Vector &initial, double t,
-                                 const TransientOptions &opts = {});
+                                 const la::Vector &initial, double t);
 
 /**
  * Total-variation distance between @p a and @p b:

@@ -35,8 +35,11 @@ std::string
 joinTokens(const std::vector<std::string> &tokens)
 {
     std::string out;
-    for (const auto &t : tokens)
-        out += (out.empty() ? "" : ",") + t;
+    for (const auto &t : tokens) {
+        if (!out.empty())
+            out += ',';
+        out += t;
+    }
     return out;
 }
 
@@ -44,8 +47,11 @@ std::string
 joinDoubles(const std::vector<double> &values)
 {
     std::string out;
-    for (const double v : values)
-        out += (out.empty() ? "" : ",") + formatf("%.17g", v);
+    for (const double v : values) {
+        if (!out.empty())
+            out += ',';
+        out += formatf("%.17g", v);
+    }
     return out;
 }
 
@@ -83,8 +89,11 @@ std::string
 canonicalSpec(const CampaignSpec &spec)
 {
     std::string configs;
-    for (const auto &cfg : spec.configs)
-        configs += (configs.empty() ? "" : ";") + cfg.str();
+    for (const auto &cfg : spec.configs) {
+        if (!configs.empty())
+            configs += ';';
+        configs += cfg.str();
+    }
     return "rsin.campaign.v1 configs=" + configs +
            " scheds=" + joinTokens(spec.schedulers) +
            " policies=" + joinTokens(spec.policies) +

@@ -422,8 +422,11 @@ TEST(CsvQuoteTest, SplitUndoesQuoteForEvilFields)
         "plain", "", "a,b", "say \"hi\"", "multi\nline",
         "\"leading quote", "trailing,\"both\"\n"};
     std::string row;
-    for (std::size_t i = 0; i < fields.size(); ++i)
-        row += (i ? "," : "") + csvQuote(fields[i]);
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+        if (i > 0)
+            row += ',';
+        row += csvQuote(fields[i]);
+    }
     EXPECT_EQ(csvSplit(row), fields);
 }
 

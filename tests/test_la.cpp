@@ -88,14 +88,6 @@ TEST(LuTest, SingularThrows)
     EXPECT_THROW(LuFactors{a}, FatalError);
 }
 
-TEST(LuTest, Determinant)
-{
-    Matrix a{{3, 0}, {0, 4}};
-    EXPECT_NEAR(LuFactors(a).determinant(), 12.0, 1e-12);
-    Matrix swap{{0, 1}, {1, 0}};
-    EXPECT_NEAR(LuFactors(swap).determinant(), -1.0, 1e-12);
-}
-
 TEST(LuTest, RandomRoundTripProperty)
 {
     Rng rng(99);

@@ -236,9 +236,6 @@ TEST(SolveStationaryTest, AutoDispatchesOnBlockSize)
 
     // Explicit backend requests are honored.
     LdQbdOptions opts;
-    opts.backend = LdQbdBackend::SparsePower;
-    EXPECT_EQ(solveStationary(small_model, opts).backend,
-              LdQbdBackend::SparsePower);
     opts.backend = LdQbdBackend::SparseKrylov;
     EXPECT_EQ(solveStationary(small_model, opts).backend,
               LdQbdBackend::SparseKrylov);
@@ -261,12 +258,8 @@ TEST(SolveStationaryTest, BackendsAgreeOnTheSameChain)
         const LdQbdResult dense = solveStationary(model, opts);
         opts.backend = LdQbdBackend::SparseKrylov;
         const LdQbdResult krylov = solveStationary(model, opts);
-        opts.backend = LdQbdBackend::SparsePower;
-        const LdQbdResult power = solveStationary(model, opts);
-        ASSERT_TRUE(dense.stable && krylov.stable && power.stable);
+        ASSERT_TRUE(dense.stable && krylov.stable);
         EXPECT_LT(relDiff(krylov.meanLevel, dense.meanLevel), 1e-5)
-            << "load " << load;
-        EXPECT_LT(relDiff(power.meanLevel, dense.meanLevel), 1e-4)
             << "load " << load;
         for (std::size_t p = 0; p < model.phases(); ++p)
             EXPECT_NEAR(krylov.phaseMarginal[p],
@@ -284,8 +277,7 @@ TEST(SolveStationaryTest, InstabilityDetectedByEveryBackend)
     prm.muS = 0.1;
     const XbarChainModel model(prm);
     for (const LdQbdBackend backend :
-         {LdQbdBackend::DenseCensored, LdQbdBackend::SparseKrylov,
-          LdQbdBackend::SparsePower}) {
+         {LdQbdBackend::DenseCensored, LdQbdBackend::SparseKrylov}) {
         LdQbdOptions opts;
         opts.backend = backend;
         const LdQbdResult res = solveStationary(model, opts);
@@ -330,11 +322,6 @@ TEST(SolveStationaryTest, InstabilityDetectedByEveryBackend)
         const LdQbdResult krylov = solveStationary(*point.model, opts);
         EXPECT_EQ(dense.stable, point.stable) << point.label;
         EXPECT_EQ(krylov.stable, dense.stable) << point.label;
-        if (!point.stable) {
-            opts.backend = LdQbdBackend::SparsePower;
-            EXPECT_FALSE(solveStationary(*point.model, opts).stable)
-                << point.label;
-        }
     }
 }
 
@@ -473,7 +460,7 @@ TEST(SolveStationaryTest, GoldenBitsOfThePaperCells)
 TEST(SolveStationaryTest, WorkCountersAreDeterministic)
 {
     // A default 495-phase sparse solve that doubles 8 -> 16 -> 32
-    // factors its blockPrecondLevels = 8 level blocks once.
+    // factors its 8 preconditioner level blocks once.
     const auto sparse_model = paperChain("16/2x8x8 XBAR/2", 0.1, 0.5);
     const LdQbdResult sparse = solveStationary(*sparse_model);
     ASSERT_EQ(sparse.backend, LdQbdBackend::SparseKrylov);
@@ -486,9 +473,9 @@ TEST(SolveStationaryTest, WorkCountersAreDeterministic)
     EXPECT_EQ(again.gmresIterations, sparse.gmresIterations);
     EXPECT_EQ(again.depthSolves, sparse.depthSolves);
 
-    // Below blockPrecondLevels the top level folds A0 into its block,
-    // so each such depth factors that block on its own: depth 4 takes
-    // levels 0-3 plus its top, depth 8 adds levels 4-7.
+    // Below 8 preconditioner levels the top level folds A0 into its
+    // block, so each such depth factors that block on its own: depth 4
+    // takes levels 0-3 plus its top, depth 8 adds levels 4-7.
     LdQbdOptions shallow;
     shallow.initialLevels = 4;
     shallow.maxLevels = 8;
@@ -504,20 +491,6 @@ TEST(SolveStationaryTest, WorkCountersAreDeterministic)
     EXPECT_EQ(dense.depthSolves, 3u);
     EXPECT_EQ(dense.factorizations, 9u + 17u + 33u);
     EXPECT_EQ(dense.gmresIterations, 0u);
-
-    // Power iteration factors nothing and runs no GMRES.
-    NetChainParams prm;
-    prm.processors = 4;
-    prm.buses = 2;
-    prm.resources = 1;
-    prm.lambda = 0.02;
-    const XbarChainModel small(prm);
-    LdQbdOptions power;
-    power.backend = LdQbdBackend::SparsePower;
-    const LdQbdResult pw = solveStationary(small, power);
-    EXPECT_EQ(pw.factorizations, 0u);
-    EXPECT_EQ(pw.gmresIterations, 0u);
-    EXPECT_GE(pw.depthSolves, 1u);
 }
 
 } // namespace

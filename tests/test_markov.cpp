@@ -32,22 +32,6 @@ TEST(CtmcTest, TwoStateStationary)
     EXPECT_LT(chain.balanceResidual(pi), 1e-12);
 }
 
-TEST(CtmcTest, IterativeMatchesDense)
-{
-    // An M/M/1/K birth-death chain.
-    Ctmc chain;
-    const std::size_t k = 20;
-    chain.reserveStates(k + 1);
-    for (std::size_t i = 0; i < k; ++i) {
-        chain.addTransition(i, i + 1, 0.8);
-        chain.addTransition(i + 1, i, 1.0);
-    }
-    const auto dense = chain.stationaryDense();
-    const auto iter = chain.stationaryIterative(1e-14);
-    for (std::size_t i = 0; i <= k; ++i)
-        EXPECT_NEAR(dense[i], iter[i], 1e-9);
-}
-
 TEST(CtmcTest, RejectsBadTransitions)
 {
     Ctmc chain;

@@ -1,9 +1,9 @@
 /**
  * @file
- * Unit tests for the sparse engine: CSR assembly and kernels against
- * the dense oracles, compressed LU factors and the block-diagonal
- * preconditioner bit for bit against dense LU, GMRES against dense LU,
- * and the uniformized power iteration against stationaryFromGenerator.
+ * Unit tests for the sparse engine: CSR assembly and the y = A x
+ * kernel against the dense oracles, compressed LU factors and the
+ * block-diagonal preconditioner bit for bit against dense LU, and
+ * GMRES against dense LU.
  */
 
 #include <gtest/gtest.h>
@@ -88,34 +88,6 @@ TEST(CsrTest, SpmvMatchesDenseOnPropertyGrid)
                     EXPECT_NEAR(y_sparse[i], y_dense[i], 1e-13)
                         << rows << "x" << cols << " @" << density;
             }
-}
-
-TEST(CsrTest, TransposedKernelAndExplicitTransposeAgree)
-{
-    Rng rng(7);
-    Matrix dense;
-    const CsrMatrix m = randomSparse(rng, 23, 15, 0.2, dense);
-    Vector x(23);
-    for (auto &v : x)
-        v = rng.uniform(-1.0, 1.0);
-    Vector y_kernel(15, 0.0);
-    m.multiplyTransposed(x.data(), y_kernel.data());
-    const Vector y_explicit = m.transpose() * x;
-    const Vector y_dense = dense.transpose() * x;
-    for (std::size_t i = 0; i < 15; ++i) {
-        EXPECT_NEAR(y_kernel[i], y_dense[i], 1e-13);
-        EXPECT_NEAR(y_explicit[i], y_dense[i], 1e-13);
-    }
-}
-
-TEST(CsrTest, DiagonalExtraction)
-{
-    const Triplets entries{{0, 0, 2.0}, {1, 2, 1.0}, {2, 2, -3.0}};
-    const CsrMatrix m = CsrMatrix::fromTriplets(3, 3, entries);
-    const Vector d = m.diagonal();
-    EXPECT_DOUBLE_EQ(d[0], 2.0);
-    EXPECT_DOUBLE_EQ(d[1], 0.0);
-    EXPECT_DOUBLE_EQ(d[2], -3.0);
 }
 
 /** Random diagonally-dominant system (guaranteed solvable). */
@@ -319,12 +291,6 @@ TEST(GmresTest, RightPreconditionersPreserveTheSolution)
         v = rng.uniform(-1.0, 1.0);
     const Vector oracle = LuFactors(dense).solve(b);
 
-    Vector x_jacobi(n, 0.0);
-    const LinearOperator jacobi = jacobiPreconditioner(m);
-    const GmresResult res_j =
-        gmres(asOperator(m), b, x_jacobi, {}, &jacobi);
-    EXPECT_TRUE(res_j.converged);
-
     // Block-diagonal preconditioner: three dense blocks of 16, the
     // last factorization shared by the last two blocks.
     Matrix block0(16, 16, 0.0), block1(16, 16, 0.0);
@@ -341,10 +307,8 @@ TEST(GmresTest, RightPreconditionersPreserveTheSolution)
         gmres(asOperator(m), b, x_block, {}, &block);
     EXPECT_TRUE(res_b.converged);
 
-    for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_NEAR(x_jacobi[i], oracle[i], 1e-8);
+    for (std::size_t i = 0; i < n; ++i)
         EXPECT_NEAR(x_block[i], oracle[i], 1e-8);
-    }
 }
 
 TEST(GmresTest, WarmStartAtTheSolutionReturnsImmediately)
@@ -360,48 +324,6 @@ TEST(GmresTest, WarmStartAtTheSolutionReturnsImmediately)
     const GmresResult res = gmres(asOperator(m), b, x);
     EXPECT_TRUE(res.converged);
     EXPECT_EQ(res.iterations, 0u);
-}
-
-/** Random irreducible CTMC generator (all off-diagonals positive). */
-Matrix
-randomGenerator(Rng &rng, std::size_t n)
-{
-    Matrix q(n, n, 0.0);
-    for (std::size_t r = 0; r < n; ++r) {
-        double out = 0.0;
-        for (std::size_t c = 0; c < n; ++c) {
-            if (c == r)
-                continue;
-            q(r, c) = 0.05 + rng.uniform01();
-            out += q(r, c);
-        }
-        q(r, r) = -out;
-    }
-    return q;
-}
-
-TEST(PowerStationaryTest, MatchesDenseStationarySolver)
-{
-    Rng rng(2024);
-    for (const std::size_t n : {2u, 6u, 25u}) {
-        const Matrix q = randomGenerator(rng, n);
-        const Vector oracle = stationaryFromGenerator(q);
-        Triplets entries;
-        for (std::size_t r = 0; r < n; ++r)
-            for (std::size_t c = 0; c < n; ++c)
-                if (q(r, c) != 0.0)
-                    entries.push_back({c, r, q(r, c)}); // transposed
-        const CsrMatrix qt = CsrMatrix::fromTriplets(n, n, entries);
-        Vector pi;
-        const PowerResult res = powerStationary(qt, pi);
-        EXPECT_TRUE(res.converged) << "n=" << n;
-        double total = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_NEAR(pi[i], oracle[i], 1e-8) << "n=" << n;
-            total += pi[i];
-        }
-        EXPECT_NEAR(total, 1.0, 1e-12);
-    }
 }
 
 } // namespace

@@ -129,7 +129,7 @@ TEST(TransientTest, MixingTimeOrderedByLoad)
         const Ctmc chain = sbus.buildTruncated(30);
         la::Vector init(chain.states(), 0.0);
         init[0] = 1.0; // empty system
-        const auto pi = chain.stationaryIterative(1e-13);
+        const auto pi = chain.stationaryDense();
         return timeToConverge(chain, init, pi, 1e-3, 0.5);
     };
     const double light = mixing_time(0.05);
