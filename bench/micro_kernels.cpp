@@ -21,6 +21,7 @@
 #include "logic/crossbar_cell.hpp"
 #include "markov/omega_model.hpp"
 #include "markov/sbus_solvers.hpp"
+#include "queueing/mm_queues.hpp"
 #include "rsin/analysis.hpp"
 #include "rsin/analysis_cache.hpp"
 #include "rsin/factory.hpp"
@@ -332,6 +333,36 @@ BM_OmegaLdQbd(benchmark::State &state)
 }
 BENCHMARK(BM_OmegaLdQbd)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+/** The same cell at paper traffic intensity 0.95, close below
+ *  capacity: deep truncations and the most Krylov iterations. */
+markov::NetChainParams
+ldQbdHighLoadParams(std::size_t k)
+{
+    markov::NetChainParams prm = ldQbdParams(k);
+    prm.lambda = queueing::arrivalRateForIntensity(
+        k, k * prm.resources, 0.95, prm.muN, prm.muS);
+    return prm;
+}
+
+void
+BM_XbarLdQbdHighLoad(benchmark::State &state)
+{
+    runLdQbd<markov::XbarChainModel>(
+        state,
+        ldQbdHighLoadParams(static_cast<std::size_t>(state.range(0))));
+}
+BENCHMARK(BM_XbarLdQbdHighLoad)->Arg(8)->Unit(benchmark::kMillisecond);
+
+void
+BM_OmegaLdQbdHighLoad(benchmark::State &state)
+{
+    const auto k = static_cast<std::size_t>(state.range(0));
+    markov::NetChainParams prm = ldQbdHighLoadParams(k);
+    prm.linkConflict = omegaLinkConflict(k);
+    runLdQbd<markov::OmegaChainModel>(state, prm);
+}
+BENCHMARK(BM_OmegaLdQbdHighLoad)->Arg(8)->Unit(benchmark::kMillisecond);
 
 void
 BM_PartitionedDes(benchmark::State &state)

@@ -18,35 +18,61 @@ CsrMatrix::fromTriplets(std::size_t rows, std::size_t cols,
     out.rows_ = rows;
     out.cols_ = cols;
 
-    // Sort a copy by (row, col); stable order makes duplicate summing
-    // deterministic regardless of emission order.
-    Triplets sorted = entries;
-    std::sort(sorted.begin(), sorted.end(),
-              [](const Triplet &a, const Triplet &b) {
-                  return a.row != b.row ? a.row < b.row : a.col < b.col;
-              });
-
-    out.rowPtr_.assign(rows + 1, 0);
-    out.colIdx_.reserve(sorted.size());
-    out.values_.reserve(sorted.size());
-    for (std::size_t i = 0; i < sorted.size();) {
-        const Triplet &head = sorted[i];
-        RSIN_REQUIRE(head.row < rows && head.col < cols,
+    // Counting sort by row: count, prefix-sum, then scatter each entry
+    // to its row's next slot, so every row holds its entries in
+    // emission order.
+    std::vector<std::size_t> start(rows + 1, 0);
+    for (const Triplet &e : entries) {
+        RSIN_REQUIRE(e.row < rows && e.col < cols,
                      "CsrMatrix::fromTriplets: entry out of range");
-        double sum = 0.0;
-        std::size_t j = i;
-        for (; j < sorted.size() && sorted[j].row == head.row &&
-               sorted[j].col == head.col;
-             ++j)
-            sum += sorted[j].value;
-        out.colIdx_.push_back(head.col);
-        out.values_.push_back(sum);
-        out.rowPtr_[head.row + 1] = out.colIdx_.size();
-        i = j;
+        ++start[e.row + 1];
     }
-    // Rows with no entries inherit the previous offset.
-    for (std::size_t r = 1; r <= rows; ++r)
-        out.rowPtr_[r] = std::max(out.rowPtr_[r], out.rowPtr_[r - 1]);
+    for (std::size_t r = 0; r < rows; ++r)
+        start[r + 1] += start[r];
+    std::vector<std::size_t> next(start.begin(), start.end() - 1);
+    out.colIdx_.resize(entries.size());
+    out.values_.resize(entries.size());
+    for (const Triplet &e : entries) {
+        const std::size_t k = next[e.row]++;
+        out.colIdx_[k] = e.col;
+        out.values_[k] = e.value;
+    }
+
+    // Per row: a stable insertion sort by column (linear on rows that
+    // arrive in column order, as the chain assemblies emit them), then
+    // fold each run of duplicates, summed in emission order, into its
+    // first slot.
+    std::size_t *col = out.colIdx_.data();
+    double *val = out.values_.data();
+    out.rowPtr_.assign(rows + 1, 0);
+    std::size_t kept = 0;
+    for (std::size_t r = 0; r < rows; ++r) {
+        const std::size_t begin = start[r];
+        const std::size_t end = start[r + 1];
+        for (std::size_t i = begin + 1; i < end; ++i) {
+            const std::size_t c = col[i];
+            const double v = val[i];
+            std::size_t k = i;
+            for (; k > begin && col[k - 1] > c; --k) {
+                col[k] = col[k - 1];
+                val[k] = val[k - 1];
+            }
+            col[k] = c;
+            val[k] = v;
+        }
+        for (std::size_t i = begin; i < end;) {
+            const std::size_t c = col[i];
+            double sum = 0.0;
+            for (; i < end && col[i] == c; ++i)
+                sum += val[i];
+            col[kept] = c;
+            val[kept] = sum;
+            ++kept;
+        }
+        out.rowPtr_[r + 1] = kept;
+    }
+    out.colIdx_.resize(kept);
+    out.values_.resize(kept);
     return out;
 }
 
@@ -91,6 +117,12 @@ asOperator(const CsrMatrix &a)
 }
 
 namespace {
+
+/** GMRES: Krylov dimension per restart cycle, total inner iterations,
+ *  and the relative residual target. */
+constexpr std::size_t kGmresRestart = 40;
+constexpr std::size_t kGmresMaxIterations = 4000;
+constexpr double kGmresTolerance = 1e-12;
 
 /**
  * xi -= vals[k] * (row cols[k] of x) for k in [begin, end), x
@@ -246,13 +278,13 @@ blockDiagonalPreconditioner(std::vector<const CompressedLu *> blocks,
 
 GmresResult
 gmres(const LinearOperator &a, const Vector &b, Vector &x,
-      const GmresOptions &opts, const LinearOperator *right_precond)
+      const LinearOperator *right_precond)
 {
     const std::size_t n = a.n;
     RSIN_REQUIRE(b.size() == n, "gmres: rhs size mismatch");
     if (x.size() != n)
         x.assign(n, 0.0);
-    const std::size_t m = std::max<std::size_t>(opts.restart, 1);
+    const std::size_t m = kGmresRestart;
 
     const double bnorm = std::max(norm2(b), 1e-300);
     GmresResult result;
@@ -272,7 +304,7 @@ gmres(const LinearOperator &a, const Vector &b, Vector &x,
         }
     };
 
-    while (result.iterations < opts.maxIterations) {
+    while (result.iterations < kGmresMaxIterations) {
         // Residual of the current iterate (true residual: the right
         // preconditioner does not distort it).
         a.apply(x.data(), scratch.data());
@@ -280,7 +312,7 @@ gmres(const LinearOperator &a, const Vector &b, Vector &x,
             basis[0][i] = b[i] - scratch[i];
         double beta = norm2(basis[0]);
         result.residual = beta / bnorm;
-        if (result.residual <= opts.tolerance) {
+        if (result.residual <= kGmresTolerance) {
             result.converged = true;
             return result;
         }
@@ -290,7 +322,7 @@ gmres(const LinearOperator &a, const Vector &b, Vector &x,
         g[0] = beta;
 
         std::size_t k = 0;
-        for (; k < m && result.iterations < opts.maxIterations; ++k) {
+        for (; k < m && result.iterations < kGmresMaxIterations; ++k) {
             ++result.iterations;
             applyA(basis[k], basis[k + 1]);
             // Modified Gram-Schmidt.
@@ -324,7 +356,7 @@ gmres(const LinearOperator &a, const Vector &b, Vector &x,
             hess(k + 1, k) = 0.0;
             g[k + 1] = -sn[k] * g[k];
             g[k] = cs[k] * g[k];
-            if (std::fabs(g[k + 1]) / bnorm <= opts.tolerance) {
+            if (std::fabs(g[k + 1]) / bnorm <= kGmresTolerance) {
                 ++k;
                 break;
             }
@@ -368,7 +400,7 @@ gmres(const LinearOperator &a, const Vector &b, Vector &x,
         res += d * d;
     }
     result.residual = std::sqrt(res) / bnorm;
-    result.converged = result.residual <= opts.tolerance;
+    result.converged = result.residual <= kGmresTolerance;
     return result;
 }
 

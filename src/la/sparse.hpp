@@ -10,14 +10,16 @@
  * sparse.  This file supplies the minimal kit the iterative solver
  * needs:
  *
- *  - CsrMatrix: compressed-sparse-row storage built from triplets
- *    (duplicates summed), with a y = A x kernel;
+ *  - CsrMatrix: compressed-sparse-row storage built from triplets by
+ *    a counting sort on the row (duplicates summed in emission
+ *    order), with a y = A x kernel;
  *  - gmres(): restarted GMRES with optional right preconditioning over
  *    an abstract operator, so callers can compose the matrix with any
  *    preconditioner without materializing products;
  *  - a block-diagonal preconditioner over CompressedLu factors (the
  *    dense blocked LU kept as its nonzeros), which the QBD solver uses
- *    with one block per chain level.
+ *    as the smoother of its two-level preconditioner: one factor for
+ *    level 0 and one shared by every deeper level.
  *
  * Everything is double end-to-end (rsin-lint R3) and container choice
  * is deterministic (R2: no unordered containers).
@@ -50,10 +52,13 @@ class CsrMatrix
     CsrMatrix() = default;
 
     /**
-     * Assemble from triplets: entries are grouped by (row, col) with
-     * duplicates summed (exact zeros produced by cancellation are
-     * kept, so the sparsity pattern is a function of the input alone).
-     * Column indices within each row end up sorted.
+     * Assemble from triplets by a counting sort on the row: entries
+     * are grouped by (row, col) and duplicates summed in emission
+     * order (exact zeros produced by cancellation are kept, so the
+     * sparsity pattern is a function of the input alone).  Column
+     * indices within each row end up sorted.  Linear in the entries
+     * when each row's columns arrive nearly sorted; a row of k
+     * shuffled entries costs O(k^2).
      */
     static CsrMatrix fromTriplets(std::size_t rows, std::size_t cols,
                                   const Triplets &entries);
@@ -155,14 +160,6 @@ LinearOperator blockDiagonalPreconditioner(
     std::vector<const CompressedLu *> blocks,
     std::vector<std::size_t> starts, std::size_t n);
 
-/** Knobs for gmres(). */
-struct GmresOptions
-{
-    std::size_t restart = 40;        ///< Krylov dimension per cycle
-    std::size_t maxIterations = 4000;///< total inner iterations
-    double tolerance = 1e-12;        ///< relative residual target
-};
-
 /** Outcome of a gmres() run. */
 struct GmresResult
 {
@@ -172,13 +169,13 @@ struct GmresResult
 };
 
 /**
- * Restarted GMRES for A x = b with optional *right* preconditioner M:
- * solves A M^{-1} u = b and returns x = M^{-1} u, so the reported
- * residual is the true residual of the original system.  @p x carries
- * the initial guess in and the solution out.
+ * Restarted GMRES(40) for A x = b with optional *right* preconditioner
+ * M: solves A M^{-1} u = b and returns x = M^{-1} u, so the reported
+ * residual is the true residual of the original system, and stops once
+ * it falls to 1e-12 relative or after 4000 inner iterations.  @p x
+ * carries the initial guess in and the solution out.
  */
 GmresResult gmres(const LinearOperator &a, const Vector &b, Vector &x,
-                  const GmresOptions &opts = {},
                   const LinearOperator *right_precond = nullptr);
 
 } // namespace la

@@ -18,9 +18,6 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 /** Auto dispatch: the dense censored path up to this block size. */
 constexpr std::size_t kDenseBlockLimit = 192;
-/** Sparse path: distinct level-block LU factorizations for the
- *  block-diagonal preconditioner (deeper levels share the last). */
-constexpr std::size_t kBlockPrecondLevels = 8;
 /** Multiplier turning the observed depth-doubling change into the
  *  certified bound (covers the geometric remainder of the series of
  *  future changes). */
@@ -54,26 +51,46 @@ unstableResult(LdQbdBackend backend)
     return res;
 }
 
-/** Mean drift of the limiting blocks: up rate minus down rate under
- *  the phase-marginal stationary distribution.  Negative = stable. */
-bool
-limitStable(const LdQbdModel &model)
+/** One level's generator blocks, as LdQbdModel::levelBlocks emits
+ *  them. */
+struct LevelBlocks
+{
+    la::Triplets a0, a1, a2;
+};
+
+/** The limiting (level -> infinity) chain of a model. */
+struct LimitChain
+{
+    LevelBlocks blocks;
+    /** Stationary vector of A0 + A1 + A2: the limiting phase marginal. */
+    la::Vector xi;
+    /** Mean drift under xi (up rate minus down rate) is negative. */
+    bool stable = false;
+};
+
+LimitChain
+limitChain(const LdQbdModel &model)
 {
     const std::size_t n = model.phases();
-    la::Triplets t0, t1, t2;
-    model.limitBlocks(t0, t1, t2);
-    // Named, so the three dense addends are freed before the LU runs.
-    const la::Matrix generator =
-        densify(t0, n) + densify(t1, n) + densify(t2, n);
-    const la::Vector xi = la::stationaryFromGenerator(generator);
+    LimitChain lim;
+    LevelBlocks &b = lim.blocks;
+    model.limitBlocks(b.a0, b.a1, b.a2);
+    {
+        // Named, so the three dense addends are freed before the LU
+        // runs.
+        const la::Matrix generator =
+            densify(b.a0, n) + densify(b.a1, n) + densify(b.a2, n);
+        lim.xi = la::stationaryFromGenerator(generator);
+    }
     la::Vector up(n, 0.0), down(n, 0.0);
-    for (const auto &e : t0)
+    for (const auto &e : b.a0)
         up[e.row] += e.value;
-    for (const auto &e : t2)
+    for (const auto &e : b.a2)
         down[e.row] += e.value;
-    const double drift_up = la::dot(xi, up);
-    const double drift_down = la::dot(xi, down);
-    return drift_up < drift_down * (1.0 - 1e-12);
+    const double drift_up = la::dot(lim.xi, up);
+    const double drift_down = la::dot(lim.xi, down);
+    lim.stable = drift_up < drift_down * (1.0 - 1e-12);
+    return lim;
 }
 
 /** One truncation depth's answer: all the depth loop needs from a
@@ -103,14 +120,11 @@ struct DenseTail
 /** The limiting chain's censored top block and closed-form tail
  *  moments; nullopt when logarithmic reduction does not converge. */
 std::optional<DenseTail>
-denseTail(const LdQbdModel &model)
+denseTail(const LevelBlocks &limit, std::size_t n)
 {
-    const std::size_t n = model.phases();
-    la::Triplets t0, t1, t2;
-    model.limitBlocks(t0, t1, t2);
-    const la::Matrix a0_lim = densify(t0, n);
-    const la::Matrix a1_lim = densify(t1, n);
-    const la::Matrix a2_lim = densify(t2, n);
+    const la::Matrix a0_lim = densify(limit.a0, n);
+    const la::Matrix a1_lim = densify(limit.a1, n);
+    const la::Matrix a2_lim = densify(limit.a2, n);
 
     const LogReductionResult lr = logReduction(a0_lim, a1_lim, a2_lim);
     if (!lr.converged)
@@ -131,40 +145,37 @@ denseTail(const LdQbdModel &model)
  * One censored solve at level-dependent depth L: banded backward
  * censoring over the level-dependent blocks with the homogeneous tail
  * folded into the top block, then a forward substitution pass and the
- * closed-form geometric tail moments.
+ * closed-form geometric tail moments.  @p levels holds the blocks of
+ * the levels built so far; the solve extends it to level L, so each
+ * level is built once per solve, not once per depth.
  */
 DepthEstimate
 denseSolveAt(const LdQbdModel &model, const DenseTail &tail,
-             std::size_t depth)
+             std::vector<LevelBlocks> &levels, std::size_t depth)
 {
     const std::size_t n = model.phases();
-    const auto blocksAt = [&](std::size_t level, la::Matrix &a0,
-                              la::Matrix &a1, la::Matrix &a2) {
-        la::Triplets b0, b1, b2;
-        model.levelBlocks(level, b0, b1, b2);
-        a0 = densify(b0, n);
-        a1 = densify(b1, n);
-        a2 = densify(b2, n);
-    };
+    while (levels.size() <= depth) {
+        LevelBlocks &b = levels.emplace_back();
+        model.levelBlocks(levels.size() - 1, b.a0, b.a1, b.a2);
+    }
 
     // Backward sweep: S_L = A1_lim + A0_lim G;
-    // S_l = A1(l) + A0(l) (-S_{l+1})^{-1} A2(l+1).
+    // S_l = A1(l) + A0(l) [(-S_{l+1})^{-1} A2(l+1)], with A0(l)
+    // applied as the sparse matrix it is (diagonal in the network
+    // chains) instead of by a dense product.
     std::vector<std::unique_ptr<la::LuFactors>> factors(depth + 1);
-    std::vector<la::Matrix> a0_of(depth); // A0(l) for the forward pass
     la::Matrix s = tail.censoredTop;
-    la::Matrix a2_hi; // A2(l+1) while computing S_l
-    {
-        la::Matrix a0_top, a1_top;
-        blocksAt(depth, a0_top, a1_top, a2_hi);
-    }
     for (std::size_t l = depth; l-- > 0;) {
         factors[l + 1] = std::make_unique<la::LuFactors>(s * -1.0);
-        la::Matrix a0_lo, a1_lo, a2_lo;
-        blocksAt(l, a0_lo, a1_lo, a2_lo);
-        const la::Matrix mid = factors[l + 1]->rightSolve(a0_lo);
-        s = a1_lo + mid * a2_hi;
-        a0_of[l] = std::move(a0_lo);
-        a2_hi = std::move(a2_lo);
+        const la::Matrix down =
+            factors[l + 1]->solveMatrix(densify(levels[l + 1].a2, n));
+        s = densify(levels[l].a1, n);
+        for (const la::Triplet &e : levels[l].a0) {
+            double *row = s.data() + e.row * n;
+            const double *from = down.data() + e.col * n;
+            for (std::size_t c = 0; c < n; ++c)
+                row[c] += e.value * from[c];
+        }
     }
 
     // Forward pass: pi_0 from the fully censored boundary generator,
@@ -172,8 +183,10 @@ denseSolveAt(const LdQbdModel &model, const DenseTail &tail,
     std::vector<la::Vector> pis(depth + 1);
     pis[0] = la::stationaryFromGenerator(s);
     for (std::size_t l = 0; l < depth; ++l) {
-        const la::Vector v = la::leftMultiply(pis[l], a0_of[l]);
-        pis[l + 1] = factors[l + 1]->solveTransposed(v);
+        la::Vector up(n, 0.0);
+        for (const la::Triplet &e : levels[l].a0)
+            up[e.col] += pis[l][e.row] * e.value;
+        pis[l + 1] = factors[l + 1]->solveTransposed(up);
     }
 
     // Geometric tail beyond L: pi_{L+m} = pi_L R^m, summed exactly.
@@ -219,42 +232,123 @@ denseSolveAt(const LdQbdModel &model, const DenseTail &tail,
 // ---------------------------------------------------------------------
 // Sparse Krylov backend.
 
-/** Build and factor the transposed diagonal block of @p level; the
- *  dense block lives only until it is compressed. */
+/** A1 of one level transposed, as compressed LU factors; level 0 has
+ *  its first row replaced by the normalization row. */
 la::CompressedLu
-factorLevelBlock(const LdQbdModel &model, std::size_t level, bool top)
+factorTransposed(const la::Triplets &a1, std::size_t n, bool boundary)
 {
-    const std::size_t n = model.phases();
-    la::Triplets b0, b1, b2;
-    model.levelBlocks(level, b0, b1, b2);
     la::Matrix block(n, n, 0.0);
-    for (const auto &e : b1)
+    for (const auto &e : a1)
         block(e.col, e.row) += e.value;
-    if (top)
-        for (const auto &e : b0)
-            block(e.col, e.row) += e.value;
-    if (level == 0)
+    if (boundary)
         for (std::size_t c = 0; c < n; ++c)
             block(0, c) = 1.0;
     return la::CompressedLu(std::move(block));
 }
 
 /**
+ * The Galerkin coarse system R M P of a truncated chain's transposed
+ * generator M over its depth+1 level aggregates: R sums each level,
+ * P spreads a level's mass over its phases by the limiting phase
+ * marginal xi.  Levels exchange mass only with their neighbours, so
+ * every coarse row but the first is tridiagonal; row 0, which sums
+ * the normalization row into level 0, is dense.  Factored by
+ * eliminating the levels from the top down, the order in which a
+ * level birth-death chain censors its levels: the rows of levels >= 1
+ * form a transposed generator, column diagonally dominant, so the
+ * elimination needs no pivoting.
+ */
+class LevelCoarse
+{
+  public:
+    LevelCoarse(const la::CsrMatrix &m, const la::Vector &xi,
+                std::size_t depth)
+        : sub_(depth + 1, 0.0), diag_(depth + 1, 0.0),
+          sup_(depth + 1, 0.0), top_(depth + 1, 0.0)
+    {
+        const std::size_t n = xi.size();
+        const auto &ptr = m.rowPtr();
+        const auto &col = m.colIdx();
+        const auto &val = m.values();
+        for (std::size_t l = 0; l <= depth; ++l) {
+            const std::size_t lo = l * n;
+            for (std::size_t i = lo; i < lo + n; ++i)
+                for (std::size_t k = ptr[i]; k < ptr[i + 1]; ++k) {
+                    const std::size_t j = col[k];
+                    const std::size_t lj = j / n;
+                    const double w = val[k] * xi[j - lj * n];
+                    if (l == 0)
+                        top_[lj] += w;
+                    else if (lj < l)
+                        sub_[l] += w;
+                    else if (lj == l)
+                        diag_[l] += w;
+                    else
+                        sup_[l] += w;
+                }
+        }
+        // Eliminate level l from the rows above it; sup_ and top_ end
+        // up holding the multipliers.
+        for (std::size_t l = depth; l >= 1; --l) {
+            if (l >= 2) {
+                sup_[l - 1] /= diag_[l];
+                diag_[l - 1] -= sup_[l - 1] * sub_[l];
+            }
+            top_[l] /= diag_[l];
+            top_[l - 1] -= top_[l] * sub_[l];
+        }
+    }
+
+    /** Solve the coarse system in place: @p b has depth+1 entries. */
+    void solve(double *b) const
+    {
+        const std::size_t depth = diag_.size() - 1;
+        for (std::size_t l = depth; l >= 1; --l) {
+            if (l >= 2)
+                b[l - 1] -= sup_[l - 1] * b[l];
+            b[0] -= top_[l] * b[l];
+        }
+        b[0] /= top_[0];
+        for (std::size_t l = 1; l <= depth; ++l)
+            b[l] = (b[l] - sub_[l] * b[l - 1]) / diag_[l];
+    }
+
+  private:
+    std::vector<double> sub_, diag_, sup_, top_;
+};
+
+/** What the depths of one sparse solve share. */
+struct SparseSolve
+{
+    /** The smoother's two factors: level 0 (normalization row in
+     *  place) and the limiting A1, shared by every level >= 1. */
+    la::CompressedLu boundary;
+    la::CompressedLu interior;
+    la::Vector xi;     ///< prolongation weights (limiting marginal)
+    la::Vector x;      ///< the previous depth's solution (warm start)
+};
+
+/**
  * Assemble the transposed generator of the chain truncated (reflected)
  * at level @p depth and solve its stationary vector by GMRES on the
- * normalization-patched system.  @p x carries the previous depth's
- * solution as a warm start.  @p levels holds the preconditioner's
- * level-block factors, shared by every depth of one solve: the
- * diagonal block of level l (A1(l) transposed; level 0 with its first
- * row replaced by the normalization row) does not depend on the depth,
- * so each level is factored once.  Only a top level, which folds A0
- * into its block, is factored per depth, and only while the depth is
- * below kBlockPrecondLevels.  The factorizations and GMRES iterations
- * are added to @p res.
+ * normalization-patched system, right-preconditioned by one symmetric
+ * two-level cycle:
+ *
+ *   z  = S^{-1} r                    block-Jacobi smoothing,
+ *   z += P A_c^{-1} R (r - M z)      coarse correction (LevelCoarse),
+ *   z += S^{-1} (r - M z)            block-Jacobi smoothing again.
+ *
+ * S holds the two factors of @p solve, so nothing is factored per
+ * depth but the (depth+1)-square coarse system.  Block Jacobi alone
+ * cannot move mass between levels, which is what slows GMRES at high
+ * load; the coarse system does exactly that (iterative
+ * aggregation-disaggregation).  @p solve.x carries the previous
+ * depth's solution in as a warm start and this depth's out.  The GMRES
+ * iterations are added to @p res.
  */
 DepthEstimate
-sparseSolveAt(const LdQbdModel &model, std::size_t depth, la::Vector &x,
-              std::vector<la::CompressedLu> &levels, LdQbdResult &res)
+sparseSolveAt(const LdQbdModel &model, std::size_t depth,
+              SparseSolve &solve, LdQbdResult &res)
 {
     const std::size_t n = model.phases();
     const std::size_t states = n * (depth + 1);
@@ -291,35 +385,49 @@ sparseSolveAt(const LdQbdModel &model, std::size_t depth, la::Vector &x,
         la::CsrMatrix::fromTriplets(states, states, entries);
     entries = la::Triplets();
 
-    // Levels 0 .. distinct-1 get their own block; the deeper ones
-    // share the last.  When that range reaches the top level, the top
-    // block (A0 folded in) is factored for this depth alone.
-    const std::size_t distinct = std::min(kBlockPrecondLevels, depth + 1);
-    const std::size_t unfolded = std::min(distinct, depth);
-    while (levels.size() < unfolded) {
-        levels.push_back(factorLevelBlock(model, levels.size(), false));
-        ++res.factorizations;
-    }
-    std::optional<la::CompressedLu> top;
-    if (unfolded < distinct) {
-        top.emplace(factorLevelBlock(model, depth, true));
-        ++res.factorizations;
-    }
-    std::vector<const la::CompressedLu *> blocks(depth + 1);
+    std::vector<const la::CompressedLu *> blocks(depth + 1,
+                                                 &solve.interior);
+    blocks[0] = &solve.boundary;
     std::vector<std::size_t> starts(depth + 1);
-    for (std::size_t l = 0; l <= depth; ++l) {
-        const std::size_t own = std::min(l, distinct - 1);
-        blocks[l] = own < unfolded ? &levels[own] : &*top;
+    for (std::size_t l = 0; l <= depth; ++l)
         starts[l] = l * n;
-    }
-    const la::LinearOperator precond = la::blockDiagonalPreconditioner(
+    const la::LinearOperator smooth = la::blockDiagonalPreconditioner(
         std::move(blocks), std::move(starts), states);
+    const LevelCoarse coarse(m, solve.xi, depth);
+
+    la::Vector residual(states), smoothed(states), aggregate(depth + 1);
+    la::LinearOperator cycle;
+    cycle.n = states;
+    cycle.apply = [&](const double *r, double *z) {
+        const auto residualOf = [&] {
+            m.multiply(z, residual.data());
+            for (std::size_t i = 0; i < states; ++i)
+                residual[i] = r[i] - residual[i];
+        };
+        smooth.apply(r, z);
+        residualOf();
+        for (std::size_t l = 0; l <= depth; ++l) {
+            double sum = 0.0;
+            for (std::size_t p = 0; p < n; ++p)
+                sum += residual[l * n + p];
+            aggregate[l] = sum;
+        }
+        coarse.solve(aggregate.data());
+        for (std::size_t l = 0; l <= depth; ++l)
+            for (std::size_t p = 0; p < n; ++p)
+                z[l * n + p] += aggregate[l] * solve.xi[p];
+        residualOf();
+        smooth.apply(residual.data(), smoothed.data());
+        for (std::size_t i = 0; i < states; ++i)
+            z[i] += smoothed[i];
+    };
 
     la::Vector rhs(states, 0.0);
     rhs[0] = 1.0;
+    la::Vector &x = solve.x;
     x.resize(states, 0.0);
     const la::LinearOperator op = la::asOperator(m);
-    la::GmresResult gr = la::gmres(op, rhs, x, {}, &precond);
+    la::GmresResult gr = la::gmres(op, rhs, x, &cycle);
     res.gmresIterations += gr.iterations;
     if (gr.iterations == 0) {
         // Only a warm start can meet the residual target before the
@@ -328,7 +436,7 @@ sparseSolveAt(const LdQbdModel &model, std::size_t depth, la::Vector &x,
         // bit for bit and certify a change of exactly 0.  Solve the
         // depth from zero instead.
         std::fill(x.begin(), x.end(), 0.0);
-        gr = la::gmres(op, rhs, x, {}, &precond);
+        gr = la::gmres(op, rhs, x, &cycle);
         res.gmresIterations += gr.iterations;
     }
     RSIN_REQUIRE(gr.converged,
@@ -436,24 +544,26 @@ solveStationary(const LdQbdModel &model, const LdQbdOptions &opts)
         (opts.backend == LdQbdBackend::Auto && n <= kDenseBlockLimit);
     const LdQbdBackend backend =
         dense ? LdQbdBackend::DenseCensored : LdQbdBackend::SparseKrylov;
-    if (!limitStable(model))
+    LimitChain limit = limitChain(model);
+    if (!limit.stable)
         return unstableResult(backend);
 
     LdQbdResult res;
     res.backend = backend;
     if (dense) {
-        const std::optional<DenseTail> tail = denseTail(model);
+        const std::optional<DenseTail> tail = denseTail(limit.blocks, n);
         if (!tail)
             return unstableResult(backend);
         // Memory-bounded depth cap: one n x n LU per level is stored.
         const std::size_t mem_levels = std::max<std::size_t>(
             64, 30'000'000 / std::max<std::size_t>(n * n, 1));
+        std::vector<LevelBlocks> levels;
         doubleDepth(opts, 2, std::min(opts.maxLevels, mem_levels), res,
                     [&](std::size_t depth) {
                         // One LU of -S_l per level above the boundary,
                         // one of S_0.
                         res.factorizations += depth + 1;
-                        return denseSolveAt(model, *tail, depth);
+                        return denseSolveAt(model, *tail, levels, depth);
                     });
         return res;
     }
@@ -464,10 +574,14 @@ solveStationary(const LdQbdModel &model, const LdQbdOptions &opts)
         opts.maxLevels,
         std::max<std::size_t>(opts.initialLevels,
                               state_cap / std::max<std::size_t>(n, 1)));
-    la::Vector x;
-    std::vector<la::CompressedLu> levels;
+    LevelBlocks zero;
+    model.levelBlocks(0, zero.a0, zero.a1, zero.a2);
+    SparseSolve solve{factorTransposed(zero.a1, n, true),
+                      factorTransposed(limit.blocks.a1, n, false),
+                      std::move(limit.xi), {}};
+    res.factorizations = 2;
     doubleDepth(opts, 4, cap, res, [&](std::size_t depth) {
-        return sparseSolveAt(model, depth, x, levels, res);
+        return sparseSolveAt(model, depth, solve, res);
     });
     return res;
 }

@@ -21,12 +21,24 @@
  *
  *  - **Sparse Krylov path** (large blocks): the truncated chain is
  *    assembled as one sparse transposed generator and its stationary
- *    vector solved by restarted GMRES (la/sparse.hpp) with a
- *    block-diagonal preconditioner of compressed LU factors (one per
- *    shallow level, the deepest one shared by the whole tail and
- *    applied to it as one multi-right-hand-side sweep).  The level
- *    blocks do not depend on the depth, so each is factored once per
- *    solve.  The truncation depth q adapts.
+ *    vector solved by restarted GMRES (la/sparse.hpp), preconditioned
+ *    by a symmetric two-level cycle: block-Jacobi smoothing over just
+ *    two compressed LU factors (level 0 with its normalization row,
+ *    and the limiting A1 block shared by every deeper level, swept as
+ *    one multi-right-hand-side solve), a Galerkin coarse correction
+ *    over the level aggregates (restriction sums each level,
+ *    prolongation spreads a level's mass by the limiting phase
+ *    marginal; the (depth+1)-square coarse system is tridiagonal
+ *    below its normalization row and is factored once per depth),
+ *    then a second smoothing.  The coarse step moves mass between
+ *    levels, which block Jacobi alone cannot, so the iteration count
+ *    stays low as the load nears capacity.  The truncation depth q
+ *    adapts.
+ *
+ * Level blocks are cheap to rebuild: the network chains enumerate
+ * their level-independent transitions once and re-weight them per
+ * level, and the dense path keeps each level's blocks for the whole
+ * solve.
  *
  * Both backends run through one depth-doubling loop: it grows the
  * depth until the delay estimate stops moving and returns a *certified
@@ -86,7 +98,7 @@ enum class LdQbdBackend
 {
     Auto,          ///< dense up to 192 phases, else sparse (option only)
     DenseCensored, ///< log-reduction + censored level sweep + R tail
-    SparseKrylov,  ///< truncated sparse chain via block-precond GMRES
+    SparseKrylov,  ///< truncated sparse chain via two-level-precond GMRES
 };
 
 /** Tuning knobs for solveStationary(). */
@@ -121,8 +133,8 @@ struct LdQbdResult
 
     // Deterministic work counters: equal on every run of the same solve.
     /** Level-block LU factorizations (dense: one per level of every
-     *  depth swept; sparse: one per distinct preconditioner block of
-     *  the whole solve). */
+     *  depth swept; sparse: two per solve, the smoother's level-0 and
+     *  limiting blocks, at any depth). */
     std::size_t factorizations = 0;
     /** GMRES inner iterations summed over all depths (sparse only). */
     std::size_t gmresIterations = 0;

@@ -185,50 +185,39 @@ XbarChainModel::limitBlocks(la::Triplets &a0, la::Triplets &a1,
     appendBlocks(true, 0, a0, a1, a2);
 }
 
-void
-XbarChainModel::appendBlocks(bool limit, std::size_t level,
-                             la::Triplets &a0, la::Triplets &a1,
-                             la::Triplets &a2) const
+const std::vector<XbarChainModel::Move> &
+XbarChainModel::pattern() const
+{
+    std::call_once(patternOnce_, [this] { pattern_ = enumeratePattern(); });
+    return pattern_;
+}
+
+std::vector<XbarChainModel::Move>
+XbarChainModel::enumeratePattern() const
 {
     const std::size_t j = params_.processors;
     const std::size_t r = params_.resources;
+    // Head-of-line weight indices: the clustered correction of t
+    // previously transmitting processors is weight t, the
+    // uniform-spread one with t transmitting is weight hol_free + t.
+    const std::size_t hol_free = std::min(j, params_.buses) + 1;
     const double arrival =
         static_cast<double>(j) * params_.lambda;
 
-    // Head-of-line corrections.  While some bus is eligible, a head
-    // at a free processor dispatches immediately, so queued tasks sit
-    // behind *transmitting* processors: a transmit completion frees
-    // exactly one processor, whose queue is nonempty with the
-    // clustered probability below (level tasks spread over the t
-    // previously transmitting processors).
-    const auto hol_cluster = [&](std::size_t t_pre) -> double {
-        if (limit)
-            return 1.0;
-        if (level == 0 || t_pre == 0)
-            return 0.0; // nothing queued / nothing completing
-        return 1.0 -
-               std::pow(static_cast<double>(t_pre - 1) /
-                            static_cast<double>(t_pre),
-                        static_cast<double>(level));
-    };
-    // When *no* bus was eligible, arrivals queued at free processors
-    // too; a service completion that re-opens a bus then finds a head
-    // at one of the j - t free processors with the uniform-spread
-    // probability (level tasks over all j processors).
-    const auto hol_free = [&](std::size_t t_now) -> double {
-        if (limit)
-            return t_now < j ? 1.0 : 0.0;
-        if (level == 0)
-            return 0.0; // nothing queued
-        return 1.0 - std::pow(static_cast<double>(t_now) /
-                                  static_cast<double>(j),
-                              static_cast<double>(level));
-    };
-
+    std::vector<Move> moves;
     for (std::size_t i = 0; i < counts_.size(); ++i) {
         const auto &c = counts_[i];
         const std::size_t t = sumFirst(c, r);
         double exit = arrival;
+        const auto fixed = [&](Move::Kind kind, std::size_t to,
+                               double value) {
+            Move m;
+            m.from = i;
+            m.to = to;
+            m.kind = kind;
+            m.rate = value;
+            moves.push_back(m);
+        };
 
         // Arrival: self-dispatch stays within the level (the new task
         // starts transmitting), otherwise it joins the queue (A0).
@@ -241,43 +230,45 @@ XbarChainModel::appendBlocks(bool limit, std::size_t level,
                 std::vector<std::size_t> next = c;
                 --next[r + s];
                 ++next[s];
-                a1.push_back({i, phaseIndex(next),
-                              arrival * p_self *
-                                  static_cast<double>(c[r + s]) /
-                                  static_cast<double>(e)});
+                fixed(Move::FixedA1, phaseIndex(next),
+                      arrival * p_self * static_cast<double>(c[r + s]) /
+                          static_cast<double>(e));
             }
         }
-        a0.push_back({i, i, arrival * (1.0 - p_self)});
+        fixed(Move::FixedA0, i, arrival * (1.0 - p_self));
 
         // A completion landing in count @p landed with @p t_post
         // circuits still transmitting: one queued task then attempts
-        // to dispatch with head-of-line probability @p hol_part
-        // (level drops on success).
+        // to dispatch with the head-of-line probability @p weight
+        // (level drops on success), else the phase just moves.
         const auto completion = [&](const std::vector<std::size_t>
                                         &landed,
                                     double rate, std::size_t t_post,
-                                    double hol_part) {
+                                    std::size_t weight) {
+            Move m;
+            m.from = i;
+            m.weight = weight;
+            m.rate = rate;
             const std::size_t e2 = eligibleOf(landed, r);
-            double p = 0.0;
             if (e2 > 0)
-                p = hol_part * linkFactor(t_post, e2);
-            if (p > 0.0) {
-                for (std::size_t s2 = 0; s2 < r; ++s2) {
-                    if (landed[r + s2] == 0)
-                        continue;
-                    std::vector<std::size_t> next = landed;
-                    --next[r + s2];
-                    ++next[s2];
-                    a2.push_back({i, phaseIndex(next),
-                                  rate * p *
-                                      static_cast<double>(
-                                          landed[r + s2]) /
-                                      static_cast<double>(e2)});
-                }
+                m.link = linkFactor(t_post, e2);
+            m.kind = Move::Dispatch;
+            m.eligible = static_cast<double>(e2);
+            // With every processor transmitting no head can dispatch:
+            // its weight is 0 at every level.
+            for (std::size_t s2 = 0; t_post < j && s2 < r; ++s2) {
+                if (landed[r + s2] == 0)
+                    continue;
+                std::vector<std::size_t> next = landed;
+                --next[r + s2];
+                ++next[s2];
+                m.to = phaseIndex(next);
+                m.landed = static_cast<double>(landed[r + s2]);
+                moves.push_back(m);
             }
-            const double stay = rate * (1.0 - p);
-            if (stay > 0.0)
-                a1.push_back({i, phaseIndex(landed), stay});
+            m.kind = Move::Stay;
+            m.to = phaseIndex(landed);
+            moves.push_back(m);
         };
 
         // Transmit completions: the bus frees, the task seizes one
@@ -292,7 +283,7 @@ XbarChainModel::appendBlocks(bool limit, std::size_t level,
             std::vector<std::size_t> landed = c;
             --landed[s];
             ++landed[r + s + 1];
-            completion(landed, rate, t - 1, hol_cluster(t));
+            completion(landed, rate, t - 1, t);
         }
         // Service completions behind a *transmitting* bus: the freed
         // resource's bus is still busy, so no dispatch opportunity
@@ -306,7 +297,7 @@ XbarChainModel::appendBlocks(bool limit, std::size_t level,
             std::vector<std::size_t> landed = c;
             --landed[s];
             ++landed[s - 1];
-            a1.push_back({i, phaseIndex(landed), rate});
+            fixed(Move::FixedA1, phaseIndex(landed), rate);
         }
         // Service completions behind an idle bus: one busy resource
         // frees.  While another bus is already eligible this opens no
@@ -324,12 +315,76 @@ XbarChainModel::appendBlocks(bool limit, std::size_t level,
             --landed[r + s];
             ++landed[r + s - 1];
             if (e_before > 0)
-                a1.push_back({i, phaseIndex(landed), rate});
+                fixed(Move::FixedA1, phaseIndex(landed), rate);
             else
-                completion(landed, rate, t, hol_free(t));
+                completion(landed, rate, t, hol_free + t);
         }
 
-        a1.push_back({i, i, -exit});
+        fixed(Move::FixedA1, i, -exit);
+    }
+    return moves;
+}
+
+void
+XbarChainModel::appendBlocks(bool limit, std::size_t level,
+                             la::Triplets &a0, la::Triplets &a1,
+                             la::Triplets &a2) const
+{
+    const std::size_t j = params_.processors;
+    const std::size_t t_max = std::min(j, params_.buses);
+
+    // Head-of-line corrections, indexed as enumeratePattern() does.
+    // While some bus is eligible, a head at a free processor
+    // dispatches immediately, so queued tasks sit behind
+    // *transmitting* processors: a transmit completion frees exactly
+    // one processor, whose queue is nonempty with the clustered
+    // probability (level tasks spread over the t previously
+    // transmitting processors).  When *no* bus was eligible, arrivals
+    // queued at free processors too; a service completion that
+    // re-opens a bus then finds a head at one of the j - t free
+    // processors with the uniform-spread probability (level tasks
+    // over all j processors).
+    std::vector<double> weight(2 * (t_max + 1), 0.0);
+    for (std::size_t t = 0; t <= t_max; ++t) {
+        double &cluster = weight[t];
+        double &uniform = weight[t_max + 1 + t];
+        if (limit) {
+            cluster = 1.0;
+            uniform = t < j ? 1.0 : 0.0;
+        } else if (level > 0) { // level 0: nothing queued
+            if (t > 0) // t = 0: nothing completing
+                cluster = 1.0 - std::pow(static_cast<double>(t - 1) /
+                                             static_cast<double>(t),
+                                         static_cast<double>(level));
+            uniform = 1.0 - std::pow(static_cast<double>(t) /
+                                         static_cast<double>(j),
+                                     static_cast<double>(level));
+        }
+    }
+
+    for (const Move &m : pattern()) {
+        switch (m.kind) {
+          case Move::FixedA0:
+            a0.push_back({m.from, m.to, m.rate});
+            break;
+          case Move::FixedA1:
+            a1.push_back({m.from, m.to, m.rate});
+            break;
+          case Move::Dispatch: {
+            const double p = weight[m.weight] * m.link;
+            if (p > 0.0)
+                a2.push_back(
+                    {m.from, m.to, m.rate * p * m.landed / m.eligible});
+            break;
+          }
+          case Move::Stay: {
+            const double stay =
+                m.rate * (1.0 - weight[m.weight] * m.link);
+            if (stay > 0.0)
+                a1.push_back({m.from, m.to, stay});
+            break;
+          }
+        }
     }
 }
 

@@ -30,6 +30,10 @@
  * uniform-spread probability 1 - (t/j)^l.  Both corrections tend to
  * their 0/1 indicators as l grows, and the deviation is bounded by
  * ((j-1)/j)^l, which is what LdQbdModel::homogeneityGap reports.
+ * Only these two corrections depend on the level, so the transitions
+ * themselves (target phase, level-free rate, which correction
+ * applies) are enumerated once per model, on the first block request,
+ * and re-weighted for every level.
  *
  * With k = 1 the chain collapses exactly onto the single-bus chain of
  * sbus_model.hpp (every dispatch opportunity has t = 0), which is the
@@ -39,6 +43,7 @@
  */
 
 #include <cstddef>
+#include <mutex>
 #include <vector>
 
 #include "markov/ldqbd.hpp"
@@ -107,6 +112,36 @@ class XbarChainModel : public LdQbdModel
                               std::size_t eligible) const;
 
   private:
+    /**
+     * One transition of the level-independent pattern, in the order
+     * the blocks emit it.  Fixed moves carry their value in @c rate.
+     * A completion's dispatch (A2) and stay (A1) moves carry the
+     * level-free parts of their value; the head-of-line probability
+     * @c weight (an index into the per-level weights of
+     * appendBlocks()) supplies the level.
+     */
+    struct Move
+    {
+        enum Kind
+        {
+            FixedA0,
+            FixedA1,
+            Dispatch,
+            Stay
+        };
+        std::size_t from = 0;
+        std::size_t to = 0;
+        Kind kind = FixedA1;
+        std::size_t weight = 0;
+        double rate = 0.0;
+        double link = 0.0;     ///< linkFactor, 0 when no bus is eligible
+        double landed = 0.0;   ///< target-class count (Dispatch)
+        double eligible = 0.0; ///< eligible buses after (Dispatch)
+    };
+
+    /** The transition table, enumerated on first use (thread-safe). */
+    const std::vector<Move> &pattern() const;
+    std::vector<Move> enumeratePattern() const;
     void appendBlocks(bool limit, std::size_t level, la::Triplets &a0,
                       la::Triplets &a1, la::Triplets &a2) const;
     std::size_t phaseIndex(const std::vector<std::size_t> &count) const;
@@ -114,6 +149,10 @@ class XbarChainModel : public LdQbdModel
     NetChainParams params_;
     std::vector<std::vector<std::size_t>> counts_; ///< phase -> counts
     std::size_t emptyPhase_ = 0;
+    // Built by the first levelBlocks()/limitBlocks() call, not by the
+    // constructor: a model that is never solved never pays for it.
+    mutable std::once_flag patternOnce_;
+    mutable std::vector<Move> pattern_;
 };
 
 /**

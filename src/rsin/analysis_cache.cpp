@@ -34,7 +34,7 @@ namespace {
 using Key = std::array<std::uint64_t, 14>;
 
 /** Backend version stamped into LD-QBD keys (word 13). */
-constexpr std::uint64_t kLdQbdBackendVersion = 3;
+constexpr std::uint64_t kLdQbdBackendVersion = 4;
 
 Key
 makeKey(const markov::SbusParams &prm, SbusSolverKind solver,

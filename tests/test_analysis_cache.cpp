@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fsio.hpp"
+#include "common/text.hpp"
 #include "exec/sweep_runner.hpp"
 #include "exec/thread_pool.hpp"
 #include "markov/sbus_solvers.hpp"
@@ -264,6 +266,56 @@ TEST(AnalysisCachePersistTest, NetworkEntriesRoundTripWithBound)
     expectBitIdentical(sol, solved);
     EXPECT_EQ(restored.stats().misses, 0u);
     EXPECT_EQ(restored.stats().hits, 1u);
+    std::remove(path.c_str());
+}
+
+TEST(AnalysisCachePersistTest, OlderBackendEntriesAreNotServed)
+{
+    // Key word 13 stamps the LD-QBD backend version.  An entry written
+    // by an older backend still loads (its line is intact), but it is
+    // a different key, so it never answers a solve the current
+    // backend owns.
+    const std::string path =
+        ::testing::TempDir() + "rsin_analysis_cache_backend3.txt";
+    std::remove(path.c_str());
+    markov::NetChainParams prm;
+    prm.processors = 4;
+    prm.buses = 2;
+    prm.resources = 1;
+    prm.lambda = 0.04;
+    prm.muN = 1.0;
+    prm.muS = 0.1;
+    AnalysisCache source;
+    source.solveNetwork(prm, SbusSolverKind::XbarLdQbd);
+    ASSERT_EQ(source.save(path), 1u);
+
+    // Re-stamp the entry as backend version 3, with a valid crc.
+    std::string header, line;
+    {
+        std::ifstream is(path);
+        std::getline(is, header);
+        std::getline(is, line);
+    }
+    std::vector<std::string> words = split(line, ' ');
+    ASSERT_EQ(words.size(), 25u); // 24 words + crc
+    words[13] = formatf("%016llx", 3ULL);
+    std::string body;
+    for (std::size_t i = 0; i < 24; ++i) {
+        if (i > 0)
+            body += ' ';
+        body += words[i];
+    }
+    {
+        std::ofstream os(path, std::ios::trunc);
+        os << header << "\n"
+           << body << formatf(" %08x", common::crc32(body)) << "\n";
+    }
+
+    AnalysisCache restored;
+    EXPECT_EQ(restored.load(path), 1u);
+    restored.solveNetwork(prm, SbusSolverKind::XbarLdQbd);
+    EXPECT_EQ(restored.stats().hits, 0u);
+    EXPECT_EQ(restored.stats().misses, 1u);
     std::remove(path.c_str());
 }
 

@@ -61,6 +61,24 @@ TEST(CsrTest, AssemblySumsDuplicatesAndSortsColumns)
             EXPECT_LT(m.colIdx()[i - 1], m.colIdx()[i]);
 }
 
+TEST(CsrTest, DuplicatesAreSummedInEmissionOrder)
+{
+    // Floating-point addition is not associative: in emission order
+    // ((0 + 1e16) + -1e16) + 1 = 1, while any order that adds the 1
+    // before the -1e16 rounds it away and sums to 0.
+    const double big = 1e16;
+    const Triplets entries{
+        {1, 2, big}, {0, 0, 7.0}, {1, 2, -big}, {1, 0, 4.0},
+        {1, 2, 1.0},
+    };
+    const CsrMatrix m = CsrMatrix::fromTriplets(2, 3, entries);
+    EXPECT_EQ(m.nnz(), 3u);
+    EXPECT_EQ(m.rowPtr(), (std::vector<std::size_t>{0, 1, 3}));
+    EXPECT_EQ(m.colIdx(), (std::vector<std::size_t>{0, 0, 2}));
+    EXPECT_EQ(m.values()[2], 1.0);
+    EXPECT_EQ((0.0 + big + 1.0) + -big, 0.0); // the order it must not use
+}
+
 TEST(CsrTest, EmptyRowsAndMatrix)
 {
     const CsrMatrix empty = CsrMatrix::fromTriplets(3, 2, {});
@@ -304,7 +322,7 @@ TEST(GmresTest, RightPreconditionersPreserveTheSolution)
         {&factor0, &factor1, &factor1}, {0, 16, 32}, n);
     Vector x_block(n, 0.0);
     const GmresResult res_b =
-        gmres(asOperator(m), b, x_block, {}, &block);
+        gmres(asOperator(m), b, x_block, &block);
     EXPECT_TRUE(res_b.converged);
 
     for (std::size_t i = 0; i < n; ++i)
