@@ -53,8 +53,9 @@ curveWithServiceDist(const std::string &config, double mu_n, double mu_s,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    rsin::requireNoArgs(argc, argv);
     const double mu_n = 1.0, mu_s = 0.1;
     for (const char *config :
          {"16/16x1x1 SBUS/2", "16/1x16x16 OMEGA/2"}) {

@@ -30,8 +30,9 @@ arbitrationName(XbarArbitration a)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    rsin::requireNoArgs(argc, argv);
     const double mu_n = 1.0, mu_s = 1.0; // network-bound: contention
     const auto cfg = SystemConfig::parse("16/1x16x8 XBAR/2");
 

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <iostream>
 
+#include "common/args.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/text.hpp"
@@ -55,8 +56,9 @@ makePool(std::size_t n, const std::vector<std::size_t> &frees)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    rsin::requireNoArgs(argc, argv);
     const std::size_t n = 8;
     const MultistageNetwork net(MultistageKind::Omega, n);
     const OmegaRouter router(net);

@@ -11,6 +11,7 @@
 
 #include <iostream>
 
+#include "common/args.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/text.hpp"
@@ -20,8 +21,9 @@
 #include "topology/multistage.hpp"
 
 int
-main()
+main(int argc, char **argv)
 {
+    rsin::requireNoArgs(argc, argv);
     using namespace rsin;
     using namespace rsin::sched;
     using rsin::logic::CrossbarFabric;

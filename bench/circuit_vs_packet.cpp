@@ -73,8 +73,9 @@ circuitCurve(const SystemConfig &cfg, double mu_n, double mu_s)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    rsin::requireNoArgs(argc, argv);
     const auto cfg = SystemConfig::parse("16/1x16x16 OMEGA/2");
     const double mu_n = 1.0;
     for (double mu_s : {0.1, 1.0}) {

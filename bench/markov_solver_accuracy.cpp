@@ -11,6 +11,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/args.hpp"
 #include "common/table.hpp"
 #include "common/text.hpp"
 #include "markov/omega_model.hpp"
@@ -31,8 +32,9 @@ relErr(double value, double ref)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    rsin::requireNoArgs(argc, argv);
     using namespace rsin;
     using namespace rsin::markov;
 

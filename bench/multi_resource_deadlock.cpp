@@ -12,6 +12,7 @@
 
 #include <iostream>
 
+#include "common/args.hpp"
 #include "common/table.hpp"
 #include "common/text.hpp"
 #include "rsin/analysis.hpp"
@@ -35,8 +36,9 @@ policyName(AcquisitionPolicy p)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    rsin::requireNoArgs(argc, argv);
     const auto cfg = SystemConfig::parse("16/1x16x16 XBAR/1");
     const double mu_n = 2.0, mu_s = 2.0;
 

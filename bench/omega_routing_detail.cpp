@@ -11,6 +11,7 @@
 
 #include <iostream>
 
+#include "common/args.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/text.hpp"
@@ -37,8 +38,9 @@ policyName(RoutingPolicy p)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    rsin::requireNoArgs(argc, argv);
     const MultistageNetwork net(MultistageKind::Omega, 8);
 
     // --- The exact Fig. 11 scenario under each policy.

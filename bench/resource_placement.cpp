@@ -16,8 +16,9 @@ using namespace rsin;
 using namespace rsin::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    rsin::requireNoArgs(argc, argv);
     const double mu_n = 1.0;
     for (double mu_s : {0.1, 1.0}) {
         TextTable table(formatf(

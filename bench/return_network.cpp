@@ -15,8 +15,9 @@ using namespace rsin;
 using namespace rsin::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    rsin::requireNoArgs(argc, argv);
     const auto cfg = SystemConfig::parse("16/1x16x16 OMEGA/2");
     const double mu_n = 1.0;
     for (double mu_s : {0.1, 1.0}) {

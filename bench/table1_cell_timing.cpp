@@ -9,13 +9,15 @@
 #include <cstdio>
 #include <iostream>
 
+#include "common/args.hpp"
 #include "common/table.hpp"
 #include "common/text.hpp"
 #include "logic/crossbar_cell.hpp"
 
 int
-main()
+main(int argc, char **argv)
 {
+    rsin::requireNoArgs(argc, argv);
     using namespace rsin;
     using namespace rsin::logic;
 

@@ -14,8 +14,9 @@
 #include "rsin/advisor.hpp"
 
 int
-main()
+main(int argc, char **argv)
 {
+    rsin::requireNoArgs(argc, argv);
     using namespace rsin;
     using namespace rsin::bench;
 

@@ -10,6 +10,7 @@
 
 #include <iostream>
 
+#include "common/args.hpp"
 #include "common/table.hpp"
 #include "common/text.hpp"
 #include "markov/sbus_model.hpp"
@@ -17,8 +18,9 @@
 #include "queueing/mm_queues.hpp"
 
 int
-main()
+main(int argc, char **argv)
 {
+    rsin::requireNoArgs(argc, argv);
     using namespace rsin;
     using namespace rsin::markov;
 

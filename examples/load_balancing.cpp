@@ -16,14 +16,16 @@
 #include <cstdio>
 #include <iostream>
 
+#include "common/args.hpp"
 #include "common/table.hpp"
 #include "common/text.hpp"
 #include "rsin/analysis.hpp"
 #include "rsin/factory.hpp"
 
 int
-main()
+main(int argc, char **argv)
 {
+    rsin::requireNoArgs(argc, argv);
     using namespace rsin;
 
     // 16 source nodes spill work to 16 worker processors (one worker

@@ -14,14 +14,16 @@
 #include <cstdio>
 #include <iostream>
 
+#include "common/args.hpp"
 #include "common/table.hpp"
 #include "common/text.hpp"
 #include "rsin/analysis.hpp"
 #include "rsin/factory.hpp"
 
 int
-main()
+main(int argc, char **argv)
 {
+    rsin::requireNoArgs(argc, argv);
     using namespace rsin;
 
     // 16 processors, 32 units of 4 types (FFT, INV, SORT, HIST),

@@ -1,5 +1,7 @@
 #include "args.hpp"
 
+#include <cstdlib>
+#include <iostream>
 #include <thread>
 
 #include "error.hpp"
@@ -114,6 +116,18 @@ ArgParser::getJobs(const std::string &name, long fallback) const
                  " must be >= 0 (0 means all hardware threads), got ",
                  raw);
     return resolveJobs(raw);
+}
+
+void
+requireNoArgs(int argc, const char *const *argv)
+{
+    if (argc < 2)
+        return;
+    const std::string path = argv[0];
+    const std::string prog = path.substr(path.rfind('/') + 1); // basename
+    std::cerr << prog << ": unexpected argument '" << argv[1]
+              << "' (this program takes none)\n";
+    std::exit(1);
 }
 
 } // namespace rsin

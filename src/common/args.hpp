@@ -81,4 +81,12 @@ class ArgParser
     std::vector<std::string> positional_;
 };
 
+/**
+ * The command-line check of a program that takes no arguments: given
+ * any, print "<prog>: unexpected argument '<arg>' (this program takes
+ * none)" to stderr and exit 1, so a typo or a flag meant for another
+ * bench never runs the whole program silently.
+ */
+void requireNoArgs(int argc, const char *const *argv);
+
 } // namespace rsin

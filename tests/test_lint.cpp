@@ -11,9 +11,9 @@
  * (R10 worker-state, R11 worker-calls, R12 schema drift) through
  * lintFiles() with a LintOptions manifest plus the symbol-index /
  * call-graph dumps; the output layer is covered by a SARIF structure
- * test (including full finding-span regions) and a baseline
- * round-trip.  Fixtures live in tests/lint_fixtures/ and are linted
- * under virtual paths, because rule scoping is directory-based.
+ * test (including full finding-span regions).  Fixtures live in
+ * tests/lint_fixtures/ and are linted under virtual paths, because
+ * rule scoping is directory-based.
  */
 
 #include <algorithm>
@@ -27,7 +27,6 @@
 #include <gtest/gtest.h>
 
 #include "lint.hpp"
-#include "lint_cache.hpp"
 #include "lockflow.hpp"
 #include "output.hpp"
 #include "symbols.hpp"
@@ -301,6 +300,23 @@ TEST(LintR6, LeafDirectoriesMayIncludeEverything)
         << rsin::lint::formatFindings(findings);
 }
 
+TEST(LintR6, IncludeInsideBlockCommentIsNotAnEdge)
+{
+    // A usage example quoted in a block comment is documentation, not
+    // a dependency.
+    const std::vector<SourceFile> sources{
+        {"src/la/x.cpp",
+         "/* Usage:\n#include \"rsin/system.hpp\"\n*/\n"
+         "namespace rsin { int la() { return 1; } }\n"},
+        {"src/rsin/system.hpp", "#pragma once\n"},
+    };
+    const auto findings = lintFiles(sources);
+    EXPECT_EQ(countRule(findings, "R6"), 0u)
+        << rsin::lint::formatFindings(findings);
+    EXPECT_EQ(countRule(findings, "R7"), 0u)
+        << rsin::lint::formatFindings(findings);
+}
+
 TEST(LintR7, IncludeCycleIsReportedWithItsChain)
 {
     const std::vector<SourceFile> sources{
@@ -431,6 +447,26 @@ TEST(LintLexer, CommentsAndStringsDoNotTrip)
         << rsin::lint::formatFindings(findings);
 }
 
+TEST(LintLexer, PreprocessorLinesAreStillLinted)
+{
+    // Macro bodies are code to R1-R4, a directive comment on a
+    // #define line is live, and a backslash continuation keeps the
+    // physical line numbers.
+    const auto findings = lintSource(
+        "src/la/m.cpp",
+        "#define SEED_NOW() time(nullptr) "
+        "// rsin-lint: allow(R1): fixture\n"
+        "#define OUT(x) std::printf(\"%d\", x)\n"
+        "#define HALF 0.5f\n"
+        "#define DRAW(n) \\\n"
+        "    ((n) + rand())\n");
+    EXPECT_EQ(findings.size(), 3u) << rsin::lint::formatFindings(findings);
+    EXPECT_TRUE(hasFindingAt(findings, "R4", 2));
+    EXPECT_TRUE(hasFindingAt(findings, "R3", 3));
+    EXPECT_TRUE(hasFindingAt(findings, "R1", 5));
+    EXPECT_EQ(countRule(findings, "R9"), 0u);
+}
+
 TEST(LintFormat, FindingsRenderOnePerLine)
 {
     std::vector<Finding> findings{{"a.cpp", 3, "R1", "msg"}};
@@ -439,7 +475,7 @@ TEST(LintFormat, FindingsRenderOnePerLine)
 }
 
 // ---------------------------------------------------------------------
-// Output layer: JSON, SARIF, baseline ratchet.
+// Output layer: JSON and SARIF.
 // ---------------------------------------------------------------------
 
 TEST(LintOutput, JsonCarriesEveryField)
@@ -495,66 +531,6 @@ TEST(LintOutput, SarifHasThe210Structure)
         << sarif2;
     EXPECT_NE(sarif2.find("\"endColumn\": 15"), std::string::npos)
         << sarif2;
-}
-
-TEST(LintBaseline, RoundTripFiltersEverythingItRecorded)
-{
-    std::vector<Finding> findings{
-        {"src/a.cpp", 3, "R6", "m1"},
-        {"src/a.cpp", 9, "R6", "m2"},
-        {"src/b.cpp", 1, "R8", "m3"},
-    };
-    const std::string doc = rsin::lint::emitBaseline(findings);
-    const rsin::lint::Baseline base = rsin::lint::parseBaseline(doc);
-    std::size_t baselined = 0;
-    const auto left =
-        rsin::lint::applyBaseline(findings, base, &baselined);
-    EXPECT_TRUE(left.empty()) << rsin::lint::formatFindings(left);
-    EXPECT_EQ(baselined, 3u);
-}
-
-TEST(LintBaseline, NewFindingsSurviveTheFilter)
-{
-    std::vector<Finding> old{{"src/a.cpp", 3, "R6", "m1"}};
-    const rsin::lint::Baseline base =
-        rsin::lint::parseBaseline(rsin::lint::emitBaseline(old));
-    // Same bucket twice: one is grandfathered, the second is new.
-    std::vector<Finding> now{{"src/a.cpp", 3, "R6", "m1"},
-                             {"src/a.cpp", 40, "R6", "new"},
-                             {"src/c.cpp", 2, "R8", "other file"}};
-    std::size_t baselined = 0;
-    const auto left = rsin::lint::applyBaseline(now, base, &baselined);
-    EXPECT_EQ(baselined, 1u);
-    ASSERT_EQ(left.size(), 2u) << rsin::lint::formatFindings(left);
-    EXPECT_EQ(left[0].file, "src/a.cpp");
-    EXPECT_EQ(left[1].file, "src/c.cpp");
-}
-
-TEST(LintBaseline, WrongSchemaOrGarbageThrows)
-{
-    EXPECT_THROW(rsin::lint::parseBaseline("not json"),
-                 std::runtime_error);
-    EXPECT_THROW(
-        rsin::lint::parseBaseline(
-            "{\"schema\": \"rsin.other.v9\", \"entries\": []}"),
-        std::runtime_error);
-}
-
-TEST(LintBaseline, SlackReportsUnconsumedBudget)
-{
-    // Two grandfathered R6 findings in a.cpp, but only one remains:
-    // the ratchet-direction check needs to see slack == 1.
-    const rsin::lint::Baseline base = rsin::lint::parseBaseline(
-        "{\"schema\": \"rsin.lint_baseline.v1\", \"entries\": ["
-        "{\"file\": \"src/a.cpp\", \"rule\": \"R6\", \"count\": 2}]}");
-    std::vector<Finding> now{{"src/a.cpp", 3, "R6", "m1"}};
-    std::size_t baselined = 0;
-    std::size_t slack = 0;
-    const auto left =
-        rsin::lint::applyBaseline(now, base, &baselined, &slack);
-    EXPECT_TRUE(left.empty());
-    EXPECT_EQ(baselined, 1u);
-    EXPECT_EQ(slack, 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -960,90 +936,10 @@ TEST(LintXtu, MemberCallOnExplicitReceiverIsNotASelfCall)
 }
 
 // ---------------------------------------------------------------------
-// Incremental analysis cache and the parallel per-file engine.
+// The parallel per-file engine.
 // ---------------------------------------------------------------------
 
-TEST(LintCache, RoundTripsEveryArtifactField)
-{
-    rsin::lint::Finding f;
-    f.file = "src/x.cpp";
-    f.line = 3;
-    f.rule = "R1";
-    f.message = "quoted \"text\"\nand newline";
-    f.column = 2;
-    f.endLine = 3;
-    f.endColumn = 9;
-    rsin::lint::LintCache cache;
-    cache.hasTree = true;
-    cache.treeHash = "feedface";
-    cache.treeFindings = {f};
-    rsin::lint::LintCacheEntry entry;
-    entry.hash = "abc123";
-    entry.artifacts.findings = {f};
-    rsin::lint::Directive d;
-    d.line = 4;
-    d.rules = {"R1", "R2"};
-    entry.artifacts.directives = {d};
-    rsin::lint::IncludeRef inc;
-    inc.file = "src/x.cpp";
-    inc.line = 1;
-    inc.quoted = "a.hpp";
-    inc.resolved = "src/a.hpp";
-    entry.artifacts.includes = {inc};
-    cache.files["src/x.cpp"] = entry;
-
-    const std::string path =
-        ::testing::TempDir() + "lint_cache_roundtrip.cache";
-    ASSERT_TRUE(rsin::lint::saveLintCache(path, cache));
-    const rsin::lint::LintCache back = rsin::lint::loadLintCache(path);
-    EXPECT_TRUE(back.hasTree);
-    EXPECT_EQ(back.treeHash, "feedface");
-    ASSERT_EQ(back.treeFindings.size(), 1u);
-    EXPECT_EQ(back.treeFindings[0].message, f.message);
-    ASSERT_EQ(back.files.count("src/x.cpp"), 1u);
-    const rsin::lint::LintCacheEntry &got =
-        back.files.at("src/x.cpp");
-    EXPECT_EQ(got.hash, "abc123");
-    ASSERT_EQ(got.artifacts.findings.size(), 1u);
-    EXPECT_EQ(got.artifacts.findings[0].endColumn, 9u);
-    ASSERT_EQ(got.artifacts.directives.size(), 1u);
-    EXPECT_EQ(got.artifacts.directives[0].rules.count("R2"), 1u);
-    EXPECT_FALSE(got.artifacts.directives[0].used);
-    ASSERT_EQ(got.artifacts.includes.size(), 1u);
-    EXPECT_EQ(got.artifacts.includes[0].resolved, "src/a.hpp");
-    EXPECT_EQ(got.artifacts.includes[0].file, "src/x.cpp");
-    std::filesystem::remove(path);
-}
-
-TEST(LintCache, CorruptCacheLoadsAsEmptyNotACrash)
-{
-    const std::string path =
-        ::testing::TempDir() + "lint_cache_corrupt.cache";
-    const auto writeCache = [&](const std::string &text) {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out << text;
-    };
-    // Missing file.
-    std::filesystem::remove(path);
-    EXPECT_FALSE(rsin::lint::loadLintCache(path).hasTree);
-    // Wrong header (stale engine version).
-    writeCache("rsin.lint_cache.v1 engine=0.0.1\n");
-    EXPECT_FALSE(rsin::lint::loadLintCache(path).hasTree);
-    // Flipped bit: crc mismatch.
-    writeCache(std::string(rsin::lint::kLintCacheSchema) +
-               " engine=" + rsin::lint::kLintEngineVersion + "\n" +
-               "{\"kind\":\"tree\",\"hash\":\"x\",\"findings\":[]} "
-               "00000000\n");
-    EXPECT_FALSE(rsin::lint::loadLintCache(path).hasTree);
-    // Not JSON at all.
-    writeCache(std::string(rsin::lint::kLintCacheSchema) +
-               " engine=" + rsin::lint::kLintEngineVersion + "\n" +
-               "complete garbage\n");
-    EXPECT_FALSE(rsin::lint::loadLintCache(path).hasTree);
-    std::filesystem::remove(path);
-}
-
-namespace cachetree {
+namespace tree {
 
 const char kCleanUnit[] =
     "namespace rsin {\nnamespace common {\nint\nanswer()\n{\n"
@@ -1052,96 +948,14 @@ const char kCleanUnit[] =
 std::string
 makeTree()
 {
-    const std::string root = ::testing::TempDir() + "lint_tree_cache";
+    const std::string root = ::testing::TempDir() + "lint_tree";
     std::filesystem::remove_all(root);
     std::filesystem::create_directories(root + "/src/common");
     std::ofstream(root + "/src/common/unit.cpp") << kCleanUnit;
     return root;
 }
 
-} // namespace cachetree
-
-TEST(LintCache, WarmTreeRunIsServedFromTheCache)
-{
-    const std::string root = cachetree::makeTree();
-    rsin::lint::TreeOptions opts;
-    opts.cachePath = root + "/lint.cache";
-
-    const auto cold = rsin::lint::lintTree(root, opts);
-    EXPECT_TRUE(cold.findings.empty())
-        << rsin::lint::formatFindings(cold.findings);
-    EXPECT_EQ(cold.stats.analyzed, 1u);
-    EXPECT_FALSE(cold.stats.treeHit);
-
-    const auto warm = rsin::lint::lintTree(root, opts);
-    EXPECT_TRUE(warm.findings.empty());
-    EXPECT_TRUE(warm.stats.treeHit);
-    EXPECT_EQ(warm.stats.analyzed, 0u);
-    std::filesystem::remove_all(root);
-}
-
-TEST(LintCache, EditedFileIsReanalyzedOthersServedWarm)
-{
-    const std::string root = cachetree::makeTree();
-    std::ofstream(root + "/src/common/other.cpp")
-        << "namespace rsin {\nnamespace common {\nint\nzero()\n{\n"
-           "    return 0;\n}\n} // namespace common\n"
-           "} // namespace rsin\n";
-    rsin::lint::TreeOptions opts;
-    opts.cachePath = root + "/lint.cache";
-    const auto cold = rsin::lint::lintTree(root, opts);
-    EXPECT_EQ(cold.stats.analyzed, 2u);
-
-    // Touch one file: only it is re-analyzed, the other hits.
-    std::ofstream(root + "/src/common/unit.cpp")
-        << cachetree::kCleanUnit << "// trailing comment\n";
-    const auto edited = rsin::lint::lintTree(root, opts);
-    EXPECT_FALSE(edited.stats.treeHit);
-    EXPECT_EQ(edited.stats.analyzed, 1u);
-    EXPECT_EQ(edited.stats.cacheHits, 1u);
-    std::filesystem::remove_all(root);
-}
-
-TEST(LintCache, DeletedFileAgesOutOfThePersistedCache)
-{
-    const std::string root = cachetree::makeTree();
-    std::ofstream(root + "/src/common/gone.cpp")
-        << "namespace rsin {\nnamespace common {\nint\none()\n{\n"
-           "    return 1;\n}\n} // namespace common\n"
-           "} // namespace rsin\n";
-    rsin::lint::TreeOptions opts;
-    opts.cachePath = root + "/lint.cache";
-    (void)rsin::lint::lintTree(root, opts);
-    std::filesystem::remove(root + "/src/common/gone.cpp");
-    (void)rsin::lint::lintTree(root, opts);
-    const rsin::lint::LintCache cache =
-        rsin::lint::loadLintCache(opts.cachePath);
-    EXPECT_EQ(cache.files.count("src/common/gone.cpp"), 0u);
-    EXPECT_EQ(cache.files.count("src/common/unit.cpp"), 1u);
-    std::filesystem::remove_all(root);
-}
-
-TEST(LintCache, CorruptCacheFileFallsBackToAColdRun)
-{
-    const std::string root = cachetree::makeTree();
-    rsin::lint::TreeOptions opts;
-    opts.cachePath = root + "/lint.cache";
-    (void)rsin::lint::lintTree(root, opts);
-    {
-        std::ofstream out(opts.cachePath,
-                          std::ios::binary | std::ios::trunc);
-        out << "not a cache\n";
-    }
-    const auto run = rsin::lint::lintTree(root, opts);
-    EXPECT_FALSE(run.stats.treeHit);
-    EXPECT_EQ(run.stats.analyzed, 1u);
-    EXPECT_TRUE(run.findings.empty())
-        << rsin::lint::formatFindings(run.findings);
-    // And the rewritten cache serves the next run warm again.
-    const auto warm = rsin::lint::lintTree(root, opts);
-    EXPECT_TRUE(warm.stats.treeHit);
-    std::filesystem::remove_all(root);
-}
+} // namespace tree
 
 TEST(LintEngine, FindingOrderIsIdenticalForAnyThreadCount)
 {
@@ -1169,7 +983,7 @@ TEST(LintEngine, FindingOrderIsIdenticalForAnyThreadCount)
 
 TEST(LintEngine, TreeRunReportsPhaseTimings)
 {
-    const std::string root = cachetree::makeTree();
+    const std::string root = tree::makeTree();
     const auto report =
         rsin::lint::lintTree(root, rsin::lint::TreeOptions{});
     EXPECT_GT(report.timings.totalMs, 0.0);

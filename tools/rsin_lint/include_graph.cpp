@@ -66,42 +66,14 @@ textualModule(const std::string &includerModule, const std::string &quoted)
 } // namespace
 
 std::vector<IncludeRef>
-extractIncludes(const std::string &file, const std::string &content)
+extractIncludes(const std::string &file, const std::vector<FullTok> &pp)
 {
     std::vector<IncludeRef> refs;
-    std::size_t line = 1;
-    std::size_t i = 0;
-    const std::size_t n = content.size();
-    while (i < n) {
-        const std::size_t eol = content.find('\n', i);
-        const std::size_t end = eol == std::string::npos ? n : eol;
-        std::size_t at = i;
-        auto skipBlank = [&] {
-            while (at < end &&
-                   (content[at] == ' ' || content[at] == '\t'))
-                ++at;
-        };
-        skipBlank();
-        if (at < end && content[at] == '#') {
-            ++at;
-            skipBlank();
-            if (content.compare(at, 7, "include") == 0) {
-                at += 7;
-                skipBlank();
-                if (at < end && content[at] == '"') {
-                    const std::size_t close =
-                        content.find('"', at + 1);
-                    if (close != std::string::npos && close < end)
-                        refs.push_back(
-                            {file, line,
-                             content.substr(at + 1, close - at - 1),
-                             std::string()});
-                }
-            }
-        }
-        i = end + 1;
-        ++line;
-    }
+    for (std::size_t i = 0; i + 2 < pp.size(); ++i)
+        if (pp[i].kind == 'p' && pp[i].text == "#" &&
+            pp[i + 1].kind == 'i' && pp[i + 1].text == "include" &&
+            pp[i + 2].kind == 's')
+            refs.push_back({file, pp[i].line, pp[i + 2].text});
     return refs;
 }
 

@@ -28,12 +28,13 @@
  * include that violates this table; R7 reports include cycles in the
  * file-level graph with the full offending chain.
  *
- * Extraction is textual (`#include "..."` lines only; angle includes
- * are system headers and out of scope).  Resolution prefers the real
- * file set when one is supplied (same directory first, then the
- * include roots src/ and tools/rsin_lint/) and falls back to a purely
- * textual mapping so single-file lints still classify
- * "common/rng.hpp" as module `common`.
+ * Extraction reads the lexer's preprocessor tokens (`#include "..."`
+ * only; angle includes are system headers and out of scope), so an
+ * include quoted inside a comment or string is no edge.  Resolution
+ * prefers the real file set when one is supplied (same directory
+ * first, then the include roots src/ and tools/rsin_lint/) and falls
+ * back to a purely textual mapping so single-file lints still
+ * classify "common/rng.hpp" as module `common`.
  */
 
 #include <cstddef>
@@ -42,14 +43,23 @@
 #include <vector>
 
 #include "lint.hpp"
+#include "symbols.hpp"
 
 namespace rsin {
 namespace lint {
 
-/** Scan @p content for `#include "..."` directives (IncludeRef is
- *  defined in lint.hpp so cached FileArtifacts can carry them). */
+/** One quoted #include directive in a source file. */
+struct IncludeRef
+{
+    std::string file;     ///< including file (repo-relative path)
+    std::size_t line = 0; ///< 1-based line of the directive
+    std::string quoted;   ///< the path between the quotes
+};
+
+/** The `#include "..."` directives among @p file's preprocessor
+ *  tokens (Lexed::pp). */
 std::vector<IncludeRef> extractIncludes(const std::string &file,
-                                        const std::string &content);
+                                        const std::vector<FullTok> &pp);
 
 /**
  * Module name of a repo-relative path: "src/des/simulator.hpp" -> "des",

@@ -2,8 +2,7 @@
 
 /**
  * @file
- * A deliberately tiny JSON reader shared by the linter's own config
- * surfaces: the baseline ratchet (tools/rsin_lint/baseline.json) and
+ * A deliberately tiny JSON reader for the linter's one config file,
  * the serialized-schema manifest (tools/rsin_lint/schemas.json).
  *
  * The linter must stay dependency-free (it lints the tree that builds
@@ -37,7 +36,7 @@ struct JsonValue
 class JsonReader
 {
   public:
-    /** @param what label used in parse-error messages ("baseline"). */
+    /** @param what label used in parse-error messages ("schemas"). */
     JsonReader(const std::string &text, const char *what)
         : text_(text), what_(what)
     {

@@ -1,6 +1,7 @@
 #include "lint.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cctype>
 #include <chrono>
@@ -11,10 +12,11 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 
 #include "include_graph.hpp"
-#include "lint_cache.hpp"
 #include "lockflow.hpp"
+#include "symbols.hpp"
 #include "xtu_rules.hpp"
 
 namespace rsin {
@@ -22,24 +24,25 @@ namespace lint {
 
 namespace {
 
-bool
-isIdent(char c)
+/** One well-formed `rsin-lint: allow(...)` suppression comment. */
+struct Directive
 {
-    return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
+    std::size_t line = 0;        ///< line the comment sits on
+    std::set<std::string> rules; ///< rules it waives
+    bool used = false;           ///< masked a finding this run
+};
 
 /**
- * Result of the lexical pre-pass: the source with comments and
- * string/char literals blanked to spaces (newlines preserved, so line
- * numbers and column positions survive), plus the parsed suppression
- * comments and any malformed-suppression findings.  (Directive itself
- * lives in lint.hpp so cached FileArtifacts can carry them.)
+ * Everything the per-file stage produces for one file.  The graph
+ * rules, suppression and R9 consume these; the code tokens go to the
+ * cross-TU index separately.
  */
-struct Stripped
+struct FileArtifacts
 {
-    std::string code;
+    std::vector<Finding> findings; ///< per-file rule findings, raw
     std::vector<Directive> directives;
-    std::vector<Finding> errors;
+    std::vector<Finding> supErrors; ///< malformed suppressions (SUP)
+    std::vector<IncludeRef> includes;
 };
 
 const std::set<std::string> &
@@ -61,7 +64,7 @@ knownRules()
  */
 void
 parseDirective(const std::string &comment, std::size_t comment_line,
-               const std::string &path, Stripped &out)
+               const std::string &path, FileArtifacts &out)
 {
     const std::string kTag = "rsin-lint:";
     const std::size_t tag = comment.find(kTag);
@@ -72,16 +75,16 @@ parseDirective(const std::string &comment, std::size_t comment_line,
         ++pos;
     const std::string kAllow = "allow(";
     if (comment.compare(pos, kAllow.size(), kAllow) != 0) {
-        out.errors.push_back({path, comment_line, "SUP",
-                              "malformed rsin-lint directive (expected "
-                              "'allow(<rule>): <reason>')"});
+        out.supErrors.push_back({path, comment_line, "SUP",
+                                 "malformed rsin-lint directive (expected "
+                                 "'allow(<rule>): <reason>')"});
         return;
     }
     pos += kAllow.size();
     const std::size_t close = comment.find(')', pos);
     if (close == std::string::npos) {
-        out.errors.push_back({path, comment_line, "SUP",
-                              "unterminated allow(...) rule list"});
+        out.supErrors.push_back({path, comment_line, "SUP",
+                                 "unterminated allow(...) rule list"});
         return;
     }
     // Split the rule list on commas and validate every name.
@@ -92,15 +95,15 @@ parseDirective(const std::string &comment, std::size_t comment_line,
         name.erase(std::remove(name.begin(), name.end(), ' '),
                    name.end());
         if (!knownRules().count(name)) {
-            out.errors.push_back({path, comment_line, "SUP",
-                                  "unknown rule '" + name +
-                                      "' in allow()"});
+            out.supErrors.push_back({path, comment_line, "SUP",
+                                     "unknown rule '" + name +
+                                         "' in allow()"});
             return;
         }
         rules.insert(name);
     }
     if (rules.empty()) {
-        out.errors.push_back(
+        out.supErrors.push_back(
             {path, comment_line, "SUP", "empty allow() rule list"});
         return;
     }
@@ -117,103 +120,13 @@ parseDirective(const std::string &comment, std::size_t comment_line,
             }
     }
     if (!has_reason) {
-        out.errors.push_back(
+        out.supErrors.push_back(
             {path, comment_line, "SUP",
              "suppression without a reason (write 'rsin-lint: "
              "allow(<rule>): <why the rule does not apply>')"});
         return;
     }
     out.directives.push_back({comment_line, rules, false});
-}
-
-/**
- * Blank comments and string/char literals (raw strings included) while
- * collecting rsin-lint directives.  Replacing with spaces keeps every
- * remaining token at its original line and column.
- */
-Stripped
-strip(const std::string &path, const std::string &src)
-{
-    Stripped out;
-    out.code.assign(src.size(), ' ');
-    std::size_t line = 1;
-    std::size_t i = 0;
-    const std::size_t n = src.size();
-    auto copyChar = [&](std::size_t at) { out.code[at] = src[at]; };
-    while (i < n) {
-        const char c = src[i];
-        if (c == '\n') {
-            out.code[i] = '\n';
-            ++line;
-            ++i;
-            continue;
-        }
-        if (c == '/' && i + 1 < n && src[i + 1] == '/') {
-            const std::size_t start = i;
-            while (i < n && src[i] != '\n')
-                ++i;
-            parseDirective(src.substr(start, i - start), line, path, out);
-            continue;
-        }
-        if (c == '/' && i + 1 < n && src[i + 1] == '*') {
-            // Block comments never carry directives (see parseDirective).
-            i += 2;
-            while (i + 1 < n && !(src[i] == '*' && src[i + 1] == '/')) {
-                if (src[i] == '\n') {
-                    out.code[i] = '\n';
-                    ++line;
-                }
-                ++i;
-            }
-            i = i + 1 < n ? i + 2 : n;
-            continue;
-        }
-        if (c == '"' && i >= 1 && src[i - 1] == 'R') {
-            // Raw string literal R"delim( ... )delim".
-            std::size_t d = i + 1;
-            while (d < n && src[d] != '(')
-                ++d;
-            // Built piecewise: the obvious `")" + substr + "\""` trips
-            // a gcc-12 -Wrestrict false positive inside libstdc++.
-            std::string delim(1, ')');
-            delim.append(src, i + 1, d - i - 1);
-            delim.push_back('"');
-            std::size_t end = src.find(delim, d);
-            end = end == std::string::npos ? n : end + delim.size();
-            for (; i < end; ++i)
-                if (src[i] == '\n') {
-                    out.code[i] = '\n';
-                    ++line;
-                }
-            continue;
-        }
-        if (c == '\'' && i > 0 &&
-            std::isalnum(static_cast<unsigned char>(src[i - 1])) &&
-            i + 1 < n &&
-            std::isalnum(static_cast<unsigned char>(src[i + 1]))) {
-            // Digit separator (16'384), not a char literal.
-            ++i;
-            continue;
-        }
-        if (c == '"' || c == '\'') {
-            const char quote = c;
-            ++i;
-            while (i < n && src[i] != quote) {
-                if (src[i] == '\\')
-                    ++i;
-                if (i < n && src[i] == '\n') {
-                    out.code[i] = '\n';
-                    ++line;
-                }
-                ++i;
-            }
-            i = i < n ? i + 1 : n;
-            continue;
-        }
-        copyChar(i);
-        ++i;
-    }
-    return out;
 }
 
 /** Directory scoping of the rules, derived from the file's path. */
@@ -253,313 +166,227 @@ classify(const std::string &path)
     return s;
 }
 
-/** Is code[at..at+token) a whole identifier-token match? */
-bool
-tokenAt(const std::string &code, std::size_t at, const std::string &token)
-{
-    if (at > 0 && isIdent(code[at - 1]))
-        return false;
-    const std::size_t end = at + token.size();
-    return end >= code.size() || !isIdent(code[end]);
-}
+// ---------------------------------------------------------------------
+// Token-pattern rules R1-R4.
+// ---------------------------------------------------------------------
 
-/** First non-space position at or after @p at. */
-std::size_t
-skipSpaces(const std::string &code, std::size_t at)
+/** What must follow an R1-R4 name on the name's own line. */
+enum class Follow
 {
-    while (at < code.size() &&
-           (code[at] == ' ' || code[at] == '\t'))
-        ++at;
-    return at;
-}
-
-struct Line
-{
-    std::size_t number; ///< 1-based
-    std::string text;   ///< stripped code of this line
+    Any,       ///< nothing: the bare name is the violation
+    Call,      ///< '(' -- a bare name such as `clock` is harmless
+    NullArg,   ///< '(' then nullptr, NULL or 0: time(nullptr)
+    StdoutArg, ///< '(' then stdout: fprintf(stdout, ...)
 };
 
-std::vector<Line>
-splitLines(const std::string &code)
+/** One identifier the pattern rules look for. */
+struct Pattern
 {
-    std::vector<Line> lines;
-    std::size_t start = 0;
-    std::size_t number = 1;
-    for (std::size_t i = 0; i <= code.size(); ++i) {
-        if (i == code.size() || code[i] == '\n') {
-            lines.push_back({number, code.substr(start, i - start)});
-            start = i + 1;
-            ++number;
-        }
-    }
-    return lines;
+    const char *name;
+    int rule; ///< 1..4
+    Follow follow;
+    std::string message;
+};
+
+/**
+ * The R1-R4 patterns.  Hits of one rule on one line are reported in
+ * table order, then by column; R3's f-suffixed literals rank after
+ * the whole table.
+ */
+const std::vector<Pattern> &
+patterns()
+{
+    static const std::vector<Pattern> table = [] {
+        const std::string r1 =
+            ": ambient randomness/wall-clock breaks seed "
+            "reproducibility; draw from rsin::Rng (seeded per cell) "
+            "instead";
+        const auto r2 = [](const char *name) {
+            return std::string("std::") + name +
+                   " in a determinism-critical directory: iteration "
+                   "order varies across standard libraries and hash "
+                   "seeds, so any walk over it can reorder results; "
+                   "use std::map, std::vector, or sort before "
+                   "iterating";
+        };
+        const std::string r3 =
+            " parses single precision; use the double-precision "
+            "variant";
+        const std::string r4 =
+            "() writes stdout from library code; route output "
+            "through src/common/table or src/obs";
+        return std::vector<Pattern>{
+            {"rand", 1, Follow::Call, "rand()" + r1},
+            {"srand", 1, Follow::Call, "srand()" + r1},
+            {"drand48", 1, Follow::Call, "drand48()" + r1},
+            {"random_device", 1, Follow::Any, "std::random_device" + r1},
+            {"system_clock", 1, Follow::Any,
+             "std::chrono::system_clock" + r1},
+            {"getrandom", 1, Follow::Call, "getrandom()" + r1},
+            {"clock", 1, Follow::Call, "clock()" + r1},
+            {"gettimeofday", 1, Follow::Call, "gettimeofday()" + r1},
+            {"time", 1, Follow::NullArg,
+             "time(nullptr): wall-clock seeding breaks reproducibility; "
+             "derive seeds from the cell coordinates instead"},
+            {"unordered_map", 2, Follow::Any, r2("unordered_map")},
+            {"unordered_set", 2, Follow::Any, r2("unordered_set")},
+            {"unordered_multimap", 2, Follow::Any,
+             r2("unordered_multimap")},
+            {"unordered_multiset", 2, Follow::Any,
+             r2("unordered_multiset")},
+            // R3: the numeric model is double end-to-end so the
+            // 17-digit round-trip in src/obs is exact.
+            {"float", 3, Follow::Any,
+             "float type in model code: the simulators and solvers are "
+             "double end-to-end (17-significant-digit round-trip); use "
+             "double"},
+            {"stof", 3, Follow::Any, "stof" + r3},
+            {"strtof", 3, Follow::Any, "strtof" + r3},
+            {"cout", 4, Follow::Any,
+             "std::cout in library code: all table/report output flows "
+             "through src/common/table or src/obs so artifacts and "
+             "display never diverge"},
+            {"printf", 4, Follow::Call, "printf" + r4},
+            {"puts", 4, Follow::Call, "puts" + r4},
+            {"putchar", 4, Follow::Call, "putchar" + r4},
+            {"fprintf", 4, Follow::StdoutArg,
+             "fprintf(stdout, ...) in library code; route output "
+             "through src/common/table or src/obs"},
+        };
+    }();
+    return table;
 }
 
-/** All positions where @p token occurs as a whole token in @p text. */
-std::vector<std::size_t>
-tokenHits(const std::string &text, const std::string &token)
+bool
+startsWith(const std::string &text, const char *prefix)
 {
-    std::vector<std::size_t> hits;
-    for (std::size_t at = text.find(token); at != std::string::npos;
-         at = text.find(token, at + 1))
-        if (tokenAt(text, at, token))
-            hits.push_back(at);
-    return hits;
+    return text.rfind(prefix, 0) == 0;
 }
 
-/** R1: ambient randomness and wall-clock sources. */
+/** Does @p arg, the token after the '(' (null: none on the line),
+ *  satisfy @p follow? */
+bool
+argFits(Follow follow, const FullTok *arg)
+{
+    if (follow == Follow::NullArg)
+        return arg != nullptr &&
+               ((arg->kind == 'i' && (startsWith(arg->text, "nullptr") ||
+                                      startsWith(arg->text, "NULL"))) ||
+                (arg->kind == 'n' && arg->text[0] == '0'));
+    if (follow == Follow::StdoutArg)
+        return arg != nullptr && arg->kind == 'i' &&
+               startsWith(arg->text, "stdout");
+    return true;
+}
+
+/**
+ * R3's literal check: an f-suffixed decimal literal (1.0f, 1.f, 3e8f)
+ * narrows to float.  Hex literals (0x1f), suffixed integers (3f is
+ * no float literal) and digits continuing a '.'-led literal are not
+ * of interest.
+ */
+bool
+narrowsToFloat(const std::vector<FullTok> &toks, std::size_t i)
+{
+    const FullTok &t = toks[i];
+    const FullTok *before = i > 0 ? &toks[i - 1] : nullptr;
+    if (before != nullptr && before->kind == 'p' && before->text == "." &&
+        before->line == t.line && before->col + 1 == t.col)
+        return false;
+    const std::string &s = t.text;
+    const bool hex =
+        s.size() > 1 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X');
+    return !hex && (s.back() == 'f' || s.back() == 'F') &&
+           s.find_first_of(".eE") != std::string::npos;
+}
+
+/** One R1-R4 hit; (rule, line, rank, col) is the report order. */
+struct Hit
+{
+    int rule;
+    std::size_t line;
+    std::size_t rank; ///< index into patterns()
+    std::size_t col;
+    std::string message;
+};
+
+/**
+ * R1-R4 over one token stream of a file.  @p on[r] says whether rule
+ * Rr applies to it.
+ */
 void
-ruleR1(const std::vector<Line> &lines, const Scope &scope,
-       const std::string &path, std::vector<Finding> &out)
+scanPatterns(const std::vector<FullTok> &toks,
+             const std::array<bool, 5> &on, std::vector<Hit> &hits)
 {
-    if (scope.rngImpl)
-        return; // the one sanctioned home of raw entropy
-    struct Token
-    {
-        const char *token;
-        const char *what;
-        bool callOnly; ///< require '(' next (bare name is harmless)
+    static const std::map<std::string, std::size_t> byName = [] {
+        std::map<std::string, std::size_t> index;
+        for (std::size_t k = 0; k < patterns().size(); ++k)
+            index[patterns()[k].name] = k;
+        return index;
+    }();
+    // The token @p ahead places after @p i, if it is on i's line.
+    const auto onLine = [&](std::size_t i,
+                            std::size_t ahead) -> const FullTok * {
+        const std::size_t k = i + ahead;
+        return k < toks.size() && toks[k].line == toks[i].line
+                   ? &toks[k]
+                   : nullptr;
     };
-    static const Token kTokens[] = {
-        {"rand", "rand()", true},
-        {"srand", "srand()", true},
-        {"drand48", "drand48()", true},
-        {"random_device", "std::random_device", false},
-        {"system_clock", "std::chrono::system_clock", false},
-        {"getrandom", "getrandom()", true},
-        {"clock", "clock()", true},
-        {"gettimeofday", "gettimeofday()", true},
-    };
-    for (const Line &line : lines) {
-        for (const Token &t : kTokens) {
-            for (std::size_t at : tokenHits(line.text, t.token)) {
-                if (t.callOnly) {
-                    const std::size_t next = skipSpaces(
-                        line.text, at + std::string(t.token).size());
-                    if (next >= line.text.size() ||
-                        line.text[next] != '(')
-                        continue;
-                }
-                out.push_back(
-                    {path, line.number, "R1",
-                     std::string(t.what) +
-                         ": ambient randomness/wall-clock breaks seed "
-                         "reproducibility; draw from rsin::Rng (seeded "
-                         "per cell) instead"});
-            }
-        }
-        // time(nullptr) / time(NULL): the call form only; bare
-        // identifiers named "time" are everywhere and harmless.
-        for (std::size_t at : tokenHits(line.text, "time")) {
-            std::size_t next = skipSpaces(line.text, at + 4);
-            if (next >= line.text.size() || line.text[next] != '(')
-                continue;
-            next = skipSpaces(line.text, next + 1);
-            if (line.text.compare(next, 7, "nullptr") == 0 ||
-                line.text.compare(next, 4, "NULL") == 0 ||
-                (next < line.text.size() && line.text[next] == '0'))
-                out.push_back(
-                    {path, line.number, "R1",
-                     "time(nullptr): wall-clock seeding breaks "
-                     "reproducibility; derive seeds from the cell "
-                     "coordinates instead"});
-        }
-    }
-}
-
-/** R2: unordered containers in determinism-critical directories. */
-void
-ruleR2(const std::vector<Line> &lines, const Scope &scope,
-       const std::string &path, std::vector<Finding> &out)
-{
-    if (!scope.deterministic)
-        return;
-    static const char *kTokens[] = {
-        "unordered_map",
-        "unordered_set",
-        "unordered_multimap",
-        "unordered_multiset",
-    };
-    for (const Line &line : lines) {
-        // #include <unordered_map> is not a use; the declarations and
-        // iterations are what the rule is after.
-        const std::size_t first = skipSpaces(line.text, 0);
-        if (first < line.text.size() && line.text[first] == '#')
+    for (std::size_t i = 0; i < toks.size(); ++i) {
+        const FullTok &t = toks[i];
+        if (t.kind == 'n' && on[3] && narrowsToFloat(toks, i))
+            hits.push_back({3, t.line, patterns().size(), t.col,
+                            "f-suffixed literal '" + t.text +
+                                "' narrows to float; drop the suffix"});
+        if (t.kind != 'i')
             continue;
-        for (const char *token : kTokens)
-            for (std::size_t at : tokenHits(line.text, token)) {
-                (void)at;
-                out.push_back(
-                    {path, line.number, "R2",
-                     std::string("std::") + token +
-                         " in a determinism-critical directory: "
-                         "iteration order varies across standard "
-                         "libraries and hash seeds, so any walk over "
-                         "it can reorder results; use std::map, "
-                         "std::vector, or sort before iterating"});
-            }
+        const auto it = byName.find(t.text);
+        if (it == byName.end())
+            continue;
+        const Pattern &p = patterns()[it->second];
+        if (!on[static_cast<std::size_t>(p.rule)])
+            continue;
+        if (p.follow != Follow::Any) {
+            const FullTok *open = onLine(i, 1);
+            if (open == nullptr || open->kind != 'p' ||
+                open->text != "(" || !argFits(p.follow, onLine(i, 2)))
+                continue;
+        }
+        hits.push_back({p.rule, t.line, it->second, t.col, p.message});
     }
 }
 
 /**
- * R3: float discipline in model code.  Flags the `float` type, float
- * conversions (stof/strtof) and f-suffixed literals; the numeric model
- * is double end-to-end so the 17-digit round-trip in src/obs is exact.
+ * R1 ambient randomness and wall-clock sources, R2 unordered
+ * containers in determinism-critical directories, R3 float discipline
+ * in model code, R4 stdout writes in library code: token scans over
+ * the code and the preprocessor tokens, so a macro body is linted
+ * like code.  R2 skips the preprocessor tokens: `#include
+ * <unordered_map>` is not a use.
  */
 void
-ruleR3(const std::vector<Line> &lines, const Scope &scope,
-       const std::string &path, std::vector<Finding> &out)
+patternRules(const Lexed &lexed, const Scope &scope,
+             const std::string &path, std::vector<Finding> &out)
 {
-    if (!scope.modelCode)
-        return;
-    for (const Line &line : lines) {
-        for ([[maybe_unused]] std::size_t at :
-             tokenHits(line.text, "float"))
-            out.push_back({path, line.number, "R3",
-                           "float type in model code: the simulators "
-                           "and solvers are double end-to-end "
-                           "(17-significant-digit round-trip); use "
-                           "double"});
-        for (const char *token : {"stof", "strtof"})
-            for (std::size_t at : tokenHits(line.text, token)) {
-                (void)at;
-                out.push_back({path, line.number, "R3",
-                               std::string(token) +
-                                   " parses single precision; use the "
-                                   "double-precision variant"});
-            }
-        // f-suffixed numeric literals (1.0f, 1.f, 3e8f) narrow to
-        // float.  Hex integer literals (0x1f) are not literals of
-        // interest: skip anything starting 0x/0X.
-        const std::string &text = line.text;
-        for (std::size_t i = 0; i < text.size(); ++i) {
-            if (!std::isdigit(static_cast<unsigned char>(text[i])) ||
-                (i > 0 && (isIdent(text[i - 1]) || text[i - 1] == '.')))
-                continue;
-            const std::size_t start = i;
-            const bool hex = text[i] == '0' && i + 1 < text.size() &&
-                             (text[i + 1] == 'x' || text[i + 1] == 'X');
-            std::size_t j = i;
-            while (j < text.size() &&
-                   (isIdent(text[j]) || text[j] == '.' ||
-                    ((text[j] == '+' || text[j] == '-') && j > start &&
-                     (text[j - 1] == 'e' || text[j - 1] == 'E' ||
-                      text[j - 1] == 'p' || text[j - 1] == 'P'))))
-                ++j;
-            const std::string literal = text.substr(start, j - start);
-            const char last = literal.back();
-            if (!hex && (last == 'f' || last == 'F') &&
-                literal.find('.') == std::string::npos &&
-                literal.find('e') == std::string::npos &&
-                literal.find('E') == std::string::npos) {
-                // "3f" with no dot/exponent is not a valid float
-                // literal; nothing to flag.
-            } else if (!hex && (last == 'f' || last == 'F')) {
-                out.push_back({path, line.number, "R3",
-                               "f-suffixed literal '" + literal +
-                                   "' narrows to float; drop the "
-                                   "suffix"});
-            }
-            i = j;
-        }
-    }
-}
-
-/** R4: stdout writes in library code. */
-void
-ruleR4(const std::vector<Line> &lines, const Scope &scope,
-       const std::string &path, std::vector<Finding> &out)
-{
-    if (!scope.modelCode || scope.outputLayer)
-        return;
-    for (const Line &line : lines) {
-        for (std::size_t at : tokenHits(line.text, "cout")) {
-            (void)at;
-            out.push_back({path, line.number, "R4",
-                           "std::cout in library code: all table/report "
-                           "output flows through src/common/table or "
-                           "src/obs so artifacts and display never "
-                           "diverge"});
-        }
-        for (const char *token : {"printf", "puts", "putchar"})
-            for (std::size_t at : tokenHits(line.text, token)) {
-                const std::size_t next = skipSpaces(
-                    line.text, at + std::string(token).size());
-                if (next >= line.text.size() || line.text[next] != '(')
-                    continue;
-                out.push_back({path, line.number, "R4",
-                               std::string(token) +
-                                   "() writes stdout from library "
-                                   "code; route output through "
-                                   "src/common/table or src/obs"});
-            }
-        for (std::size_t at : tokenHits(line.text, "fprintf")) {
-            std::size_t next = skipSpaces(line.text, at + 7);
-            if (next >= line.text.size() || line.text[next] != '(')
-                continue;
-            next = skipSpaces(line.text, next + 1);
-            if (line.text.compare(next, 6, "stdout") == 0)
-                out.push_back({path, line.number, "R4",
-                               "fprintf(stdout, ...) in library code; "
-                               "route output through src/common/table "
-                               "or src/obs"});
-        }
-    }
+    std::array<bool, 5> on{false, !scope.rngImpl, false, scope.modelCode,
+                           scope.modelCode && !scope.outputLayer};
+    std::vector<Hit> hits;
+    scanPatterns(lexed.pp, on, hits);
+    on[2] = scope.deterministic;
+    scanPatterns(lexed.code, on, hits);
+    std::sort(hits.begin(), hits.end(), [](const Hit &a, const Hit &b) {
+        return std::tie(a.rule, a.line, a.rank, a.col) <
+               std::tie(b.rule, b.line, b.rank, b.col);
+    });
+    for (Hit &h : hits)
+        out.push_back({path, h.line,
+                       std::string{'R', static_cast<char>('0' + h.rule)},
+                       std::move(h.message)});
 }
 
 // ---------------------------------------------------------------------
-// Token stream + scope/branch tracker (rules R5 and R8).
+// Scope/branch tracker over the code tokens (rules R5 and R8).
 // ---------------------------------------------------------------------
-
-/** One lexical token of the stripped source. */
-struct Tok
-{
-    char kind;        ///< 'i' identifier, 'n' number, 'p' punctuation
-    std::string text;
-    std::size_t line; ///< 1-based
-};
-
-std::vector<Tok>
-tokenize(const std::string &code)
-{
-    std::vector<Tok> toks;
-    std::size_t line = 1;
-    std::size_t i = 0;
-    const std::size_t n = code.size();
-    while (i < n) {
-        const char c = code[i];
-        if (c == '\n') {
-            ++line;
-            ++i;
-            continue;
-        }
-        if (std::isspace(static_cast<unsigned char>(c))) {
-            ++i;
-            continue;
-        }
-        if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-            const std::size_t start = i;
-            while (i < n && isIdent(code[i]))
-                ++i;
-            toks.push_back({'i', code.substr(start, i - start), line});
-            continue;
-        }
-        if (std::isdigit(static_cast<unsigned char>(c))) {
-            const std::size_t start = i;
-            while (i < n &&
-                   (isIdent(code[i]) || code[i] == '.' ||
-                    ((code[i] == '+' || code[i] == '-') && i > start &&
-                     (code[i - 1] == 'e' || code[i - 1] == 'E' ||
-                      code[i - 1] == 'p' || code[i - 1] == 'P'))))
-                ++i;
-            toks.push_back({'n', code.substr(start, i - start), line});
-            continue;
-        }
-        toks.push_back({'p', std::string(1, c), line});
-        ++i;
-    }
-    return toks;
-}
 
 /** Metric fields whose value is NaN/garbage unless status is Ok. */
 const std::set<std::string> &
@@ -584,9 +411,9 @@ resultProducers()
 }
 
 bool
-isEvidenceAt(const std::vector<Tok> &toks, std::size_t i)
+isEvidenceAt(const std::vector<FullTok> &toks, std::size_t i)
 {
-    const Tok &t = toks[i];
+    const FullTok &t = toks[i];
     if (t.kind != 'i')
         return false;
     if (t.text == "status" || t.text == "RunStatus" ||
@@ -642,7 +469,7 @@ anyFrameHas(const std::vector<Frame> &frames,
  * independent child with split().
  */
 void
-flowPass(const std::vector<Tok> &toks, const Scope &scope,
+flowPass(const std::vector<FullTok> &toks, const Scope &scope,
          const std::string &path, std::vector<Finding> &out)
 {
     const bool doR5 = scope.consumer;
@@ -668,7 +495,7 @@ flowPass(const std::vector<Tok> &toks, const Scope &scope,
     };
 
     for (std::size_t i = 0; i < n; ++i) {
-        const Tok &t = toks[i];
+        const FullTok &t = toks[i];
         if (t.kind == 'p') {
             if (t.text == "{") {
                 frames.emplace_back();
@@ -692,7 +519,7 @@ flowPass(const std::vector<Tok> &toks, const Scope &scope,
                 // Collect the capture items up to the matching ']'.
                 std::size_t depth = 0;
                 std::size_t j = i + 1;
-                std::vector<std::vector<const Tok *>> items(1);
+                std::vector<std::vector<const FullTok *>> items(1);
                 for (; j < n; ++j) {
                     if (toks[j].kind == 'p') {
                         const std::string &p = toks[j].text;
@@ -724,7 +551,7 @@ flowPass(const std::vector<Tok> &toks, const Scope &scope,
                         (item.front()->kind == 'p' &&
                          item.front()->text == "&"))
                         continue; // by-reference capture: shared stream
-                    const Tok *copied = nullptr;
+                    const FullTok *copied = nullptr;
                     if (item.size() == 1 && item[0]->kind == 'i')
                         copied = item[0];
                     else if (item.size() == 3 && item[0]->kind == 'i' &&
@@ -777,7 +604,7 @@ flowPass(const std::vector<Tok> &toks, const Scope &scope,
             }
             if (!isIdentTok(j))
                 continue;
-            const Tok &name = toks[j];
+            const FullTok &name = toks[j];
             frames.back().rngVars.insert(name.text);
             if (isPunct(j + 1, ",") || isPunct(j + 1, ")")) {
                 out.push_back(
@@ -936,25 +763,24 @@ msBetween(std::chrono::steady_clock::time_point a,
     return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-} // namespace
-
+/**
+ * The per-file rules, suppression directives and includes of one
+ * file, all read off its one lexer pass.
+ */
 FileArtifacts
-analyzeFileArtifacts(const SourceFile &file)
+analyzeFile(const std::string &path, const Lexed &lexed)
 {
     FileArtifacts fa;
-    Stripped stripped = strip(file.path, file.content);
-    const std::vector<Line> lines = splitLines(stripped.code);
-    const Scope scope = classify(file.path);
-    ruleR1(lines, scope, file.path, fa.findings);
-    ruleR2(lines, scope, file.path, fa.findings);
-    ruleR3(lines, scope, file.path, fa.findings);
-    ruleR4(lines, scope, file.path, fa.findings);
-    flowPass(tokenize(stripped.code), scope, file.path, fa.findings);
-    fa.directives = std::move(stripped.directives);
-    fa.supErrors = std::move(stripped.errors);
-    fa.includes = extractIncludes(file.path, file.content);
+    const Scope scope = classify(path);
+    patternRules(lexed, scope, path, fa.findings);
+    flowPass(lexed.code, scope, path, fa.findings);
+    for (const LineComment &comment : lexed.comments)
+        parseDirective(comment.text, comment.line, path, fa);
+    fa.includes = extractIncludes(path, lexed.pp);
     return fa;
 }
+
+} // namespace
 
 std::vector<Finding>
 lintFiles(const std::vector<SourceFile> &files,
@@ -967,32 +793,18 @@ lintFiles(const std::vector<SourceFile> &files,
                 phase, msBetween(since, Clock::now()));
     };
 
-    // --- Per-file stage, fanned out over worker threads.  Results
-    // land in per-index slots and merge in file order, so findings
-    // are identical for every thread count.  Cache hits skip the rule
-    // stage; tokenization always runs (the cross-TU stages below are
-    // whole-program and need every file's tokens).
+    // --- Per-file stage, fanned out over worker threads: lex each
+    // file once, run the per-file rules on the result and keep its
+    // code tokens for the cross-TU stages below.  Results land in
+    // per-index slots and merge in file order, so findings are
+    // identical for every thread count.
     Clock::time_point t0 = Clock::now();
     std::vector<FileArtifacts> artifacts(files.size());
     std::vector<std::vector<FullTok>> toks(files.size());
-    std::atomic<std::size_t> analyzedCount{0};
-    std::atomic<std::size_t> hitCount{0};
     const auto workOne = [&](std::size_t i) {
-        bool hit = false;
-        if (options.prebuilt != nullptr) {
-            const auto pre = options.prebuilt->find(files[i].path);
-            if (pre != options.prebuilt->end()) {
-                artifacts[i] = pre->second;
-                hit = true;
-            }
-        }
-        if (hit)
-            hitCount.fetch_add(1, std::memory_order_relaxed);
-        else {
-            artifacts[i] = analyzeFileArtifacts(files[i]);
-            analyzedCount.fetch_add(1, std::memory_order_relaxed);
-        }
-        toks[i] = tokenizeFull(files[i].content);
+        Lexed lexed = tokenizeFull(files[i].content);
+        artifacts[i] = analyzeFile(files[i].path, lexed);
+        toks[i] = std::move(lexed.code);
     };
     std::size_t jobs = options.jobs;
     if (jobs == 0) {
@@ -1021,14 +833,6 @@ lintFiles(const std::vector<SourceFile> &files,
         for (std::thread &worker : pool)
             worker.join();
     }
-    if (options.stats != nullptr) {
-        options.stats->files = files.size();
-        options.stats->analyzed = analyzedCount.load();
-        options.stats->cacheHits = hitCount.load();
-    }
-    if (options.artifactsOut != nullptr)
-        for (std::size_t i = 0; i < files.size(); ++i)
-            (*options.artifactsOut)[files[i].path] = artifacts[i];
     mark("perfile", t0);
 
     // --- Include-graph rules over the merged per-file artifacts.
@@ -1081,7 +885,7 @@ lintFiles(const std::vector<SourceFile> &files,
     applySuppressions(files, artifacts, findings);
 
     // R9: directives that masked nothing are dead weight -- and often
-    // the footprint of a fixed bug whose waiver should ratchet out.
+    // the footprint of a fixed bug whose waiver should go too.
     std::vector<Finding> stale;
     for (std::size_t i = 0; i < files.size(); ++i) {
         for (const Directive &d : artifacts[i].directives) {
@@ -1173,14 +977,17 @@ treePaths(const std::string &root)
 } // namespace
 
 std::vector<SourceFile>
-collectTree(const std::string &root)
+collectTree(const std::string &root, std::vector<std::string> *unreadable)
 {
     namespace fs = std::filesystem;
     std::vector<SourceFile> files;
     for (const std::string &path : treePaths(root)) {
         std::ifstream in(fs::path(root) / path, std::ios::binary);
-        if (!in)
+        if (!in) {
+            if (unreadable != nullptr)
+                unreadable->push_back(path);
             continue;
+        }
         std::ostringstream text;
         text << in.rdbuf();
         files.push_back({path, text.str()});
@@ -1200,111 +1007,30 @@ lintTree(const std::string &root, const TreeOptions &opts)
     namespace fs = std::filesystem;
     using Clock = std::chrono::steady_clock;
     TreeReport report;
-    const auto mark = [&](const char *phase, Clock::time_point since) {
-        report.timings.phases.emplace_back(
-            phase, msBetween(since, Clock::now()));
-    };
-
-    Clock::time_point t0 = Clock::now();
-    const Clock::time_point start = t0;
-    std::vector<SourceFile> files;
-    for (const std::string &path : treePaths(root)) {
-        std::ifstream in(fs::path(root) / path, std::ios::binary);
-        if (!in) {
-            report.unreadable.push_back(path);
-            continue;
-        }
-        std::ostringstream text;
-        text << in.rdbuf();
-        files.push_back({path, text.str()});
-    }
+    const Clock::time_point start = Clock::now();
+    const std::vector<SourceFile> files =
+        collectTree(root, &report.unreadable);
 
     LintOptions options;
     SchemaManifest manifest;
-    std::string manifestText;
     const fs::path schemasPath =
         fs::path(root) / "tools" / "rsin_lint" / "schemas.json";
     if (fs::is_regular_file(schemasPath)) {
         std::ifstream in(schemasPath, std::ios::binary);
         std::ostringstream text;
         text << in.rdbuf();
-        manifestText = text.str();
-        manifest = parseSchemaManifest(manifestText);
+        manifest = parseSchemaManifest(text.str());
         options.schemas = &manifest;
     }
     const std::map<std::string, std::string> textDocs =
         loadTextDocs(root, manifest);
     options.textDocs = &textDocs;
     options.jobs = opts.jobs;
-    options.stats = &report.stats;
     options.timings = &report.timings;
-    mark("collect", t0);
-
-    // --- The incremental layer: tree-level short-circuit, then
-    // per-file artifact reuse.  A corrupt or missing cache is just a
-    // cold run.
-    t0 = Clock::now();
-    std::map<std::string, FileArtifacts> prebuilt;
-    std::map<std::string, FileArtifacts> produced;
-    std::map<std::string, std::string> hashes;
-    std::string treeHash;
-    const bool caching = !opts.cachePath.empty();
-    if (caching) {
-        const LintCache cache = loadLintCache(opts.cachePath);
-        report.stats.cacheLoaded =
-            cache.hasTree || !cache.files.empty();
-        std::string treeKey;
-        for (const SourceFile &f : files) {
-            hashes[f.path] = contentHash64(f.content);
-            treeKey += f.path;
-            treeKey.push_back('\0'); // paths must not concatenate
-            treeKey += hashes[f.path] + "\n";
-        }
-        treeKey += "manifest:" + contentHash64(manifestText) + "\n";
-        for (const auto &doc : textDocs)
-            treeKey += "doc:" + doc.first + ":" +
-                       contentHash64(doc.second) + "\n";
-        treeHash = contentHash64(treeKey);
-        if (report.unreadable.empty() && cache.hasTree &&
-            cache.treeHash == treeHash) {
-            report.findings = cache.treeFindings;
-            report.stats.files = files.size();
-            report.stats.cacheHits = files.size();
-            report.stats.treeHit = true;
-            mark("cache", t0);
-            report.timings.totalMs = msBetween(start, Clock::now());
-            return report;
-        }
-        for (const auto &entry : cache.files) {
-            const auto h = hashes.find(entry.first);
-            if (h != hashes.end() && h->second == entry.second.hash)
-                prebuilt[entry.first] = entry.second.artifacts;
-        }
-        options.prebuilt = &prebuilt;
-        options.artifactsOut = &produced;
-    }
-    mark("cache", t0);
+    report.timings.phases.emplace_back("collect",
+                                       msBetween(start, Clock::now()));
 
     report.findings = lintFiles(files, options);
-
-    if (caching) {
-        t0 = Clock::now();
-        LintCache next;
-        next.hasTree = report.unreadable.empty();
-        next.treeHash = treeHash;
-        next.treeFindings = report.findings;
-        for (const SourceFile &f : files) {
-            LintCacheEntry entry;
-            entry.hash = hashes[f.path];
-            entry.artifacts = produced[f.path];
-            // The used flag is transient run state, never persisted.
-            for (Directive &d : entry.artifacts.directives)
-                d.used = false;
-            next.files[f.path] = std::move(entry);
-        }
-        saveLintCache(opts.cachePath, next);
-        mark("save", t0);
-    }
     report.timings.totalMs = msBetween(start, Clock::now());
     return report;
 }

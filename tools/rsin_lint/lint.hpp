@@ -14,8 +14,8 @@
  * streams, and a layered include DAG.  rsin-lint enforces those rules
  * mechanically so they survive refactors.
  *
- * The pass is deliberately lexical (comment/string-aware token
- * scanning plus a lightweight per-function scope/branch tracker, no
+ * The pass is deliberately lexical (one comment/string-aware lexer,
+ * token scans plus a lightweight per-function scope/branch tracker, no
  * libclang): it trades soundness for zero dependencies and sub-second
  * whole-tree runs.  False positives are silenced with
  *
@@ -51,19 +51,15 @@
  *       lock-order graph (lock-set dataflow; see lockflow.hpp)
  *   SUP malformed suppression comment (missing reason, unknown rule)
  *
- * The engine itself is parallel and incremental: the per-file stage
- * (strip, per-file rules, include extraction, tokenization) runs on N
- * threads into per-index slots that merge in file order, so findings
- * are deterministic for any thread count; with `--cache FILE` the
- * per-file artifacts persist content-hash-keyed between runs
- * (`rsin.lint_cache.v1`, same atomic-write + crc discipline as the
- * simulator's analysis cache) so warm runs re-analyze only edited
- * files.
+ * The engine reads each file once: the per-file stage lexes it
+ * (tokenizeFull(), symbols.hpp), runs the per-file rules and parses
+ * its suppressions and includes from that one result, on N threads
+ * into per-index slots that merge in file order, so findings are
+ * deterministic for any thread count.
  */
 
 #include <cstddef>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -89,40 +85,7 @@ struct Finding
 struct SourceFile
 {
     std::string path;    ///< forward-slash repo-relative path
-    std::string content; ///< full file text
-};
-
-/** One quoted #include directive in a source file. */
-struct IncludeRef
-{
-    std::string file;     ///< including file (repo-relative path)
-    std::size_t line = 0; ///< 1-based line of the directive
-    std::string quoted;   ///< the path between the quotes
-    std::string resolved; ///< repo-relative target; empty if unresolved
-};
-
-/** One well-formed `rsin-lint: allow(...)` suppression comment. */
-struct Directive
-{
-    std::size_t line = 0;       ///< line the comment sits on
-    std::set<std::string> rules; ///< rules it waives
-    /** Whether it masked any finding this run (transient; never
-     *  serialized -- a cached artifact replays with used=false). */
-    bool used = false;
-};
-
-/**
- * Everything the per-file analysis stage produces for one file: the
- * cacheable unit of the incremental engine.  Cross-TU stages (include
- * graph, symbol index, lock flow, R9) consume these; they never
- * re-read the file text.
- */
-struct FileArtifacts
-{
-    std::vector<Finding> findings; ///< per-file rule findings, raw
-    std::vector<Directive> directives;
-    std::vector<Finding> supErrors; ///< malformed suppressions (SUP)
-    std::vector<IncludeRef> includes;
+    std::string content; ///< full file text (read by tokenizeFull())
 };
 
 struct SchemaManifest; // xtu_rules.hpp
@@ -135,16 +98,6 @@ struct LintTimings
     double totalMs = 0.0;
 };
 
-/** Work accounting of one tree run, for cache tests and --timings. */
-struct LintStats
-{
-    std::size_t files = 0;        ///< files in the analyzed set
-    std::size_t analyzed = 0;     ///< per-file stage actually executed
-    std::size_t cacheHits = 0;    ///< artifacts served from the cache
-    bool treeHit = false;         ///< whole run served from the cache
-    bool cacheLoaded = false;     ///< a usable cache file was read
-};
-
 /** Knobs for a lint run beyond the file set itself. */
 struct LintOptions
 {
@@ -155,14 +108,7 @@ struct LintOptions
     const std::map<std::string, std::string> *textDocs = nullptr;
     /** Per-file stage worker threads: 0 = hardware concurrency. */
     std::size_t jobs = 0;
-    /** Pre-computed artifacts by path (cache hits); files present
-     *  here skip the per-file stage (tokens are still recomputed --
-     *  the cross-TU stages are whole-program). */
-    const std::map<std::string, FileArtifacts> *prebuilt = nullptr;
-    /** When set, receives every file's artifacts for cache writing. */
-    std::map<std::string, FileArtifacts> *artifactsOut = nullptr;
-    LintStats *stats = nullptr;       ///< optional work accounting
-    LintTimings *timings = nullptr;   ///< optional phase timings
+    LintTimings *timings = nullptr; ///< optional phase timings
 };
 
 /**
@@ -186,14 +132,6 @@ std::vector<Finding> lintFiles(const std::vector<SourceFile> &files);
 std::vector<Finding> lintSource(const std::string &path,
                                 const std::string &content);
 
-/**
- * The per-file analysis stage for one file: strip + per-file rules
- * (R1-R5, R8), suppression-directive parsing, include extraction.
- * Pure in the file content -- this is the unit the parallel engine
- * fans out and the lint cache persists.
- */
-FileArtifacts analyzeFileArtifacts(const SourceFile &file);
-
 /** Result of a whole-tree walk. */
 struct TreeReport
 {
@@ -201,17 +139,12 @@ struct TreeReport
     /** Files that could not be read; the caller must report these and
      *  exit non-zero rather than pretend the tree was fully linted. */
     std::vector<std::string> unreadable;
-    LintStats stats;
     LintTimings timings;
 };
 
 /** Knobs for a lintTree() run. */
 struct TreeOptions
 {
-    /** Path of the persistent lint cache; empty = caching off.  A
-     *  missing or corrupt cache file means a cold run, never an
-     *  error. */
-    std::string cachePath;
     /** Per-file stage worker threads: 0 = hardware concurrency. */
     std::size_t jobs = 0;
 };
@@ -228,16 +161,18 @@ struct TreeOptions
  */
 TreeReport lintTree(const std::string &root);
 
-/** lintTree() with an explicit cache path and thread count. */
+/** lintTree() with an explicit thread count. */
 TreeReport lintTree(const std::string &root, const TreeOptions &opts);
 
 /**
- * The file set a lintTree() run would analyze (sorted, fixtures
- * excluded), without linting it -- the input to --dump-symbols /
- * --dump-callgraph.  Unreadable files are silently skipped here;
- * lintTree() itself still reports them.
+ * Read the file set a lintTree() run analyzes (sorted, fixtures
+ * excluded) -- also the input to the --dump-* views.  Files that
+ * cannot be read are skipped and their paths appended to
+ * @p unreadable when it is non-null.
  */
-std::vector<SourceFile> collectTree(const std::string &root);
+std::vector<SourceFile>
+collectTree(const std::string &root,
+            std::vector<std::string> *unreadable = nullptr);
 
 /** Render findings one per line: "file:line: [rule] message". */
 std::string formatFindings(const std::vector<Finding> &findings);

@@ -10,18 +10,7 @@
  *                                      scoping; graph rules see only
  *                                      the named set)
  *   rsin_lint --format=text|json|sarif output format (default text)
- *   rsin_lint --baseline FILE          drop findings grandfathered by a
- *                                      rsin.lint_baseline.v1 document;
- *                                      anything beyond it still fails
- *   rsin_lint --emit-baseline          print the current findings as a
- *                                      baseline document and exit 0
  *   rsin_lint --list-rules             print the rule catalog
- *   rsin_lint --ratchet                with --baseline: also fail when
- *                                      the baseline holds unconsumed
- *                                      budget (debt was paid but the
- *                                      file was not shrunk) -- the
- *                                      baseline may only ever ratchet
- *                                      down
  *   rsin_lint --schemas FILE           R12 manifest to use instead of
  *                                      <root>/tools/rsin_lint/
  *                                      schemas.json (file mode only;
@@ -36,18 +25,17 @@
  *   rsin_lint --jobs N                 per-file stage threads (0 =
  *                                      hardware concurrency; findings
  *                                      are identical for any N)
- *   rsin_lint --cache FILE             persist per-file artifacts so
- *                                      warm runs only re-analyze
- *                                      edited files (tree mode only)
- *   rsin_lint --no-cache               ignore --cache for this run
  *   rsin_lint --timings                print per-phase timings to
  *                                      stderr
  *
- * Exit status: 0 clean (after the baseline, if any), 1 findings
- * reported, 2 usage or I/O error.  Unreadable files under the tree are
- * reported on stderr and force exit 2 -- a partially linted tree must
- * never look clean.  Registered as a ctest test so `ctest` fails
- * whenever the tree violates a determinism/correctness rule.
+ * Every run reads and lints every file; a finding is waived only by an
+ * `rsin-lint: allow(<rule>): <reason>` comment next to it.
+ *
+ * Exit status: 0 clean, 1 findings reported, 2 usage or I/O error.
+ * Unreadable files under the tree are reported on stderr and force
+ * exit 2 -- a partially linted tree must never look clean.  Registered
+ * as a ctest test so `ctest` fails whenever the tree violates a
+ * determinism/correctness rule.
  */
 
 #include <cmath>
@@ -110,16 +98,11 @@ main(int argc, char **argv)
 {
     std::string root = ".";
     std::string format = "text";
-    std::string baselinePath;
     std::string schemasPath;
-    bool emitBaselineMode = false;
-    bool ratchet = false;
     bool dumpSymbolsMode = false;
     bool dumpCallGraphMode = false;
     bool dumpLockGraphMode = false;
-    bool noCache = false;
     bool timingsMode = false;
-    std::string cachePath;
     std::size_t jobs = 0;
     std::vector<std::string> files;
     for (int i = 1; i < argc; ++i) {
@@ -138,16 +121,6 @@ main(int argc, char **argv)
                           << "' (want text, json or sarif)\n";
                 return 2;
             }
-        } else if (arg == "--baseline") {
-            if (i + 1 >= argc) {
-                std::cerr << "rsin-lint: --baseline needs a file\n";
-                return 2;
-            }
-            baselinePath = argv[++i];
-        } else if (arg == "--emit-baseline") {
-            emitBaselineMode = true;
-        } else if (arg == "--ratchet") {
-            ratchet = true;
         } else if (arg == "--schemas") {
             if (i + 1 >= argc) {
                 std::cerr << "rsin-lint: --schemas needs a file\n";
@@ -160,14 +133,6 @@ main(int argc, char **argv)
             dumpCallGraphMode = true;
         } else if (arg == "--dump-lockgraph") {
             dumpLockGraphMode = true;
-        } else if (arg == "--cache") {
-            if (i + 1 >= argc) {
-                std::cerr << "rsin-lint: --cache needs a file\n";
-                return 2;
-            }
-            cachePath = argv[++i];
-        } else if (arg == "--no-cache") {
-            noCache = true;
         } else if (arg == "--timings") {
             timingsMode = true;
         } else if (arg == "--jobs") {
@@ -187,10 +152,8 @@ main(int argc, char **argv)
             return 0;
         } else if (arg == "--help" || arg == "-h") {
             std::cout << "usage: rsin_lint [--root DIR] "
-                         "[--format=text|json|sarif] [--baseline FILE] "
-                         "[--emit-baseline] [--ratchet] "
-                         "[--schemas FILE] [--jobs N] [--cache FILE] "
-                         "[--no-cache] [--timings] [--dump-symbols] "
+                         "[--format=text|json|sarif] [--schemas FILE] "
+                         "[--jobs N] [--timings] [--dump-symbols] "
                          "[--dump-callgraph] [--dump-lockgraph] "
                          "[--list-rules] [file...]\n";
             printRules(std::cout);
@@ -244,8 +207,6 @@ main(int argc, char **argv)
         bool ioError = false;
         if (files.empty()) {
             rsin::lint::TreeOptions treeOpts;
-            if (!noCache)
-                treeOpts.cachePath = cachePath;
             treeOpts.jobs = jobs;
             rsin::lint::TreeReport report =
                 rsin::lint::lintTree(root, treeOpts);
@@ -296,36 +257,6 @@ main(int argc, char **argv)
             }
         }
 
-        if (emitBaselineMode) {
-            std::cout << rsin::lint::emitBaseline(findings);
-            return ioError ? 2 : 0;
-        }
-
-        std::size_t baselined = 0;
-        std::size_t slack = 0;
-        if (!baselinePath.empty()) {
-            bool ok = false;
-            const std::string text = readFileOr(baselinePath, ok);
-            if (!ok) {
-                std::cerr << "rsin-lint: cannot read baseline "
-                          << baselinePath << "\n";
-                return 2;
-            }
-            findings = rsin::lint::applyBaseline(
-                std::move(findings), rsin::lint::parseBaseline(text),
-                &baselined, &slack);
-        }
-        if (ratchet && slack != 0) {
-            std::cerr << "rsin-lint: baseline has " << slack
-                      << " unconsumed entr"
-                      << (slack == 1 ? "y" : "ies")
-                      << " -- the debt was paid down, so shrink "
-                      << baselinePath
-                      << " (the baseline may only ever ratchet "
-                         "down)\n";
-            return 1;
-        }
-
         // Machine formats carry only the findings on stdout; the
         // human summary moves to stderr so the artifact stays valid.
         std::ostream &summary =
@@ -338,20 +269,10 @@ main(int argc, char **argv)
             std::cout << rsin::lint::formatFindings(findings);
 
         if (findings.empty())
-            summary << "rsin-lint: clean"
-                    << (baselined != 0
-                            ? " (" + std::to_string(baselined) +
-                                  " baselined)"
-                            : "")
-                    << "\n";
+            summary << "rsin-lint: clean\n";
         else
             summary << "rsin-lint: " << findings.size() << " finding"
-                    << (findings.size() == 1 ? "" : "s")
-                    << (baselined != 0
-                            ? " (+" + std::to_string(baselined) +
-                                  " baselined)"
-                            : "")
-                    << "\n";
+                    << (findings.size() == 1 ? "" : "s") << "\n";
         if (ioError)
             return 2;
         return findings.empty() ? 0 : 1;

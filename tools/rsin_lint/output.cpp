@@ -1,11 +1,7 @@
 #include "output.hpp"
 
-#include "json_mini.hpp"
-
-#include <cctype>
 #include <cstdio>
 #include <sstream>
-#include <stdexcept>
 
 namespace rsin {
 namespace lint {
@@ -35,8 +31,6 @@ jsonEscape(const std::string &text)
     }
     return out.str();
 }
-
-const char kBaselineSchema[] = "rsin.lint_baseline.v1";
 
 } // namespace
 
@@ -156,96 +150,6 @@ formatSarif(const std::vector<Finding> &findings)
         << "  ]\n"
         << "}\n";
     return out.str();
-}
-
-std::string
-emitBaseline(const std::vector<Finding> &findings)
-{
-    std::map<std::pair<std::string, std::string>, std::size_t> counts;
-    for (const Finding &f : findings)
-        ++counts[{f.file, f.rule}];
-    std::ostringstream out;
-    out << "{\n  \"schema\": \"" << kBaselineSchema
-        << "\",\n  \"entries\": [\n";
-    std::size_t i = 0;
-    for (const auto &entry : counts) {
-        out << "    {\"file\": \"" << jsonEscape(entry.first.first)
-            << "\", \"rule\": \"" << jsonEscape(entry.first.second)
-            << "\", \"count\": " << entry.second << "}"
-            << (++i < counts.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-    return out.str();
-}
-
-Baseline
-parseBaseline(const std::string &json)
-{
-    const JsonValue doc = JsonReader(json, "baseline").parse();
-    if (doc.kind != JsonValue::Kind::Object)
-        throw std::runtime_error(
-            "baseline: top-level value must be an object");
-    const auto schema = doc.object.find("schema");
-    if (schema == doc.object.end() ||
-        schema->second.kind != JsonValue::Kind::String ||
-        schema->second.string != kBaselineSchema)
-        throw std::runtime_error(
-            std::string("baseline: missing or unsupported schema "
-                        "(expected \"") + kBaselineSchema + "\")");
-    const auto entries = doc.object.find("entries");
-    if (entries == doc.object.end() ||
-        entries->second.kind != JsonValue::Kind::Array)
-        throw std::runtime_error(
-            "baseline: missing \"entries\" array");
-    Baseline baseline;
-    for (const JsonValue &entry : entries->second.array) {
-        if (entry.kind != JsonValue::Kind::Object)
-            throw std::runtime_error(
-                "baseline: every entry must be an object");
-        const auto file = entry.object.find("file");
-        const auto rule = entry.object.find("rule");
-        const auto count = entry.object.find("count");
-        if (file == entry.object.end() ||
-            file->second.kind != JsonValue::Kind::String ||
-            rule == entry.object.end() ||
-            rule->second.kind != JsonValue::Kind::String ||
-            count == entry.object.end() ||
-            count->second.kind != JsonValue::Kind::Number ||
-            count->second.number < 0)
-            throw std::runtime_error(
-                "baseline: entries need a file (string), rule "
-                "(string) and count (non-negative number)");
-        baseline.allowed[{file->second.string, rule->second.string}] +=
-            static_cast<std::size_t>(count->second.number);
-    }
-    return baseline;
-}
-
-std::vector<Finding>
-applyBaseline(std::vector<Finding> findings, const Baseline &baseline,
-              std::size_t *baselined, std::size_t *slack)
-{
-    std::map<std::pair<std::string, std::string>, std::size_t> budget =
-        baseline.allowed;
-    std::vector<Finding> kept;
-    std::size_t dropped = 0;
-    for (Finding &f : findings) {
-        const auto it = budget.find({f.file, f.rule});
-        if (it != budget.end() && it->second > 0) {
-            --it->second;
-            ++dropped;
-            continue;
-        }
-        kept.push_back(std::move(f));
-    }
-    if (baselined)
-        *baselined = dropped;
-    if (slack) {
-        *slack = 0;
-        for (const auto &entry : budget)
-            *slack += entry.second;
-    }
-    return kept;
 }
 
 } // namespace lint

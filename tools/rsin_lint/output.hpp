@@ -2,25 +2,13 @@
 
 /**
  * @file
- * Output formats and the baseline ratchet for rsin-lint.
- *
- * Three renderings of a finding list: the classic "file:line: [rule]
- * message" text, a JSON array for scripting, and SARIF 2.1.0 for
+ * Output formats for rsin-lint: the rule catalog and two renderings
+ * of a finding list beyond the classic "file:line: [rule] message"
+ * text (lint.hpp) -- a JSON array for scripting and SARIF 2.1.0 for
  * GitHub code-scanning annotations.
- *
- * The baseline (tools/rsin_lint/baseline.json, schema
- * rsin.lint_baseline.v1) is the ratchet: it records, per (file, rule),
- * how many findings are grandfathered.  `--baseline` subtracts up to
- * that many findings from each bucket, so legacy debt passes CI while
- * any *new* finding -- or a finding in a new file -- fails
- * immediately.  Regenerate with `--emit-baseline` only when debt is
- * deliberately paid down; the file is reviewed like any other source.
  */
 
-#include <cstddef>
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "lint.hpp"
@@ -43,36 +31,6 @@ std::string formatJson(const std::vector<Finding> &findings);
 
 /** Findings as a SARIF 2.1.0 log (one run, tool driver "rsin-lint"). */
 std::string formatSarif(const std::vector<Finding> &findings);
-
-/** Grandfathered finding counts keyed by (file, rule). */
-struct Baseline
-{
-    std::map<std::pair<std::string, std::string>, std::size_t> allowed;
-};
-
-/** Serialize findings as a baseline document (counts per file+rule). */
-std::string emitBaseline(const std::vector<Finding> &findings);
-
-/**
- * Parse a baseline document.  Throws std::runtime_error on malformed
- * JSON or a wrong schema tag -- a silently ignored baseline would turn
- * the ratchet off.
- */
-Baseline parseBaseline(const std::string &json);
-
-/**
- * Drop up to the baselined count of findings from each (file, rule)
- * bucket; everything else survives.  @p baselined, when non-null,
- * receives the number of findings that were filtered out; @p slack,
- * when non-null, receives the unconsumed baseline budget -- entries
- * grandfathering findings that no longer exist.  Slack is how the
- * ratchet-direction check (`--ratchet`) knows the baseline should
- * have shrunk.
- */
-std::vector<Finding> applyBaseline(std::vector<Finding> findings,
-                                   const Baseline &baseline,
-                                   std::size_t *baselined,
-                                   std::size_t *slack = nullptr);
 
 } // namespace lint
 } // namespace rsin

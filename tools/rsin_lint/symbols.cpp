@@ -31,10 +31,13 @@ isControlKeyword(const std::string &name)
 
 } // namespace
 
-std::vector<FullTok>
+Lexed
 tokenizeFull(const std::string &src)
 {
-    std::vector<FullTok> toks;
+    Lexed out;
+    // Where tokens go: out.pp from a line-leading '#' up to the next
+    // unspliced newline, out.code otherwise.
+    std::vector<FullTok> *toks = &out.code;
     std::size_t line = 1;
     std::size_t lineStart = 0; // byte offset of the current line start
     std::size_t i = 0;
@@ -49,40 +52,35 @@ tokenizeFull(const std::string &src)
         if (c == '\n') {
             bumpLine(i);
             ++i;
+            toks = &out.code;
+            continue;
+        }
+        if (toks == &out.pp && c == '\\' && i + 1 < n &&
+            src[i + 1] == '\n') {
+            // Backslash continuation: the directive goes on.
+            bumpLine(i + 1);
+            i += 2;
             continue;
         }
         if (std::isspace(static_cast<unsigned char>(c))) {
             ++i;
             continue;
         }
-        // Preprocessor directive: drop to end of line, honouring
-        // backslash continuations (includes are the include_graph
-        // pass's business, macros are out of scope for the index).
-        if (c == '#') {
+        if (c == '#' && toks == &out.code) {
             bool firstOnLine = true;
             for (std::size_t k = lineStart; k < i; ++k)
                 if (!std::isspace(static_cast<unsigned char>(src[k]))) {
                     firstOnLine = false;
                     break;
                 }
-            if (firstOnLine) {
-                while (i < n) {
-                    if (src[i] == '\\' && i + 1 < n &&
-                        src[i + 1] == '\n') {
-                        bumpLine(i + 1);
-                        i += 2;
-                        continue;
-                    }
-                    if (src[i] == '\n')
-                        break;
-                    ++i;
-                }
-                continue;
-            }
+            if (firstOnLine)
+                toks = &out.pp;
         }
         if (c == '/' && i + 1 < n && src[i + 1] == '/') {
+            const std::size_t start = i;
             while (i < n && src[i] != '\n')
                 ++i;
+            out.comments.push_back({line, src.substr(start, i - start)});
             continue;
         }
         if (c == '/' && i + 1 < n && src[i + 1] == '*') {
@@ -112,7 +110,7 @@ tokenizeFull(const std::string &src)
             t.text = src.substr(d + 1, stop - d - 1);
             t.line = line;
             t.col = colOf(open);
-            toks.push_back(std::move(t));
+            toks->push_back(std::move(t));
             end = end == std::string::npos ? n : end + delim.size();
             for (; i < end; ++i)
                 if (src[i] == '\n')
@@ -145,7 +143,7 @@ tokenizeFull(const std::string &src)
                 t.text = src.substr(start, i - start);
                 t.line = line;
                 t.col = colOf(open);
-                toks.push_back(std::move(t));
+                toks->push_back(std::move(t));
             }
             i = i < n ? i + 1 : n;
             continue;
@@ -154,7 +152,7 @@ tokenizeFull(const std::string &src)
             const std::size_t start = i;
             while (i < n && identChar(src[i]))
                 ++i;
-            toks.push_back({'i', src.substr(start, i - start), line,
+            toks->push_back({'i', src.substr(start, i - start), line,
                             colOf(start)});
             continue;
         }
@@ -166,26 +164,26 @@ tokenizeFull(const std::string &src)
                      (src[i - 1] == 'e' || src[i - 1] == 'E' ||
                       src[i - 1] == 'p' || src[i - 1] == 'P'))))
                 ++i;
-            toks.push_back({'n', src.substr(start, i - start), line,
+            toks->push_back({'n', src.substr(start, i - start), line,
                             colOf(start)});
             continue;
         }
         // '::' and '->' matter to name chains; everything else is
         // emitted one character at a time.
         if (c == ':' && i + 1 < n && src[i + 1] == ':') {
-            toks.push_back({'p', "::", line, colOf(i)});
+            toks->push_back({'p', "::", line, colOf(i)});
             i += 2;
             continue;
         }
         if (c == '-' && i + 1 < n && src[i + 1] == '>') {
-            toks.push_back({'p', "->", line, colOf(i)});
+            toks->push_back({'p', "->", line, colOf(i)});
             i += 2;
             continue;
         }
-        toks.push_back({'p', std::string(1, c), line, colOf(i)});
+        toks->push_back({'p', std::string(1, c), line, colOf(i)});
         ++i;
     }
-    return toks;
+    return out;
 }
 
 namespace {
@@ -850,7 +848,7 @@ indexProgram(const std::vector<SourceFile> &files)
 {
     std::map<std::string, std::vector<FullTok>> tokens;
     for (const SourceFile &file : files)
-        tokens[file.path] = tokenizeFull(file.content);
+        tokens[file.path] = tokenizeFull(file.content).code;
     return indexProgram(files, std::move(tokens));
 }
 

@@ -3,8 +3,9 @@
 /**
  * @file
  * Cross-translation-unit layer of rsin-lint: a whole-program symbol
- * index and call graph built over the same comment/string-aware
- * lexing as the per-file rules (rules R10-R12).
+ * index and call graph built over the code tokens of the linter's one
+ * lexer, tokenizeFull(), which also feeds the per-file rules (rules
+ * R10-R12).
  *
  * The per-file rules treat each TU as an island; the properties the
  * repo actually promises -- bit-identical parallel execution and
@@ -58,12 +59,32 @@ struct FullTok
     std::size_t col = 0;  ///< 1-based column of the first character
 };
 
+/** One `//` comment: the text from the slashes to the end of line. */
+struct LineComment
+{
+    std::size_t line = 0; ///< 1-based
+    std::string text;
+};
+
+/** A source file lexed once: everything any rule reads of its text. */
+struct Lexed
+{
+    /** Tokens outside comments and preprocessor directives. */
+    std::vector<FullTok> code;
+    /** Tokens of preprocessor directives, '#' included; a spliced
+     *  (backslash-newline) directive keeps its physical lines. */
+    std::vector<FullTok> pp;
+    /** Every `//` comment, in source order (suppression directives
+     *  live here; block comments never carry them). */
+    std::vector<LineComment> comments;
+};
+
 /**
- * Tokenize raw source: comments and preprocessor directives dropped,
- * string/char literals kept as 's' tokens (their contents matter to
- * the schema fingerprinting of R12).
+ * The linter's one lexer.  Comments are dropped from the token
+ * streams, string literals kept as 's' tokens (their contents matter
+ * to the schema fingerprinting of R12), char literals dropped.
  */
-std::vector<FullTok> tokenizeFull(const std::string &src);
+Lexed tokenizeFull(const std::string &src);
 
 /** A function, member function or lambda in the program. */
 struct Symbol
@@ -143,8 +164,8 @@ struct Program
 Program indexProgram(const std::vector<SourceFile> &files);
 
 /**
- * indexProgram() over token streams the caller already produced (the
- * parallel engine tokenizes per file on worker threads and hands the
+ * indexProgram() over code token streams the caller already lexed
+ * (the parallel engine lexes per file on worker threads and hands the
  * merged map here).  @p tokens must hold one entry per file.
  */
 Program indexProgram(const std::vector<SourceFile> &files,
