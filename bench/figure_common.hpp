@@ -270,11 +270,17 @@ analyticCurve(const std::string &name, const std::string &config_text,
     for (std::size_t p = 0; p < grid.size(); ++p)
         lambdas[p] = lambdaAt(grid[p], mu_n, mu_s);
     std::vector<markov::SbusSolution> sols(grid.size());
+    std::vector<double> wall(grid.size(), 0.0);
     const exec::SweepRunner runner(sweepPool(),
                                    benchContext().observer.get());
     runner.run(1, grid.size(), 1, 0,
                [&](const exec::SweepCell &sweep_cell) {
-                   sols[sweep_cell.point] = solve(lambdas[sweep_cell.point]);
+                   const std::size_t p = sweep_cell.point;
+                   const auto start = std::chrono::steady_clock::now();
+                   sols[p] = solve(lambdas[p]);
+                   const std::chrono::duration<double> dt =
+                       std::chrono::steady_clock::now() - start;
+                   wall[p] = dt.count();
                });
     for (std::size_t p = 0; p < grid.size(); ++p) {
         const markov::SbusSolution &sol = sols[p];
@@ -283,7 +289,7 @@ analyticCurve(const std::string &name, const std::string &config_text,
                  lambdas[p], mu_n, mu_s, 0, -1,
                  analyticResult(sol.stable, sol.queueingDelay,
                                 sol.normalizedDelay),
-                 0.0, curve.cells.back());
+                 wall[p], curve.cells.back());
     }
     return curve;
 }

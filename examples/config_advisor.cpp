@@ -13,7 +13,9 @@
 #include <iostream>
 #include <string>
 
+#include "common/args.hpp"
 #include "common/error.hpp"
+#include "common/text.hpp"
 #include "rsin/advisor.hpp"
 #include "rsin/analysis.hpp"
 #include "rsin/factory.hpp"
@@ -26,13 +28,28 @@ main(int argc, char **argv)
     std::string config_text = "16/4x4x4 OMEGA/2";
     double ratio = 0.1;
     std::size_t gates_per_resource = 2000;
+    if (argc > 4)
+        exitOnBadArgs(argv[0], std::string("unexpected argument '") +
+                                   argv[4] +
+                                   "' (takes CONFIG RATIO GATES)");
     if (argc > 1)
         config_text = argv[1];
-    if (argc > 2)
-        ratio = std::stod(argv[2]);
-    if (argc > 3)
-        gates_per_resource = static_cast<std::size_t>(
-            std::stoul(argv[3]));
+    if (argc > 2) {
+        const auto value = parseDouble(argv[2]);
+        if (!value)
+            exitOnBadArgs(argv[0], std::string("bad ratio '") + argv[2] +
+                                       "'");
+        ratio = *value;
+    }
+    if (argc > 3) {
+        const auto value = parseLong(argv[3]);
+        if (!value || *value <= 0)
+            exitOnBadArgs(argv[0],
+                          std::string("gates per resource must be a "
+                                      "positive integer, got '") +
+                              argv[3] + "'");
+        gates_per_resource = static_cast<std::size_t>(*value);
+    }
 
     try {
         const auto cfg = SystemConfig::parse(config_text);

@@ -12,7 +12,9 @@
 #include <iostream>
 #include <string>
 
+#include "common/args.hpp"
 #include "common/error.hpp"
+#include "common/text.hpp"
 #include "rsin/analysis.hpp"
 #include "rsin/factory.hpp"
 
@@ -23,14 +25,20 @@ main(int argc, char **argv)
 
     std::string config_text = "16/1x16x16 OMEGA/2";
     double rho = 0.5, mu_n = 1.0, mu_s = 0.1;
+    double *const numbers[] = {&rho, &mu_n, &mu_s};
+    if (argc > 5)
+        exitOnBadArgs(argv[0], std::string("unexpected argument '") +
+                                   argv[5] +
+                                   "' (takes CONFIG RHO MU_N MU_S)");
     if (argc > 1)
         config_text = argv[1];
-    if (argc > 2)
-        rho = std::stod(argv[2]);
-    if (argc > 3)
-        mu_n = std::stod(argv[3]);
-    if (argc > 4)
-        mu_s = std::stod(argv[4]);
+    for (int i = 2; i < argc; ++i) {
+        const auto value = parseDouble(argv[i]);
+        if (!value)
+            exitOnBadArgs(argv[0], std::string("bad number '") +
+                                       argv[i] + "'");
+        *numbers[i - 2] = *value;
+    }
 
     try {
         // 1. Parse the paper-notation configuration.

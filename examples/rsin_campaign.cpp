@@ -26,9 +26,12 @@
  * at a time): default 1 = serial calendar, 0 = auto, P > 1 explicit
  * -- the same convention as rsin_sweep and the figure benches.
  *
- * SBUS configurations additionally get exact Markov solver cells; the
- * solver memo is persisted next to the ledger (analysis_cache.txt) so
- * a resume serves them from the cache.
+ * Every configuration with an exact Markov chain (SBUS, and the
+ * crossbar and Omega shapes in range of the LD-QBD solvers) also gets
+ * analytic cells.  They are solved in plan order as one lane on the
+ * worker pool, beside the simulation cells; the solver memo is
+ * persisted next to the ledger (analysis_cache.txt) so a resume
+ * serves them from the cache.
  *
  * Test hooks: --kill-after-cells N raises SIGKILL after the Nth
  * ledger append (crash-consistency tests), --deterministic zeroes
@@ -164,7 +167,7 @@ simulationRecord(const CampaignSpec &spec, const CampaignCell &cell,
 
 obs::RunRecord
 analyticRecord(const CampaignSpec &spec, const CampaignCell &cell,
-               const markov::SbusSolution &sol)
+               const markov::SbusSolution &sol, double wall_seconds)
 {
     obs::RunRecord rec;
     rec.curve = cellCurve(spec, cell);
@@ -185,6 +188,7 @@ analyticRecord(const CampaignSpec &spec, const CampaignCell &cell,
     rec.result.shardsUsed = 0; // no calendar ran
     rec.display =
         sol.stable ? formatf("%.5f", sol.normalizedDelay) : "inf";
+    rec.wallSeconds = wall_seconds;
     return rec;
 }
 
@@ -308,27 +312,38 @@ main(int argc, char **argv)
         if (jobs > 1)
             pool = std::make_unique<exec::ThreadPool>(jobs);
         const bool sharded = shards != 1;
+        const auto wallSince =
+            [deterministic](std::chrono::steady_clock::time_point t0) {
+                const std::chrono::duration<double> dt =
+                    std::chrono::steady_clock::now() - t0;
+                return deterministic ? 0.0 : dt.count();
+            };
 
-        // Analytic cells first: cheap deterministic solver points,
-        // served from (and refilling) the persisted memo.
-        std::vector<const CampaignCell *> sim_cells;
-        for (const CampaignCell *cell : todo) {
-            if (!cell->analytic) {
-                sim_cells.push_back(cell);
-                continue;
+        std::vector<const CampaignCell *> analytic_cells, sim_cells;
+        for (const CampaignCell *cell : todo)
+            (cell->analytic ? analytic_cells : sim_cells).push_back(cell);
+
+        // The analytic lane: exact solver points in plan order, served
+        // from (and refilling) the persisted memo.  One lane rather than
+        // one task per cell, because a 495-phase solve holds 7-11 MiB
+        // at its peak (more at high load): solves side by side would
+        // multiply that.
+        const auto solveAnalytic = [&] {
+            for (const CampaignCell *cell : analytic_cells) {
+                const auto &cfg = spec.configs[cell->configIndex];
+                const double mu_s = spec.muN * cell->ratio;
+                const auto t0 = std::chrono::steady_clock::now();
+                const auto sol =
+                    cfg.network == NetworkClass::SingleBus
+                        ? analyzeSbus(cfg, cell->lambda, spec.muN, mu_s)
+                    : xbarExactInRange(cfg)
+                        ? xbarExact(cfg, cell->lambda, spec.muN, mu_s)
+                        : omegaExact(cfg, cell->lambda, spec.muN, mu_s);
+                kill.maybeKill(writer.append(
+                    cell->key,
+                    analyticRecord(spec, *cell, sol, wallSince(t0))));
             }
-            const auto &cfg = spec.configs[cell->configIndex];
-            const double mu_s = spec.muN * cell->ratio;
-            const auto sol =
-                cfg.network == NetworkClass::SingleBus
-                    ? analyzeSbus(cfg, cell->lambda, spec.muN, mu_s)
-                : xbarExactInRange(cfg)
-                    ? xbarExact(cfg, cell->lambda, spec.muN, mu_s)
-                    : omegaExact(cfg, cell->lambda, spec.muN, mu_s);
-            kill.maybeKill(
-                writer.append(cell->key,
-                              analyticRecord(spec, *cell, sol)));
-        }
+        };
 
         // Simulation cells through the explicit-cell-list scheduling
         // hook: seeds ride in the cells, so any subset runs on any
@@ -347,24 +362,42 @@ main(int argc, char **argv)
         }
         const exec::SweepRunner runner(sharded ? nullptr : pool.get(),
                                        &observer);
-        runner.runCells(sweep_cells, [&](const exec::SweepCell &sc) {
-            const CampaignCell &cell = *sim_cells[sc.flat];
-            SimOptions opts;
-            opts.seed = cell.seed;
-            opts.warmupTasks = spec.tasks / 10;
-            opts.measureTasks = spec.tasks;
-            opts.shards = shards;
-            const auto t0 = std::chrono::steady_clock::now();
-            const SimResult res = simulate(
-                spec.configs[cell.configIndex],
-                cellWorkload(spec, cell), opts, cellModel(spec, cell),
-                sharded ? pool.get() : nullptr);
-            const std::chrono::duration<double> dt =
-                std::chrono::steady_clock::now() - t0;
-            const double wall = deterministic ? 0.0 : dt.count();
-            kill.maybeKill(writer.append(
-                cell.key, simulationRecord(spec, cell, res, wall)));
-        });
+        const auto simulateAll = [&] {
+            runner.runCells(sweep_cells, [&](const exec::SweepCell &sc) {
+                const CampaignCell &cell = *sim_cells[sc.flat];
+                SimOptions opts;
+                opts.seed = cell.seed;
+                opts.warmupTasks = spec.tasks / 10;
+                opts.measureTasks = spec.tasks;
+                opts.shards = shards;
+                const auto t0 = std::chrono::steady_clock::now();
+                const SimResult res = simulate(
+                    spec.configs[cell.configIndex],
+                    cellWorkload(spec, cell), opts, cellModel(spec, cell),
+                    sharded ? pool.get() : nullptr);
+                kill.maybeKill(writer.append(
+                    cell.key,
+                    simulationRecord(spec, cell, res, wallSince(t0))));
+            });
+        };
+
+        if (pool && !sharded) {
+            // The lane starts first; the other pool threads run the
+            // simulation cells meanwhile (the nested runCells call
+            // drains on whichever threads are free).  A throw from
+            // either branch is rethrown here once both have finished.
+            pool->parallelFor(2, [&](std::size_t branch) {
+                if (branch == 0)
+                    solveAnalytic();
+                else
+                    simulateAll();
+            });
+        } else {
+            // No pool, or the pool works inside each run: one after
+            // the other.
+            solveAnalytic();
+            simulateAll();
+        }
         writer.close();
         AnalysisCache::global().save(cache_path);
 

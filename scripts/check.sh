@@ -10,10 +10,14 @@
 #              (build-asan/).  Catches heap errors in the DES arenas,
 #              container misuse, signed overflow, bad shifts.
 #   tsan       ThreadSanitizer build of the concurrency-sensitive
-#              suites (test_exec, test_des, test_partitioned) and
-#              runs them
-#              (build-tsan/).  Catches races in the thread pool and
-#              the sweep runner.
+#              suites (test_exec, test_des, test_partitioned,
+#              test_campaign) and runs them (build-tsan/).  Catches
+#              races in the thread pool and the sweep runner; the
+#              campaign tests drive an instrumented rsin_campaign,
+#              whose analytic lane runs chain solves, the shared
+#              analysis cache and ledger appends beside the
+#              simulation workers (a TSan report exits the child 66
+#              and fails the test).
 #   contracts  Debug build with -DRSIN_CONTRACTS=ON, full ctest suite
 #              (build-contracts/).  Runtime invariants fire: calendar
 #              heap order, per-fire time monotonicity, task
@@ -53,10 +57,11 @@ run_tsan() {
         -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
         -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
         "$@"
-    cmake --build "$build" --target test_exec test_des test_partitioned \
+    cmake --build "$build" \
+        --target test_exec test_des test_partitioned test_campaign \
         -j "$(nproc)"
     status=0
-    for t in test_exec test_des test_partitioned; do
+    for t in test_exec test_des test_partitioned test_campaign; do
         echo "== TSan: $t =="
         "$build/tests/$t" || status=1
     done

@@ -119,15 +119,20 @@ ArgParser::getJobs(const std::string &name, long fallback) const
 }
 
 void
+exitOnBadArgs(const char *argv0, const std::string &message)
+{
+    const std::string path = argv0;
+    const std::string prog = path.substr(path.rfind('/') + 1); // basename
+    std::cerr << prog << ": " << message << "\n";
+    std::exit(1);
+}
+
+void
 requireNoArgs(int argc, const char *const *argv)
 {
-    if (argc < 2)
-        return;
-    const std::string path = argv[0];
-    const std::string prog = path.substr(path.rfind('/') + 1); // basename
-    std::cerr << prog << ": unexpected argument '" << argv[1]
-              << "' (this program takes none)\n";
-    std::exit(1);
+    if (argc >= 2)
+        exitOnBadArgs(argv[0], std::string("unexpected argument '") +
+                                   argv[1] + "' (this program takes none)");
 }
 
 } // namespace rsin

@@ -82,6 +82,13 @@ class ArgParser
 };
 
 /**
+ * Reject a bad command line: print "<prog>: <message>" to stderr, prog
+ * being the basename of @p argv0, and exit 1.
+ */
+[[noreturn]] void exitOnBadArgs(const char *argv0,
+                                const std::string &message);
+
+/**
  * The command-line check of a program that takes no arguments: given
  * any, print "<prog>: unexpected argument '<arg>' (this program takes
  * none)" to stderr and exit 1, so a typo or a flag meant for another

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "common/error.hpp"
 #include "la/kernels.hpp"
@@ -60,6 +61,16 @@ Matrix::operator+(const Matrix &other) const
     for (std::size_t i = 0; i < data_.size(); ++i)
         out.data_[i] = data_[i] + other.data_[i];
     return out;
+}
+
+Matrix &
+Matrix::operator+=(const Matrix &other)
+{
+    RSIN_REQUIRE(rows_ == other.rows_ && cols_ == other.cols_,
+                 "matrix add: shape mismatch");
+    for (std::size_t i = 0; i < data_.size(); ++i)
+        data_[i] += other.data_[i];
+    return *this;
 }
 
 Matrix
@@ -198,10 +209,10 @@ subtract(const Vector &a, const Vector &b)
     return out;
 }
 
-LuFactors::LuFactors(const Matrix &a)
-    : lu_(a), perm_(a.rows())
+LuFactors::LuFactors(Matrix a)
+    : lu_(std::move(a)), perm_(lu_.rows())
 {
-    RSIN_REQUIRE(a.square(), "LU: matrix must be square");
+    RSIN_REQUIRE(lu_.square(), "LU: matrix must be square");
     const bool regular = kernels::factorLu(lu_.rows(), lu_.data(),
                                            lu_.cols(), perm_.data(), 1e-300);
     RSIN_REQUIRE(regular, "LU: matrix is singular");
@@ -288,7 +299,7 @@ solve(const Matrix &a, const Vector &b)
 }
 
 Vector
-stationaryFromGenerator(const Matrix &q)
+stationaryFromGenerator(Matrix q)
 {
     RSIN_REQUIRE(q.square(), "stationary: generator must be square");
     const std::size_t n = q.rows();
@@ -296,12 +307,11 @@ stationaryFromGenerator(const Matrix &q)
     // Solve Q^T pi = 0 with the last equation replaced by sum(pi) = 1:
     // replace Q's last *column* by ones and solve the transposed
     // system against one factorization -- no transposed copy.
-    Matrix a = q;
     for (std::size_t i = 0; i < n; ++i)
-        a(i, n - 1) = 1.0;
+        q(i, n - 1) = 1.0;
     Vector b(n, 0.0);
     b[n - 1] = 1.0;
-    Vector pi = LuFactors(a).solveTransposed(b);
+    Vector pi = LuFactors(std::move(q)).solveTransposed(b);
     // Clamp tiny negative round-off and renormalize.
     double sum = 0.0;
     for (auto &p : pi) {

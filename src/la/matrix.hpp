@@ -46,6 +46,8 @@ class Matrix
     const double *data() const { return data_.data(); }
 
     Matrix operator+(const Matrix &other) const;
+    /** Elementwise this += other, in place (same sums as operator+). */
+    Matrix &operator+=(const Matrix &other);
     Matrix operator-(const Matrix &other) const;
     Matrix operator*(const Matrix &other) const;
     Matrix operator*(double scalar) const;
@@ -96,8 +98,9 @@ Vector subtract(const Vector &a, const Vector &b);
 class LuFactors
 {
   public:
-    /** Factor @p a; throws FatalError if (numerically) singular. */
-    explicit LuFactors(const Matrix &a);
+    /** Factor @p a in place (pass a temporary or std::move to spare
+     *  the copy); throws FatalError if (numerically) singular. */
+    explicit LuFactors(Matrix a);
 
     /** Solve A x = b for one right-hand side. */
     Vector solve(const Vector &b) const;
@@ -131,9 +134,11 @@ Vector solve(const Matrix &a, const Vector &b);
 /**
  * Solve x A = 0 with sum(x) = 1 (stationary distribution of a CTMC
  * generator A).  Implemented by replacing one balance equation with the
- * normalization constraint and LU-solving the transpose system.
+ * normalization constraint and LU-solving the transpose system.  The
+ * patched generator is factored in place: a temporary or moved @p q
+ * is never copied.
  */
-Vector stationaryFromGenerator(const Matrix &q);
+Vector stationaryFromGenerator(Matrix q);
 
 } // namespace la
 } // namespace rsin

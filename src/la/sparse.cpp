@@ -289,8 +289,10 @@ gmres(const LinearOperator &a, const Vector &b, Vector &x,
     const double bnorm = std::max(norm2(b), 1e-300);
     GmresResult result;
 
-    // Workspace reused across restart cycles.
-    std::vector<Vector> basis(m + 1, Vector(n, 0.0));
+    // Workspace reused across restart cycles.  Each Krylov vector is
+    // allocated when an iteration first reaches it: most solves
+    // converge long before the restart length.
+    std::vector<Vector> basis(m + 1);
     Matrix hess(m + 1, m, 0.0);
     Vector cs(m, 0.0), sn(m, 0.0), g(m + 1, 0.0);
     Vector scratch(n, 0.0), precond_out(n, 0.0);
@@ -308,6 +310,7 @@ gmres(const LinearOperator &a, const Vector &b, Vector &x,
         // Residual of the current iterate (true residual: the right
         // preconditioner does not distort it).
         a.apply(x.data(), scratch.data());
+        basis[0].resize(n);
         for (std::size_t i = 0; i < n; ++i)
             basis[0][i] = b[i] - scratch[i];
         double beta = norm2(basis[0]);
@@ -324,6 +327,7 @@ gmres(const LinearOperator &a, const Vector &b, Vector &x,
         std::size_t k = 0;
         for (; k < m && result.iterations < kGmresMaxIterations; ++k) {
             ++result.iterations;
+            basis[k + 1].resize(n);
             applyA(basis[k], basis[k + 1]);
             // Modified Gram-Schmidt.
             for (std::size_t i = 0; i <= k; ++i) {

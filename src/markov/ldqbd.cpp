@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -76,11 +77,12 @@ limitChain(const LdQbdModel &model)
     LevelBlocks &b = lim.blocks;
     model.limitBlocks(b.a0, b.a1, b.a2);
     {
-        // Named, so the three dense addends are freed before the LU
-        // runs.
-        const la::Matrix generator =
-            densify(b.a0, n) + densify(b.a1, n) + densify(b.a2, n);
-        lim.xi = la::stationaryFromGenerator(generator);
+        // (A0 + A1) + A2, summed in place with one densified addend
+        // live at a time; the sum is then factored in place.
+        la::Matrix generator = densify(b.a0, n);
+        generator += densify(b.a1, n);
+        generator += densify(b.a2, n);
+        lim.xi = la::stationaryFromGenerator(std::move(generator));
     }
     la::Vector up(n, 0.0), down(n, 0.0);
     for (const auto &e : b.a0)
@@ -181,7 +183,7 @@ denseSolveAt(const LdQbdModel &model, const DenseTail &tail,
     // Forward pass: pi_0 from the fully censored boundary generator,
     // then pi_{l+1} = pi_l A0(l) (-S_{l+1})^{-1}.
     std::vector<la::Vector> pis(depth + 1);
-    pis[0] = la::stationaryFromGenerator(s);
+    pis[0] = la::stationaryFromGenerator(std::move(s));
     for (std::size_t l = 0; l < depth; ++l) {
         la::Vector up(n, 0.0);
         for (const la::Triplet &e : levels[l].a0)
@@ -364,6 +366,14 @@ sparseSolveAt(const LdQbdModel &model, std::size_t depth,
         b1.clear();
         b2.clear();
         model.levelBlocks(l, b0, b1, b2);
+        if (l == 1) {
+            // No deeper level has more entries than level 1: size the
+            // list once instead of letting push_back hold an old and a
+            // doubled buffer at once.
+            entries.reserve(entries.size() +
+                            depth * (b0.size() + b1.size() + b2.size()) +
+                            states);
+        }
         const std::size_t base = l * n;
         const bool top = l == depth;
         const auto emit = [&](std::size_t from, std::size_t to,

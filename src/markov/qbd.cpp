@@ -102,7 +102,7 @@ solveBandedTruncated(const la::Matrix &a0, const la::Matrix &a1,
     la::multiplyInto(1.0, b01, s1.solveMatrix(b10), s0, true);
 
     BandedStationary out;
-    out.boundary = la::stationaryFromGenerator(s0);
+    out.boundary = la::stationaryFromGenerator(std::move(s0));
 
     // Upward substitution: pi_1 = pi_0 B01 (-S_1)^{-1}, then
     // pi_{l+1} = pi_l A0 (-S_{l+1})^{-1}; vector-times-inverse is one

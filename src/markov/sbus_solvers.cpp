@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -168,7 +169,7 @@ stagedSolveAt(const SbusChain &chain, std::size_t q, SbusSolution &out)
     la::Vector x;
     try {
         // x sys = rhs^T: transposed solve, no transposed copy.
-        x = la::LuFactors(sys).solveTransposed(rhs);
+        x = la::LuFactors(std::move(sys)).solveTransposed(rhs);
     } catch (const FatalError &) {
         return false; // singular at this depth
     }

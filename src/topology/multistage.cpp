@@ -1,6 +1,7 @@
 #include "multistage.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/error.hpp"
 
@@ -127,24 +128,26 @@ MultistageNetwork::buildWiring()
 void
 MultistageNetwork::buildReachability()
 {
-    reach_.assign(stages_ + 1,
-                  std::vector<std::vector<bool>>(
-                      n_, std::vector<bool>(n_, false)));
+    const std::size_t row_words = words();
+    reach_.assign((stages_ + 1) * n_ * row_words, 0);
     // Boundary n: link d reaches output d only.
     for (std::size_t d = 0; d < n_; ++d)
-        reach_[stages_][d][d] = true;
+        reach_[(stages_ * n_ + d) * row_words + d / 64] |=
+            std::uint64_t{1} << (d % 64);
     // Backward induction: a boundary-k link reaches whatever either
-    // output port of its box reaches at boundary k+1.
+    // output port of its box reaches at boundary k+1, one word at a
+    // time.
     for (std::size_t stage = stages_; stage-- > 0;) {
         for (std::size_t link = 0; link < n_; ++link) {
             const std::size_t box = boxOf(stage, link);
-            for (std::size_t q = 0; q < 2; ++q) {
-                const std::size_t next = outputLink(box, q);
-                for (std::size_t d = 0; d < n_; ++d) {
-                    if (reach_[stage + 1][next][d])
-                        reach_[stage][link][d] = true;
-                }
-            }
+            const std::uint64_t *upper =
+                reachRow(stage + 1, outputLink(box, 0));
+            const std::uint64_t *lower =
+                reachRow(stage + 1, outputLink(box, 1));
+            std::uint64_t *row =
+                reach_.data() + (stage * n_ + link) * row_words;
+            for (std::size_t w = 0; w < row_words; ++w)
+                row[w] = upper[w] | lower[w];
         }
     }
 }
@@ -155,7 +158,7 @@ MultistageNetwork::reaches(std::size_t stage, std::size_t link,
 {
     RSIN_REQUIRE(stage <= stages_ && link < n_ && dst < n_,
                  "reaches: out of range");
-    return reach_[stage][link][dst];
+    return (reachRow(stage, link)[dst / 64] >> (dst % 64)) & 1;
 }
 
 std::vector<std::size_t>
@@ -164,10 +167,12 @@ MultistageNetwork::reachableOutputs(std::size_t stage,
 {
     RSIN_REQUIRE(stage <= stages_ && link < n_,
                  "reachableOutputs: out of range");
+    const std::uint64_t *row = reachRow(stage, link);
     std::vector<std::size_t> out;
-    for (std::size_t d = 0; d < n_; ++d)
-        if (reach_[stage][link][d])
-            out.push_back(d);
+    for (std::size_t w = 0; w < words(); ++w)
+        for (std::uint64_t bits = row[w]; bits != 0; bits &= bits - 1)
+            out.push_back(w * 64 +
+                          static_cast<std::size_t>(std::countr_zero(bits)));
     return out;
 }
 
@@ -177,7 +182,8 @@ MultistageNetwork::routePort(std::size_t stage, std::size_t link,
 {
     const std::size_t box = boxOf(stage, link);
     for (std::size_t q = 0; q < 2; ++q) {
-        if (reach_[stage + 1][outputLink(box, q)][dst])
+        if ((reachRow(stage + 1, outputLink(box, q))[dst / 64] >>
+             (dst % 64)) & 1)
             return q;
     }
     RSIN_FATAL("routePort: output ", dst, " unreachable from stage ", stage,

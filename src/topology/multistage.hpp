@@ -144,6 +144,17 @@ class MultistageNetwork
     void buildWiring();
     void buildReachability();
 
+    /** 64-bit words per reachability row. */
+    std::size_t words() const { return (n_ + 63) / 64; }
+
+    /** Reachability bitset of boundary-@p stage link @p link: bit d of
+     *  word d / 64 is set iff output d is reachable. */
+    const std::uint64_t *
+    reachRow(std::size_t stage, std::size_t link) const
+    {
+        return reach_.data() + (stage * n_ + link) * words();
+    }
+
     MultistageKind kind_;
     std::size_t n_;
     std::size_t stages_;
@@ -152,8 +163,8 @@ class MultistageNetwork
     std::vector<std::uint32_t> position_;
     /** inputLink_[stage * n + stagePosition(stage, l)] = l. */
     std::vector<std::uint32_t> inputLink_;
-    /** reach_[stage][link] = bitmask vector over outputs. */
-    std::vector<std::vector<std::vector<bool>>> reach_;
+    /** (stages+1) x n rows of words() words each; see reachRow. */
+    std::vector<std::uint64_t> reach_;
 };
 
 /**

@@ -310,16 +310,18 @@ TEST(LedgerWriterTest, RefusesForeignManifest)
 
 #ifdef RSIN_CAMPAIGN_BIN
 
-/** Run the campaign binary; returns its raw wait status. */
+/** Run the campaign binary; returns its raw wait status.  Records
+ *  carry zeroed wall times unless @p deterministic is false. */
 int
-runCampaign(const std::string &ledger, const std::string &extra)
+runCampaign(const std::string &ledger, const std::string &extra,
+            bool deterministic = true)
 {
     const std::string cmd =
         std::string(RSIN_CAMPAIGN_BIN) +
         " '8/8x1x1 SBUS/2;8/1x8x8 OMEGA/2' --ratios 0.5 --steps 3" +
-        " --tasks 1500 --replications 2 --seed 11 --deterministic" +
-        " --ledger " + ledger + " " + extra + " > " + ledger +
-        ".log 2>&1";
+        " --tasks 1500 --replications 2 --seed 11" +
+        (deterministic ? " --deterministic" : "") + " --ledger " +
+        ledger + " " + extra + " > " + ledger + ".log 2>&1";
     return std::system(cmd.c_str());
 }
 
@@ -351,8 +353,10 @@ TEST(CampaignResumeTest, KillAndResumeIsBitIdenticalToOneShot)
 
     ASSERT_EQ(runCampaign(oneshot, ""), 0);
 
-    // Kill roughly half way: 6 analytic cells (3 SBUS + 3 OMEGA
-    // exact-chain) + one simulation.
+    // Kill after 7 of the 18 appends.  The 6 analytic cells (3 SBUS +
+    // 3 OMEGA exact-chain) run as one lane beside the 12 simulations,
+    // so which records the crash keeps depends on the schedule; the
+    // merged set must not.
     const int status = runCampaign(crashed, "--kill-after-cells 7");
     ASSERT_TRUE(WIFEXITED(status) || WIFSIGNALED(status));
     ASSERT_NE(status, 0);
@@ -406,6 +410,36 @@ TEST(CampaignResumeTest, AnalyticCellsAreServedFromPersistedCache)
     const auto log = common::readFile(dir + ".log");
     ASSERT_TRUE(log.has_value());
     EXPECT_NE(log->find("cached analytic solves"), std::string::npos);
+}
+
+TEST(CampaignResumeTest, JobsDoNotChangeTheRecords)
+{
+    // --jobs 1 solves the analytic cells before any simulation;
+    // --jobs 4 runs them as a lane beside the simulations, whatever
+    // the host's thread count.  The records must not notice.
+    const std::string serial = scratchDir("campaign_jobs1");
+    const std::string pooled = scratchDir("campaign_jobs4");
+    ASSERT_EQ(runCampaign(serial, "--jobs 1"), 0);
+    ASSERT_EQ(runCampaign(pooled, "--jobs 4"), 0);
+    const auto lines = ledgerLines(serial);
+    EXPECT_EQ(lines.size(), 18u);
+    EXPECT_EQ(ledgerLines(pooled), lines);
+}
+
+TEST(CampaignResumeTest, AnalyticRecordsCarryTheirSolveTime)
+{
+    const std::string dir = scratchDir("campaign_wall");
+    ASSERT_EQ(runCampaign(dir, "--jobs 4", false), 0);
+    std::size_t analytic = 0;
+    for (const std::string &line : ledgerLines(dir)) {
+        obs::LedgerEntry entry;
+        ASSERT_TRUE(obs::parseLedgerLine(line, entry));
+        if (entry.record.kind != obs::RecordKind::Analytic)
+            continue;
+        ++analytic;
+        EXPECT_GT(entry.record.wallSeconds, 0.0) << entry.key;
+    }
+    EXPECT_EQ(analytic, 6u);
 }
 
 TEST(CampaignResumeTest, ProcessShardsPartitionTheCells)

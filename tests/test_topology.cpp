@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -299,6 +302,81 @@ TEST(CustomTopologyTest, RandomWiringsKeepReachabilityConsistent)
                 const auto path = net.path(src, dst);
                 EXPECT_EQ(path.front(), src);
                 EXPECT_EQ(path.back(), dst);
+            }
+        }
+    }
+}
+
+/** Outputs reachable from boundary-@p stage link @p link, by walking
+ *  every box output forward one boundary at a time. */
+std::vector<bool>
+bruteForceReach(const MultistageNetwork &net, std::size_t stage,
+                std::size_t link)
+{
+    const std::size_t n = net.size();
+    std::vector<bool> frontier(n, false);
+    frontier[link] = true;
+    for (std::size_t k = stage; k < net.stages(); ++k) {
+        std::vector<bool> next(n, false);
+        for (std::size_t l = 0; l < n; ++l) {
+            if (!frontier[l])
+                continue;
+            const std::size_t box = net.boxOf(k, l);
+            next[net.outputLink(box, 0)] = true;
+            next[net.outputLink(box, 1)] = true;
+        }
+        frontier = std::move(next);
+    }
+    return frontier;
+}
+
+TEST(TopologyTest, ReachabilityMatchesBruteForce)
+{
+    // reaches, reachableOutputs and routePort against a forward walk,
+    // for the two banyans and for seeded random wirings (generally not
+    // banyans: outputs missed or reached twice), at every width up to
+    // 256 -- four 64-bit words per reachability row.
+    rsin::Rng rng(19);
+    for (std::size_t n = 2; n <= 256; n *= 2) {
+        std::vector<MultistageNetwork> nets;
+        nets.emplace_back(MultistageKind::Omega, n);
+        nets.emplace_back(MultistageKind::IndirectCube, n);
+        for (int trial = 0; trial < 2; ++trial) {
+            std::vector<std::vector<std::size_t>> perms(
+                nets.front().stages(), std::vector<std::size_t>(n));
+            for (auto &perm : perms) {
+                for (std::size_t i = 0; i < n; ++i)
+                    perm[i] = i;
+                rng.shuffle(perm);
+            }
+            nets.emplace_back(std::move(perms));
+        }
+        for (const MultistageNetwork &net : nets) {
+            SCOPED_TRACE(kindName(net.kind()) + " n=" + std::to_string(n));
+            for (std::size_t stage = 0; stage <= net.stages(); ++stage) {
+                for (std::size_t link = 0; link < n; ++link) {
+                    const std::vector<bool> want =
+                        bruteForceReach(net, stage, link);
+                    std::vector<std::size_t> listed;
+                    for (std::size_t d = 0; d < n; ++d) {
+                        ASSERT_EQ(net.reaches(stage, link, d), want[d])
+                            << "stage " << stage << " link " << link
+                            << " dst " << d;
+                        if (want[d])
+                            listed.push_back(d);
+                    }
+                    ASSERT_EQ(net.reachableOutputs(stage, link), listed);
+                    if (stage == net.stages())
+                        continue;
+                    // routePort takes the upper output whenever it
+                    // reaches the destination.
+                    const std::size_t box = net.boxOf(stage, link);
+                    const std::vector<bool> upper = bruteForceReach(
+                        net, stage + 1, net.outputLink(box, 0));
+                    for (std::size_t d : listed)
+                        ASSERT_EQ(net.routePort(stage, link, d),
+                                  upper[d] ? 0u : 1u);
+                }
             }
         }
     }
