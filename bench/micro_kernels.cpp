@@ -52,27 +52,19 @@ BENCHMARK(BM_EventQueueScheduleFire)->Arg(1000)->Arg(10000);
 void
 BM_SimulatorChurn(benchmark::State &state)
 {
-    // Steady-state schedule/fire/cancel churn on one long-lived
-    // simulator: the arena recycles slots instead of allocating, and
-    // every third event is cancelled to exercise lazy deletion.
+    // Steady-state schedule/fire churn on one long-lived simulator:
+    // every event schedules a follow-up, and the arena recycles slots
+    // instead of allocating.
     const std::size_t horizon = static_cast<std::size_t>(state.range(0));
     Rng rng(3);
     des::Simulator sim;
-    std::vector<des::EventHandle> handles;
     std::uint64_t spawned = 0;
     for (auto _ : state) {
-        handles.clear();
-        for (std::size_t i = 0; i < horizon; ++i) {
-            auto handle = sim.schedule(rng.uniform01(), [&sim, &rng,
-                                                         &spawned] {
+        for (std::size_t i = 0; i < horizon; ++i)
+            sim.schedule(rng.uniform01(), [&sim, &rng, &spawned] {
                 ++spawned;
                 sim.schedule(rng.uniform01(), [&spawned] { ++spawned; });
             });
-            if (i % 3 == 0)
-                handles.push_back(handle);
-        }
-        for (auto &handle : handles)
-            sim.cancel(handle);
         sim.runAll();
         benchmark::DoNotOptimize(spawned);
     }

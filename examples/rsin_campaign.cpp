@@ -35,7 +35,7 @@
  *
  * Test hooks: --kill-after-cells N raises SIGKILL after the Nth
  * ledger append (crash-consistency tests), --deterministic zeroes
- * wall-clock fields so record bytes are run-independent.
+ * wall-clock fields so record and export bytes are run-independent.
  */
 
 #include <chrono>
@@ -418,7 +418,10 @@ main(int argc, char **argv)
             // produced each record.
             for (const auto &[key, entry] : merged.entries)
                 log.add(entry.record);
-            log.noteSweep(observer.stats(), 0.0);
+            exec::SweepStats sweep = observer.stats();
+            if (deterministic)
+                sweep.cellSecondsTotal = sweep.cellSecondsMax = 0.0;
+            log.noteSweep(sweep, 0.0);
             log.writeFile(out, out_format);
             std::cout << "wrote " << log.size() << " run records to "
                       << out << "\n";

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 
 #include "error.hpp"
 
@@ -148,85 +147,6 @@ double
 BatchMeans::halfWidth(double confidence) const
 {
     return batchStats_.halfWidth(confidence);
-}
-
-double
-BatchMeans::relativeHalfWidth(double confidence) const
-{
-    const double m = std::fabs(mean());
-    if (m == 0.0)
-        return std::numeric_limits<double>::infinity();
-    return halfWidth(confidence) / m;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0)
-{
-    RSIN_REQUIRE(hi > lo, "Histogram: hi must exceed lo");
-    RSIN_REQUIRE(bins >= 1, "Histogram: need at least one bin");
-    width_ = (hi - lo) / static_cast<double>(bins);
-}
-
-void
-Histogram::add(double x)
-{
-    ++total_;
-    if (x < lo_) {
-        ++underflow_;
-        return;
-    }
-    if (x >= hi_) {
-        ++overflow_;
-        return;
-    }
-    auto bin = static_cast<std::size_t>((x - lo_) / width_);
-    bin = std::min(bin, counts_.size() - 1);
-    ++counts_[bin];
-}
-
-double
-Histogram::binLow(std::size_t i) const
-{
-    return lo_ + width_ * static_cast<double>(i);
-}
-
-double
-Histogram::quantile(double q) const
-{
-    RSIN_REQUIRE(q >= 0.0 && q <= 1.0, "quantile: q out of [0,1]");
-    if (total_ == 0)
-        return lo_;
-    const double target = q * static_cast<double>(total_);
-    double cum = static_cast<double>(underflow_);
-    if (cum >= target)
-        return lo_;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        const double next = cum + static_cast<double>(counts_[i]);
-        if (next >= target && counts_[i] > 0) {
-            const double frac =
-                (target - cum) / static_cast<double>(counts_[i]);
-            return binLow(i) + frac * width_;
-        }
-        cum = next;
-    }
-    return hi_;
-}
-
-std::string
-Histogram::render(std::size_t width) const
-{
-    std::ostringstream os;
-    std::uint64_t peak = 1;
-    for (auto c : counts_)
-        peak = std::max(peak, c);
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        const auto bar_len = static_cast<std::size_t>(
-            static_cast<double>(counts_[i]) /
-            static_cast<double>(peak) * static_cast<double>(width));
-        os << "[" << binLow(i) << ", " << binHigh(i) << ") "
-           << std::string(bar_len, '#') << " " << counts_[i] << "\n";
-    }
-    return os.str();
 }
 
 double

@@ -9,14 +9,11 @@
  *  - TimeWeighted: time-averaged statistics for piecewise-constant
  *    processes such as queue lengths;
  *  - BatchMeans: batch-means confidence intervals for steady-state
- *    simulation output (the standard method for a single long run);
- *  - Histogram: fixed-bin-width distribution summary.
+ *    simulation output (the standard method for a single long run).
  */
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace rsin {
 
@@ -121,9 +118,6 @@ class BatchMeans
     /** 95% (default) CI half-width computed over batch means. */
     double halfWidth(double confidence = 0.95) const;
 
-    /** Relative CI half-width (halfWidth / |mean|); inf when mean is 0. */
-    double relativeHalfWidth(double confidence = 0.95) const;
-
     std::uint64_t observations() const { return total_.count(); }
 
   private:
@@ -132,41 +126,6 @@ class BatchMeans
     double batchSum_ = 0.0;
     Accumulator batchStats_;
     Accumulator total_;
-};
-
-/** Fixed-width-bin histogram with overflow/underflow tracking. */
-class Histogram
-{
-  public:
-    /**
-     * @param lo lower edge of the first bin
-     * @param hi upper edge of the last bin (must exceed lo)
-     * @param bins number of equal-width bins (>= 1)
-     */
-    Histogram(double lo, double hi, std::size_t bins);
-
-    void add(double x);
-
-    std::size_t bins() const { return counts_.size(); }
-    std::uint64_t binCount(std::size_t i) const { return counts_.at(i); }
-    double binLow(std::size_t i) const;
-    double binHigh(std::size_t i) const { return binLow(i + 1); }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    std::uint64_t total() const { return total_; }
-
-    /** Approximate quantile (linear interpolation within a bin). */
-    double quantile(double q) const;
-
-    /** Multi-line ASCII rendering, for bench/diagnostic output. */
-    std::string render(std::size_t width = 50) const;
-
-  private:
-    double lo_, hi_, width_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t total_ = 0;
 };
 
 /**

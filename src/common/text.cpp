@@ -1,6 +1,7 @@
 #include "text.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -125,7 +126,9 @@ parseDouble(std::string_view s)
         return std::nullopt;
     char *end = nullptr;
     const double v = std::strtod(t.c_str(), &end);
-    if (end != t.c_str() + t.size())
+    // strtod also reads "nan", "inf" and overflowing literals (as
+    // +-HUGE_VAL); no number this program takes may be non-finite.
+    if (end != t.c_str() + t.size() || !std::isfinite(v))
         return std::nullopt;
     return v;
 }

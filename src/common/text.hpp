@@ -44,7 +44,8 @@ std::vector<std::string> csvSplit(std::string_view row);
 /** Parse a non-negative integer; nullopt on malformed input. */
 std::optional<long> parseLong(std::string_view s);
 
-/** Parse a double; nullopt on malformed input. */
+/** Parse a finite double; nullopt on malformed input, nan, inf or a
+ *  literal that overflows. */
 std::optional<double> parseDouble(std::string_view s);
 
 /** printf-style formatting into a std::string. */

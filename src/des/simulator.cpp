@@ -9,26 +9,6 @@ namespace rsin {
 namespace des {
 
 bool
-EventHandle::pending() const
-{
-    return sim_ && sim_->slotPending(slot_, seq_);
-}
-
-bool
-Simulator::slotPending(std::uint32_t slot, std::uint64_t seq) const
-{
-    // A recycled or freed slot carries a different seq, so stale
-    // handles (fired or cancelled-and-popped events) read false here.
-    if (slot & kLargeBit) {
-        const std::uint32_t index = slot & ~kLargeBit;
-        return index < large_.count() && large_.seq(index) == seq &&
-               !large_.cancelled(index);
-    }
-    return slot < small_.count() && small_.seq(slot) == seq &&
-           !small_.cancelled(slot);
-}
-
-bool
 Simulator::calendarOrdered() const
 {
     // 4-ary heap property: every entry sorts no earlier than its
@@ -218,8 +198,9 @@ Simulator::flushStaging()
 }
 
 const Simulator::QueueEntry *
-Simulator::peekMin() const
+Simulator::peekMin()
 {
+    flushStaging();
     if (heap_.empty())
         return run_.empty() ? nullptr : &run_.back();
     if (run_.empty())
@@ -237,43 +218,10 @@ Simulator::popMin()
         popEntry();
 }
 
-const Simulator::QueueEntry *
-Simulator::settleTop()
-{
-    flushStaging();
-    // Fast path: with no cancelled entries parked anywhere in the
-    // calendar, the top is live and we skip the slot-header probe.
-    if (cancelledParked_ == 0)
-        return peekMin();
-    while (const QueueEntry *top = peekMin()) {
-        const std::uint32_t slot = top->slot();
-        if (!cancelledAt(slot))
-            return top;
-        if (const detail::EventOps *ops = opsAt(slot))
-            ops->destroy(storageAt(slot));
-        popMin();
-        releaseAt(slot);
-        --cancelledParked_;
-    }
-    return nullptr;
-}
-
-void
-Simulator::cancel(EventHandle &handle)
-{
-    if (handle.sim_ == this && slotPending(handle.slot_, handle.seq_)) {
-        // Mark only; the calendar entry is dropped lazily when popped.
-        cancelledAt(handle.slot_) = 1;
-        --live_;
-        ++cancelledParked_;
-        ++cancelledTotal_;
-    }
-}
-
 bool
 Simulator::step()
 {
-    const QueueEntry *top = settleTop();
+    const QueueEntry *top = peekMin();
     if (!top)
         return false;
     const QueueEntry entry = *top;
@@ -298,13 +246,10 @@ Simulator::step()
     now_ = entry.time();
     const detail::EventOps *ops = ops_ref;
     // Move the callback out and recycle the slot *before* invoking so
-    // the action may schedule into it and handles to this event
-    // already read "not pending".
+    // the action may schedule into it.
     alignas(8) unsigned char action[kLargeCapacity];
     ops->relocate(action, storageAt(entry.slot()));
-    ops_ref = nullptr;
     releaseAt(entry.slot());
-    --live_;
     ++fired_;
     ops->invokeDestroy(action);
     return true;
@@ -313,21 +258,10 @@ Simulator::step()
 std::optional<double>
 Simulator::nextEventTime()
 {
-    const QueueEntry *top = settleTop();
+    const QueueEntry *top = peekMin();
     if (!top)
         return std::nullopt;
     return top->time();
-}
-
-void
-Simulator::runUntil(double until)
-{
-    // settleTop skips cancelled entries without advancing time.
-    for (const QueueEntry *top; (top = settleTop()) != nullptr;) {
-        if (top->time() > until)
-            break;
-        step();
-    }
 }
 
 void

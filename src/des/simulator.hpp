@@ -6,8 +6,9 @@
  *
  * A Simulator owns a time-ordered event calendar.  Events are arbitrary
  * callbacks; ties are broken by scheduling order so runs are fully
- * deterministic for a given seed.  Cancellation is supported through
- * lazy deletion on pop.
+ * deterministic for a given seed.  A scheduled event always fires:
+ * the models never withdraw one (a blocked task retries when its
+ * network signals a status change), so the kernel has no cancellation.
  *
  * The calendar is allocation-free in steady state:
  *
@@ -15,10 +16,12 @@
  *    stacks.  Two size classes keep the cache footprint tight: 40-byte
  *    buffers for small captures (an arrival's {this, processor}) and
  *    168-byte buffers for the fat model callbacks that carry a Task by
- *    value; larger captures fall back to one heap box.  Buffers grow
- *    in address-stable chunks; per-slot metadata (seq, ops, cancelled)
- *    lives in dense side arrays so scheduling never touches a cold
- *    buffer line.
+ *    value.  Every callback lives inline in one of them: scheduleAt
+ *    rejects at compile time a callable over kLargeCapacity bytes,
+ *    aligned over 8 bytes or not nothrow-movable, so no event ever
+ *    costs a heap box.  Buffers grow in address-stable chunks; the
+ *    per-slot ops table lives in a dense side array so scheduling
+ *    never touches a cold buffer line.
  *  - The pending set is one 128-bit sort key per event -- time bits,
  *    then sequence number, so ordering is a single branch-free integer
  *    compare -- split across a 4-ary min-heap for steady-state
@@ -32,7 +35,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
 #include <optional>
@@ -55,7 +57,9 @@ struct KernelCounters
 {
     std::uint64_t scheduled = 0; ///< schedule()/scheduleAt() calls
     std::uint64_t fired = 0;     ///< events invoked
-    std::uint64_t cancelled = 0; ///< cancel() calls that hit a pending event
+    /** Always 0: the kernel has no cancellation.  Kept because the
+     *  run-record schema and the e2ebench run document carry it. */
+    std::uint64_t cancelled = 0;
     std::uint64_t arenaBytes = 0; ///< callback-slot storage high-water mark
 };
 
@@ -68,7 +72,7 @@ struct EventOps
     void (*relocate)(void *dst, void *src) noexcept;
     /** Invoke the callable; destroy it even if it throws. */
     void (*invokeDestroy)(void *storage);
-    /** Destroy without invoking (cancelled events). */
+    /** Destroy without invoking (events pending when the arena dies). */
     void (*destroy)(void *storage) noexcept;
 };
 
@@ -100,39 +104,15 @@ struct InlineEventOps
     static constexpr EventOps ops{&relocate, &invokeDestroy, &destroy};
 };
 
-template <typename Fn>
-struct HeapEventOps
-{
-    static Fn *&box(void *storage) { return *static_cast<Fn **>(storage); }
-    static void
-    relocate(void *dst, void *src) noexcept
-    {
-        *static_cast<void **>(dst) = *static_cast<void **>(src);
-    }
-    static void
-    invokeDestroy(void *storage)
-    {
-        struct Guard
-        {
-            Fn *fn;
-            ~Guard() { delete fn; }
-        } guard{box(storage)};
-        (*guard.fn)();
-    }
-    static void destroy(void *storage) noexcept { delete box(storage); }
-    static constexpr EventOps ops{&relocate, &invokeDestroy, &destroy};
-};
-
 /**
  * Address-stable arena of event callback slots.
  *
  * Buffers live in fixed-size chunks (capture storage must not move
- * while an event is pending); the per-slot metadata -- occupant seq,
- * cancelled flag, ops table -- lives in dense parallel arrays instead
- * of a header next to each buffer.  The free stack recycles indices
- * LIFO, so a steady-state schedule/fire cycle keeps hammering the same
- * few metadata cache lines and never touches a buffer line at all for
- * small or capture-free callbacks.
+ * while an event is pending); each slot's ops table lives in a dense
+ * parallel array instead of a header next to its buffer.  The free
+ * stack recycles indices LIFO, so a steady-state schedule/fire cycle
+ * keeps hammering the same few metadata cache lines and never touches
+ * a buffer line at all for capture-free callbacks.
  */
 template <std::size_t Capacity>
 class SlotArena
@@ -164,26 +144,15 @@ class SlotArena
 
     std::uint32_t count() const { return count_; }
 
-    /** Bytes held by slot buffers plus per-slot metadata. */
+    /** Bytes held by slot buffers plus the per-slot ops table. */
     std::size_t
     bytes() const
     {
         return chunks_.size() * kChunkSlots * sizeof(Buf) +
-               count_ * (sizeof(std::uint64_t) + sizeof(const EventOps *) +
-                         sizeof(std::uint8_t));
+               count_ * sizeof(const EventOps *);
     }
 
-    std::uint64_t &seq(std::uint32_t index) { return seq_[index]; }
-    std::uint64_t seq(std::uint32_t index) const { return seq_[index]; }
     const EventOps *&ops(std::uint32_t index) { return ops_[index]; }
-    std::uint8_t &cancelled(std::uint32_t index)
-    {
-        return cancelled_[index];
-    }
-    std::uint8_t cancelled(std::uint32_t index) const
-    {
-        return cancelled_[index];
-    }
 
     std::uint32_t
     acquire()
@@ -196,62 +165,29 @@ class SlotArena
         }
         if (count_ == chunks_.size() << kChunkShift) {
             chunks_.emplace_back(new Buf[kChunkSlots]);
-            const std::size_t grown = count_ + kChunkSlots;
-            seq_.resize(grown);
-            ops_.resize(grown, nullptr);
-            cancelled_.resize(grown);
+            ops_.resize(count_ + kChunkSlots, nullptr);
         }
         return count_++;
     }
 
-    /** Return a slot whose callable has already been moved out or
-     *  destroyed. */
+    /** Return a slot whose callable has already been moved out. */
     void
     release(std::uint32_t index)
     {
         ops_[index] = nullptr;
-        seq_[index] = ~std::uint64_t{0};
-        cancelled_[index] = 0;
         free_.push_back(index);
         --occupied_;
     }
 
   private:
     std::vector<std::unique_ptr<Buf[]>> chunks_;
-    std::vector<std::uint64_t> seq_;
     std::vector<const EventOps *> ops_;
-    std::vector<std::uint8_t> cancelled_;
     std::vector<std::uint32_t> free_;
     std::uint32_t count_ = 0;
     std::uint32_t occupied_ = 0;
 };
 
 } // namespace detail
-
-class Simulator;
-
-/** Opaque handle to a scheduled event; usable to cancel it. */
-class EventHandle
-{
-  public:
-    EventHandle() = default;
-
-    /** True if this handle refers to an event (fired or not). */
-    bool valid() const { return sim_ != nullptr; }
-
-    /** True if the event is still pending (not fired, not cancelled). */
-    bool pending() const;
-
-  private:
-    friend class Simulator;
-    EventHandle(const Simulator *sim, std::uint32_t slot, std::uint64_t seq)
-        : sim_(sim), slot_(slot), seq_(seq)
-    {
-    }
-    const Simulator *sim_ = nullptr;
-    std::uint32_t slot_ = 0;
-    std::uint64_t seq_ = 0;
-};
 
 /** Discrete-event simulator with an arena-backed hybrid calendar. */
 class Simulator
@@ -261,8 +197,8 @@ class Simulator
     static constexpr std::size_t kSmallCapacity = 40;
     /**
      * Inline capacity of the large class, sized for the fattest model
-     * callback (omega transmit completion: this, net, processor, a
-     * RouteResult and a Task by value).
+     * callback (omega transmit completion: this, net, processor, the
+     * circuit path, output port, resource and a Task by value).
      */
     static constexpr std::size_t kLargeCapacity = 168;
 
@@ -276,73 +212,59 @@ class Simulator
 
     /** Schedule @p action after non-negative @p delay. */
     template <typename F>
-    EventHandle
+    void
     schedule(double delay, F &&action)
     {
         requireDelay(delay);
-        return scheduleAt(now_ + delay, std::forward<F>(action));
+        scheduleAt(now_ + delay, std::forward<F>(action));
     }
 
     /** Schedule @p action at absolute time @p when (>= now). */
     template <typename F>
-    EventHandle
+    void
     scheduleAt(double when, F &&action)
     {
         using Fn = std::decay_t<F>;
         static_assert(std::is_invocable_r_v<void, Fn &>,
                       "event action must be callable with no arguments");
+        static_assert(fitsInline<Fn>(kLargeCapacity),
+                      "event action must fit an inline slot: at most "
+                      "kLargeCapacity bytes, aligned to at most 8 and "
+                      "nothrow move-constructible");
         requireTime(when, now_);
         if constexpr (std::is_constructible_v<bool, const Fn &>)
             requireNonEmpty(static_cast<bool>(action));
-        const std::uint64_t seq = nextSeq_++;
         std::uint32_t index;
-        const detail::EventOps *ops;
         if constexpr (fitsInline<Fn>(kSmallCapacity)) {
             index = small_.acquire();
-            ops = &detail::InlineEventOps<Fn>::ops;
             ::new (small_.at(index)) Fn(std::forward<F>(action));
-        } else if constexpr (fitsInline<Fn>(kLargeCapacity)) {
+        } else {
             index = large_.acquire() | kLargeBit;
-            ops = &detail::InlineEventOps<Fn>::ops;
             ::new (large_.at(index & ~kLargeBit))
                 Fn(std::forward<F>(action));
-        } else {
-            index = small_.acquire();
-            ops = &detail::HeapEventOps<Fn>::ops;
-            *static_cast<void **>(small_.at(index)) =
-                new Fn(std::forward<F>(action));
         }
-        seqAt(index) = seq;
-        cancelledAt(index) = 0;
-        opsAt(index) = ops;
-        staging_.push_back(QueueEntry::make(when, seq, index));
-        ++live_;
-        return EventHandle(this, index, seq);
+        opsAt(index) = &detail::InlineEventOps<Fn>::ops;
+        staging_.push_back(QueueEntry::make(when, nextSeq_++, index));
     }
 
-    /** Cancel a pending event; no-op if already fired or cancelled. */
-    void cancel(EventHandle &handle);
-
-    /** Number of pending (non-cancelled) events. */
-    std::size_t pending() const { return live_; }
+    /** Number of pending events. */
+    std::size_t
+    pending() const
+    {
+        return heap_.size() + run_.size() + staging_.size();
+    }
 
     /** Fire the next event; returns false if the calendar is empty. */
     bool step();
 
     /**
      * Time of the earliest pending event without firing it, or no
-     * value when the calendar is empty.  Non-const because it settles
-     * lazily-cancelled entries off the top (like step() would).  This
-     * is the peek the partitioned driver uses to stop a shard exactly
-     * at its window horizon.
+     * value when the calendar is empty.  Non-const because it files
+     * staged entries into the calendar (like step() would).  This is
+     * the peek runPartitioned uses to stop a shard exactly at its
+     * window horizon.
      */
     std::optional<double> nextEventTime();
-
-    /**
-     * Run until the calendar empties or simulated time would exceed
-     * @p until.  Events scheduled exactly at @p until still fire.
-     */
-    void runUntil(double until);
 
     /** Run until the calendar empties. */
     void runAll();
@@ -353,9 +275,6 @@ class Simulator
     /** Total schedule()/scheduleAt() calls so far. */
     std::uint64_t scheduled() const { return nextSeq_; }
 
-    /** Total cancel() calls that actually cancelled a pending event. */
-    std::uint64_t cancelled() const { return cancelledTotal_; }
-
     /** Snapshot of the lifetime kernel counters. */
     KernelCounters
     counters() const
@@ -363,7 +282,6 @@ class Simulator
         KernelCounters c;
         c.scheduled = nextSeq_;
         c.fired = fired_;
-        c.cancelled = cancelledTotal_;
         c.arenaBytes = small_.bytes() + large_.bytes();
         return c;
     }
@@ -385,8 +303,6 @@ class Simulator
 #endif
 
   private:
-    friend class EventHandle;
-
     /** High index bit selects the large slot class. */
     static constexpr std::uint32_t kLargeBit = 0x80000000u;
 
@@ -444,23 +360,11 @@ class Simulator
         return a.key < b.key;
     }
 
-    std::uint64_t &
-    seqAt(std::uint32_t index)
-    {
-        return index & kLargeBit ? large_.seq(index & ~kLargeBit)
-                                 : small_.seq(index);
-    }
     const detail::EventOps *&
     opsAt(std::uint32_t index)
     {
         return index & kLargeBit ? large_.ops(index & ~kLargeBit)
                                  : small_.ops(index);
-    }
-    std::uint8_t &
-    cancelledAt(std::uint32_t index)
-    {
-        return index & kLargeBit ? large_.cancelled(index & ~kLargeBit)
-                                 : small_.cancelled(index);
     }
     void *
     storageAt(std::uint32_t index)
@@ -477,20 +381,17 @@ class Simulator
             small_.release(index);
     }
 
-    bool slotPending(std::uint32_t slot, std::uint64_t seq) const;
     /** Contract check: heap property and run order both hold. */
     bool calendarOrdered() const;
     void pushEntry(QueueEntry entry);
     void popEntry();
     /** Move staged entries into the heap (few) or sorted run (burst). */
     void flushStaging();
-    /** Earliest pending entry across run and heap; null when empty. */
-    const QueueEntry *peekMin() const;
+    /** Flush staging, then the earliest pending entry across run and
+     *  heap; null when the calendar is empty. */
+    const QueueEntry *peekMin();
     /** Pop the entry peekMin() returned. */
     void popMin();
-    /** Drop cancelled entries off the top; null if the calendar
-     *  empties, else the earliest live entry. */
-    const QueueEntry *settleTop();
 
     static void requireDelay(double delay);
     static void requireTime(double when, double now);
@@ -502,10 +403,6 @@ class Simulator
     double now_ = 0.0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t fired_ = 0;
-    std::uint64_t cancelledTotal_ = 0;
-    std::size_t live_ = 0;
-    /** Cancelled entries still parked in the calendar (lazy deletion). */
-    std::size_t cancelledParked_ = 0;
     detail::SlotArena<kSmallCapacity> small_;
     detail::SlotArena<kLargeCapacity> large_;
     /**

@@ -175,18 +175,22 @@ OmegaSystem::startOn(Net &net, std::size_t proc, sched::RouteResult route)
     task.resource = route.outputPort;
     task.boxesTraversed =
         static_cast<std::uint32_t>(route.boxesTraversed);
+    // Capture only what the completion reads of the route, so the
+    // callback fits the kernel's large inline slot.
     sim().schedule(task.transmitTime, [this, &net, proc,
-                                       route = std::move(route),
+                                       path = std::move(route.path),
+                                       port = route.outputPort,
+                                       resource = route.resource,
                                        task = std::move(task)]() mutable {
         // Data delivered: tear the circuit down; the resource keeps
         // serving after the disconnection (the RSIN property).
-        net.circuit->release(route.path);
+        net.circuit->release(path);
         if (net.avail)
-            net.avail->refresh(route.outputPort);
+            net.avail->refresh(port);
         endTransmission(proc);
         task.transmitEnd = sim().now();
         sim().schedule(task.serviceTime,
-                       [this, &net, resource = route.resource,
+                       [this, &net, resource,
                         task = std::move(task)]() mutable {
                            net.pool->release(resource);
                            if (net.avail)
@@ -231,7 +235,7 @@ OmegaSystem::dispatchReturns(Net &net)
             continue;
         const workload::Task &head = net.returnQueues[port].front();
         const std::size_t dst = head.processor - net.firstProcessor;
-        const auto path = net.topo->path(port, dst);
+        auto path = net.topo->path(port, dst);
         if (!net.returnCircuit->pathFree(path))
             continue; // retried when a return circuit releases
         net.returnCircuit->claim(path);
@@ -239,7 +243,7 @@ OmegaSystem::dispatchReturns(Net &net)
         workload::Task task = std::move(net.returnQueues[port].front());
         net.returnQueues[port].pop_front();
         const double duration = net.rng.exponential(mu_r);
-        sim().schedule(duration, [this, &net, port, path,
+        sim().schedule(duration, [this, &net, port, path = std::move(path),
                                   task = std::move(task)]() mutable {
             net.returnCircuit->release(path);
             net.returnBusy[port] = false;

@@ -68,7 +68,6 @@ struct JournalEntry
 {
     std::uint64_t timeBits = 0;
     std::uint64_t scheduledAfter = 0;
-    std::uint64_t cancelledAfter = 0;
 };
 
 /** One shard: its slice of the model and the current window's events. */
@@ -113,8 +112,7 @@ advanceShard(Shard &shard, double horizon)
         if (!next || *next > horizon)
             return;
         sim.step();
-        shard.journal.push_back(
-            {timeToBits(sim.now()), sim.scheduled(), sim.cancelled()});
+        shard.journal.push_back({timeToBits(sim.now()), sim.scheduled()});
     }
 }
 
@@ -171,7 +169,6 @@ totals(const std::vector<Shard> &shards)
             shard.system->partitionKernel().counters();
         sum.scheduled += c.scheduled;
         sum.fired += c.fired;
-        sum.cancelled += c.cancelled;
         sum.arenaBytes += c.arenaBytes;
     }
     return sum;
@@ -200,8 +197,6 @@ countersAtCut(const std::vector<Shard> &shards, const MergeRef &cut)
         sum.fired += shard.base.fired + count;
         sum.scheduled += count == 0 ? shard.base.scheduled
                                     : firstAfter[-1].scheduledAfter;
-        sum.cancelled += count == 0 ? shard.base.cancelled
-                                    : firstAfter[-1].cancelledAfter;
     }
     // Arena high-water marks are a property of the shards' lifetimes,
     // not of the cut; report their sum (the one counter a partitioned

@@ -22,7 +22,6 @@ MetricsCollector::taskCompleted(const Task &task)
     if (d < 1e-12)
         ++zeroDelay_;
     delay_.add(d);
-    raw_delay_.add(d);
     response_.add(task.responseTime());
     attempts_.add(static_cast<double>(task.routingAttempts));
     boxes_.add(static_cast<double>(task.boxesTraversed));
@@ -104,16 +103,10 @@ MetricsCollector::delayImbalance() const
             hi = std::max(hi, m);
         }
     }
-    const double overall = raw_delay_.mean();
+    const double overall = delay_.mean();
     if (first || overall <= 0.0)
         return 0.0;
     return (hi - lo) / overall;
-}
-
-double
-MetricsCollector::relativePrecision() const
-{
-    return delay_.relativeHalfWidth();
 }
 
 } // namespace workload

@@ -54,11 +54,6 @@ class MetricsCollector
     /** Mean interchange boxes traversed per task (Fig. 11 statistic). */
     double meanBoxesTraversed() const { return boxes_.mean(); }
 
-    /** Relative CI half-width -- used as a run-length stopping rule. */
-    double relativePrecision() const;
-
-    const Accumulator &delayStats() const { return raw_delay_; }
-
     /** Per-processor mean delay (0 if that processor completed none). */
     double meanDelayOf(std::size_t processor) const;
 
@@ -73,9 +68,11 @@ class MetricsCollector
     double delayImbalance() const;
 
     /**
-     * Approximate delay quantile from a fixed-bin histogram (bins are
-     * sized on the fly from the running maximum; accuracy ~1% of the
-     * observed range).  Returns NaN with no observations.
+     * Delay quantile, interpolated between the order statistics of a
+     * strided sample reservoir.  The reservoir holds every counted
+     * delay until it reaches 65536 samples, then keeps every second
+     * sample and doubles its stride, so it always holds an evenly
+     * strided subsample of the run.  Returns NaN with no observations.
      */
     double delayQuantile(double q) const;
 
@@ -87,7 +84,6 @@ class MetricsCollector
     std::uint64_t completed_ = 0;
     std::uint64_t rejections_ = 0;
     BatchMeans delay_;
-    Accumulator raw_delay_;
     Accumulator response_;
     Accumulator attempts_;
     Accumulator boxes_;

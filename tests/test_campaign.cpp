@@ -442,6 +442,23 @@ TEST(CampaignResumeTest, AnalyticRecordsCarryTheirSolveTime)
     EXPECT_EQ(analytic, 6u);
 }
 
+TEST(CampaignResumeTest, DeterministicExportIsByteIdentical)
+{
+    // --deterministic zeroes every wall-clock field of the --out
+    // export too (the sweep header's cell seconds as well as the
+    // records' wall times), so two runs write the same bytes.
+    const std::string first = scratchDir("campaign_export_a");
+    const std::string second = scratchDir("campaign_export_b");
+    for (const std::string &dir : {first, second})
+        ASSERT_EQ(runCampaign(dir, "--out " + dir + ".json"), 0);
+    const auto a = common::readFile(first + ".json");
+    const auto b = common::readFile(second + ".json");
+    ASSERT_TRUE(a.has_value());
+    ASSERT_TRUE(b.has_value());
+    EXPECT_NE(a->find("\"cell_seconds_total\""), std::string::npos);
+    EXPECT_EQ(*a, *b);
+}
+
 TEST(CampaignResumeTest, ProcessShardsPartitionTheCells)
 {
     const std::string dir = scratchDir("campaign_shards");

@@ -205,18 +205,6 @@ TEST(TimeWeightedTest, ClearResetsWindow)
     EXPECT_DOUBLE_EQ(tw.average(), 1.0);
 }
 
-TEST(HistogramTest, RenderShowsBars)
-{
-    Histogram h(0.0, 2.0, 2);
-    for (int i = 0; i < 8; ++i)
-        h.add(0.5);
-    h.add(1.5);
-    const std::string out = h.render(8);
-    EXPECT_NE(out.find("########"), std::string::npos);
-    EXPECT_NE(out.find(" 8"), std::string::npos);
-    EXPECT_NE(out.find(" 1"), std::string::npos);
-}
-
 TEST(RngTest, SplitProducesIndependentStream)
 {
     Rng a(31);
@@ -317,30 +305,6 @@ TEST(BatchMeansTest, CiShrinksWithData)
     EXPECT_NEAR(bm.mean(), 10.0, 0.05);
 }
 
-TEST(HistogramTest, BinningAndQuantiles)
-{
-    Histogram h(0.0, 10.0, 10);
-    for (int i = 0; i < 100; ++i)
-        h.add(static_cast<double>(i % 10) + 0.5);
-    EXPECT_EQ(h.total(), 100u);
-    EXPECT_EQ(h.underflow(), 0u);
-    EXPECT_EQ(h.overflow(), 0u);
-    for (std::size_t b = 0; b < 10; ++b)
-        EXPECT_EQ(h.binCount(b), 10u);
-    EXPECT_NEAR(h.quantile(0.5), 5.0, 0.6);
-}
-
-TEST(HistogramTest, OverUnderflow)
-{
-    Histogram h(0.0, 1.0, 4);
-    h.add(-1.0);
-    h.add(2.0);
-    h.add(0.5);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.total(), 3u);
-}
-
 TEST(StudentTTest, KnownValues)
 {
     EXPECT_NEAR(studentTCritical(1, 0.95), 12.706, 1e-3);
@@ -362,6 +326,13 @@ TEST(TextTest, TrimSplitParse)
     EXPECT_FALSE(parseLong("4x2").has_value());
     EXPECT_DOUBLE_EQ(parseDouble("2.5").value(), 2.5);
     EXPECT_FALSE(parseDouble("abc").has_value());
+    // Non-finite values are malformed numbers here.
+    EXPECT_FALSE(parseDouble("nan").has_value());
+    EXPECT_FALSE(parseDouble("inf").has_value());
+    EXPECT_FALSE(parseDouble("-inf").has_value());
+    EXPECT_FALSE(parseDouble("1e999").has_value());
+    EXPECT_DOUBLE_EQ(parseDouble("1e308").value(), 1e308);
+    EXPECT_EQ(parseDouble("4.9e-324").value(), 4.9e-324); // denormal
     EXPECT_EQ(formatf("%d-%s", 3, "x"), "3-x");
 }
 

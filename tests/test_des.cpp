@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/error.hpp"
@@ -48,41 +50,6 @@ TEST(SimulatorTest, NestedScheduling)
     EXPECT_DOUBLE_EQ(fired_at, 3.5);
 }
 
-TEST(SimulatorTest, CancelPreventsFiring)
-{
-    Simulator sim;
-    bool fired = false;
-    auto handle = sim.schedule(1.0, [&] { fired = true; });
-    EXPECT_TRUE(handle.pending());
-    sim.cancel(handle);
-    EXPECT_FALSE(handle.pending());
-    sim.runAll();
-    EXPECT_FALSE(fired);
-    EXPECT_EQ(sim.fired(), 0u);
-}
-
-TEST(SimulatorTest, CancelAfterFireIsNoop)
-{
-    Simulator sim;
-    auto handle = sim.schedule(0.5, [] {});
-    sim.runAll();
-    EXPECT_FALSE(handle.pending());
-    EXPECT_NO_THROW(sim.cancel(handle));
-}
-
-TEST(SimulatorTest, RunUntilStopsAtBoundary)
-{
-    Simulator sim;
-    int fired = 0;
-    for (int i = 1; i <= 10; ++i)
-        sim.schedule(static_cast<double>(i), [&] { ++fired; });
-    sim.runUntil(5.0);
-    EXPECT_EQ(fired, 5); // events at t = 1..5 inclusive
-    EXPECT_EQ(sim.pending(), 5u);
-    sim.runAll();
-    EXPECT_EQ(fired, 10);
-}
-
 TEST(SimulatorTest, RejectsPastScheduling)
 {
     Simulator sim;
@@ -90,21 +57,6 @@ TEST(SimulatorTest, RejectsPastScheduling)
     sim.runAll();
     EXPECT_THROW(sim.scheduleAt(0.5, [] {}), FatalError);
     EXPECT_THROW(sim.schedule(-1.0, [] {}), FatalError);
-}
-
-TEST(SimulatorTest, PendingCountTracksCancellation)
-{
-    Simulator sim;
-    auto h1 = sim.schedule(1.0, [] {});
-    auto h2 = sim.schedule(2.0, [] {});
-    EXPECT_EQ(sim.pending(), 2u);
-    sim.cancel(h1);
-    EXPECT_EQ(sim.pending(), 1u);
-    sim.cancel(h1); // double cancel is a no-op
-    EXPECT_EQ(sim.pending(), 1u);
-    sim.runAll();
-    EXPECT_EQ(sim.pending(), 0u);
-    (void)h2;
 }
 
 TEST(SimulatorTest, ZeroDelayFiresAtCurrentTime)
@@ -116,18 +68,6 @@ TEST(SimulatorTest, ZeroDelayFiresAtCurrentTime)
     });
     sim.runAll();
     EXPECT_DOUBLE_EQ(t, 2.0);
-}
-
-TEST(SimulatorTest, CancelInsideCallback)
-{
-    // An event may cancel a later event from within its own firing.
-    Simulator sim;
-    bool second_fired = false;
-    EventHandle second = sim.schedule(2.0, [&] { second_fired = true; });
-    sim.schedule(1.0, [&] { sim.cancel(second); });
-    sim.runAll();
-    EXPECT_FALSE(second_fired);
-    EXPECT_EQ(sim.fired(), 1u);
 }
 
 TEST(SimulatorTest, RescheduleFromCallbackKeepsOrdering)
@@ -145,42 +85,15 @@ TEST(SimulatorTest, RescheduleFromCallbackKeepsOrdering)
     EXPECT_EQ(order, (std::vector<int>{1, 3, 10}));
 }
 
-TEST(SimulatorTest, RunUntilThenContinue)
+TEST(SimulatorTest, StressRandomSchedule)
 {
-    Simulator sim;
-    int fired = 0;
-    for (int i = 1; i <= 4; ++i)
-        sim.schedule(static_cast<double>(i), [&] { ++fired; });
-    sim.runUntil(2.0);
-    EXPECT_EQ(fired, 2);
-    // Scheduling relative to now() == 2 interleaves correctly.
-    sim.schedule(0.5, [&] { ++fired; });
-    sim.runAll();
-    EXPECT_EQ(fired, 5);
-}
-
-TEST(SimulatorTest, CancelledHeadDoesNotAdvanceClock)
-{
-    Simulator sim;
-    auto early = sim.schedule(1.0, [] {});
-    sim.schedule(5.0, [] {});
-    sim.cancel(early);
-    sim.runUntil(0.5); // nothing fires; cancelled head must not move t
-    EXPECT_DOUBLE_EQ(sim.now(), 0.0);
-    sim.runAll();
-    EXPECT_DOUBLE_EQ(sim.now(), 5.0);
-}
-
-TEST(SimulatorTest, StressRandomScheduleCancel)
-{
-    // Randomized property: with random schedule/cancel interleavings,
-    // fired + cancelled == scheduled, and firing times never decrease.
+    // Randomized property: with random interleavings of scheduling and
+    // partial drains, every scheduled event fires and firing times
+    // never decrease.
     Simulator sim;
     rsin::Rng rng(2025);
-    std::uint64_t cancelled = 0;
     double last_time = 0.0;
     bool monotone = true;
-    std::vector<EventHandle> handles;
     std::function<void()> noop = [&] {
         if (sim.now() < last_time)
             monotone = false;
@@ -189,25 +102,39 @@ TEST(SimulatorTest, StressRandomScheduleCancel)
     std::uint64_t scheduled = 0;
     for (int round = 0; round < 200; ++round) {
         for (int i = 0; i < 20; ++i) {
-            handles.push_back(
-                sim.schedule(rng.uniform(0.0, 10.0), noop));
+            sim.schedule(rng.uniform(0.0, 10.0), noop);
             ++scheduled;
         }
-        for (int i = 0; i < 5; ++i) {
-            auto &h = handles[rng.uniformInt(
-                static_cast<std::uint64_t>(handles.size()))];
-            if (h.pending()) {
-                sim.cancel(h);
-                ++cancelled;
-            }
-        }
         // Drain a slice of time.
-        sim.runUntil(sim.now() + rng.uniform(0.0, 3.0));
+        const double until = sim.now() + rng.uniform(0.0, 3.0);
+        for (auto next = sim.nextEventTime(); next && *next <= until;
+             next = sim.nextEventTime())
+            sim.step();
     }
     sim.runAll();
     EXPECT_TRUE(monotone);
-    EXPECT_EQ(sim.fired() + cancelled, scheduled);
+    EXPECT_EQ(sim.fired(), scheduled);
     EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(SimulatorTest, NextEventTimePeeksWithoutFiring)
+{
+    Simulator sim;
+    EXPECT_FALSE(sim.nextEventTime().has_value());
+    int fired = 0;
+    sim.schedule(2.0, [&] { ++fired; });
+    sim.schedule(1.0, [&] { ++fired; });
+    ASSERT_TRUE(sim.nextEventTime().has_value());
+    EXPECT_DOUBLE_EQ(*sim.nextEventTime(), 1.0);
+    EXPECT_EQ(fired, 0);
+    EXPECT_DOUBLE_EQ(sim.now(), 0.0);
+    EXPECT_EQ(sim.pending(), 2u);
+    sim.step();
+    EXPECT_DOUBLE_EQ(*sim.nextEventTime(), 2.0);
+    EXPECT_EQ(sim.pending(), 1u);
+    sim.runAll();
+    EXPECT_EQ(fired, 2);
+    EXPECT_FALSE(sim.nextEventTime().has_value());
 }
 
 TEST(SimulatorTest, ArenaReusesSlotsAcrossBursts)
@@ -231,72 +158,46 @@ TEST(SimulatorTest, ArenaReusesSlotsAcrossBursts)
     EXPECT_EQ(sim.fired(), 5500u);
 }
 
-TEST(SimulatorTest, StaleHandleOnRecycledSlotStaysDead)
+TEST(SimulatorTest, LargeCaptureLivesInline)
 {
-    // A handle to a fired event must read not-pending (and cancel must
-    // be a no-op) even after its arena slot is recycled by later
-    // events.
-    Simulator sim;
-    auto first = sim.schedule(1.0, [] {});
-    sim.runAll();
-    EXPECT_FALSE(first.pending());
-    // Recycle the slot many times over.
-    for (int i = 0; i < 100; ++i)
-        sim.schedule(1.0, [] {});
-    EXPECT_EQ(sim.pending(), 100u);
-    EXPECT_FALSE(first.pending());
-    sim.cancel(first); // must not cancel the slot's new occupant
-    EXPECT_EQ(sim.pending(), 100u);
-    sim.runAll();
-    EXPECT_EQ(sim.fired(), 101u);
-}
-
-TEST(SimulatorTest, CancellationAfterFireIsNoOpUnderChurn)
-{
-    // Interleave fire-then-cancel across recycled slots: cancelling a
-    // handle whose event already fired must never affect the pending
-    // population, whichever event now occupies the slot.
-    Simulator sim;
-    rsin::Rng rng(11);
-    std::vector<EventHandle> fired_handles;
-    for (int round = 0; round < 50; ++round) {
-        for (int i = 0; i < 8; ++i)
-            fired_handles.push_back(
-                sim.schedule(rng.uniform01(), [] {}));
-        sim.runAll();
-        for (auto &handle : fired_handles) {
-            EXPECT_FALSE(handle.pending());
-            sim.cancel(handle);
-        }
-        EXPECT_EQ(sim.pending(), 0u);
-    }
-    EXPECT_EQ(sim.fired(), 400u);
-}
-
-TEST(SimulatorTest, OversizedCaptureFallsBackToHeapBox)
-{
-    // Captures beyond the large inline class go through the heap-box
-    // path; behaviour (ordering, cancellation, destruction) must be
-    // identical.
+    // A capture too big for the small slot class goes to the large
+    // one and keeps its place in the (time, schedule order) sequence.
     Simulator sim;
     struct Big
     {
-        double values[64];
+        double values[20];
     };
     Big big{};
-    big.values[0] = 42.0;
-    double seen = 0.0;
-    auto handle = sim.schedule(1.0, [big, &seen] { seen = big.values[0]; });
-    EXPECT_TRUE(handle.pending());
+    big.values[19] = 42.0;
+    std::vector<double> seen;
+    sim.schedule(1.0, [&seen] { seen.push_back(1.0); });
+    sim.schedule(1.0, [big, &seen] { seen.push_back(big.values[19]); });
+    sim.schedule(0.5, [&seen] { seen.push_back(0.5); });
     sim.runAll();
-    EXPECT_DOUBLE_EQ(seen, 42.0);
-    // And a cancelled heap-boxed event must destroy, not leak or fire.
-    seen = 0.0;
-    auto doomed = sim.schedule(1.0, [big, &seen] { seen = big.values[0]; });
-    sim.cancel(doomed);
-    sim.runAll();
-    EXPECT_DOUBLE_EQ(seen, 0.0);
-    EXPECT_EQ(sim.pending(), 0u);
+    EXPECT_EQ(seen, (std::vector<double>{0.5, 1.0, 42.0}));
+}
+
+TEST(SimulatorTest, PendingCallbacksDieWithTheSimulator)
+{
+    // Events still pending when the simulator is destroyed are
+    // destroyed, not leaked, in both slot classes.
+    auto token = std::make_shared<int>(0);
+    {
+        Simulator sim;
+        struct Big
+        {
+            double values[16];
+        };
+        sim.schedule(1.0, [token] { ++*token; });
+        sim.schedule(2.0, [token, big = Big{}] {
+            (void)big;
+            *token += 2;
+        });
+        EXPECT_EQ(token.use_count(), 3);
+        EXPECT_EQ(sim.pending(), 2u);
+    }
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(*token, 0);
 }
 
 TEST(SimulatorTest, ManyEventsThroughput)
@@ -335,19 +236,18 @@ TEST(SimulatorContractTest, CorruptedClockTripsMonotonicityInvariant)
 TEST(SimulatorContractTest, CleanRunFiresNoInvariant)
 {
     // The contracts must be silent on a well-formed run, including
-    // bursts that exercise the radix-sorted run and cancellations that
-    // exercise lazy deletion.
+    // bursts that exercise the radix-sorted run and churn that
+    // interleaves it with the heap.
     Simulator sim;
     Rng rng(7);
-    std::vector<EventHandle> handles;
     int fired = 0;
     for (int i = 0; i < 500; ++i)
-        handles.push_back(
-            sim.schedule(rng.uniform01() * 10.0, [&] { ++fired; }));
-    for (std::size_t i = 0; i < handles.size(); i += 7)
-        sim.cancel(handles[i]);
+        sim.schedule(rng.uniform01() * 10.0, [&] {
+            if (++fired % 7 == 0)
+                sim.schedule(rng.uniform01(), [&] { ++fired; });
+        });
     sim.runAll();
-    EXPECT_GT(fired, 0);
+    EXPECT_GT(fired, 500);
     EXPECT_EQ(sim.pending(), 0u);
 }
 
