@@ -108,18 +108,16 @@ main(int argc, char **argv)
 
     // ------------------------------------------------------------
     // Sections IV/V: the exact network LD-QBD chains against the
-    // reductions and simulation, on a shared rho grid.  The chains
-    // are solved with both the dense censored backend and the sparse
-    // Krylov backend; the simulated delay is the common reference.
+    // reductions and simulation, on a shared rho grid; the simulated
+    // delay is the common reference.
     // ------------------------------------------------------------
     const double mu_n = 1.0, mu_s = 0.1;
     TextTable net(
         "Sections IV/V -- exact network chains vs reductions vs "
         "simulation (queueing delay d)");
-    net.header({"config", "rho", "exact dense", "exact sparse", "bound",
-                "light", "heavy", "sim"});
-    double max_dense = 0.0, max_sparse = 0.0, max_light = 0.0,
-           max_heavy = 0.0;
+    net.header({"config", "rho", "exact", "bound", "light", "heavy",
+                "sim"});
+    double max_exact = 0.0, max_light = 0.0, max_heavy = 0.0;
     for (const char *text :
          {"16/4x4x4 XBAR/2", "16/2x8x8 XBAR/2", "16/4x4x4 OMEGA/2"}) {
         const auto cfg = SystemConfig::parse(text);
@@ -134,17 +132,8 @@ main(int argc, char **argv)
             prm.linkConflict = omegaLinkConflict(cfg.inputsPerNet);
         for (double rho : {0.2, 0.4, 0.6, 0.8}) {
             prm.lambda = lambdaForRho(cfg, rho, mu_n, mu_s);
-
-            LdQbdOptions dense_opts;
-            dense_opts.backend = LdQbdBackend::DenseCensored;
-            LdQbdOptions sparse_opts;
-            sparse_opts.backend = LdQbdBackend::SparseKrylov;
-            const auto solve_chain = [&](const LdQbdOptions &o) {
-                return is_xbar ? solveXbarChain(prm, o)
-                               : solveOmegaChain(prm, o);
-            };
-            const auto dense = solve_chain(dense_opts);
-            const auto sparse = solve_chain(sparse_opts);
+            const auto exact =
+                is_xbar ? solveXbarChain(prm) : solveOmegaChain(prm);
 
             const auto light =
                 is_xbar ? xbarLightLoad(cfg, prm.lambda, mu_n, mu_s)
@@ -166,13 +155,10 @@ main(int argc, char **argv)
             opts.measureTasks = 30000;
             const auto sim = simulate(cfg, wp, opts);
 
-            if (!sim.saturated && dense.stable) {
-                max_dense = std::max(
-                    max_dense,
-                    relErr(dense.queueingDelay, sim.meanDelay));
-                max_sparse = std::max(
-                    max_sparse,
-                    relErr(sparse.queueingDelay, sim.meanDelay));
+            if (!sim.saturated && exact.stable) {
+                max_exact = std::max(
+                    max_exact,
+                    relErr(exact.queueingDelay, sim.meanDelay));
                 if (light.stable)
                     max_light = std::max(
                         max_light,
@@ -183,9 +169,8 @@ main(int argc, char **argv)
                         relErr(heavy.queueingDelay, sim.meanDelay));
             }
             net.row({text, formatf("%.1f", rho),
-                     formatf("%.6g", dense.queueingDelay),
-                     formatf("%.6g", sparse.queueingDelay),
-                     formatf("%.2g", dense.truncationBound),
+                     formatf("%.6g", exact.queueingDelay),
+                     formatf("%.2g", exact.truncationBound),
                      light.stable ? formatf("%.6g", light.queueingDelay)
                                   : std::string("unstable"),
                      heavy_ok ? (heavy.stable
@@ -200,13 +185,11 @@ main(int argc, char **argv)
     net.print(std::cout);
     std::cout
         << "\nMax relative delay error vs simulation:"
-        << "\n  exact chain (dense censored): "
-        << formatf("%.3g", max_dense)
-        << "\n  exact chain (sparse Krylov):  "
-        << formatf("%.3g", max_sparse)
-        << "\n  light-load reduction:         "
+        << "\n  exact chain:          "
+        << formatf("%.3g", max_exact)
+        << "\n  light-load reduction: "
         << formatf("%.3g", max_light)
-        << "\n  heavy-load reduction:         "
+        << "\n  heavy-load reduction: "
         << formatf("%.3g", max_heavy)
         << "\nThe exact chains track simulation to within sampling"
         "\nnoise at every load, while the Section IV reductions drift"

@@ -109,11 +109,9 @@ specFromArgs(const ArgParser &args)
     spec.ratios = doubleList(args, "ratios", {0.1});
     spec.rhoMin = args.getDouble("rho-min", 0.1);
     spec.rhoMax = args.getDouble("rho-max", 0.9);
-    spec.rhoSteps = static_cast<std::size_t>(args.getLong("steps", 9));
-    spec.tasks =
-        static_cast<std::uint64_t>(args.getLong("tasks", 20000));
-    spec.replications =
-        static_cast<std::size_t>(args.getLong("replications", 1));
+    spec.rhoSteps = args.getCount("steps", 9);
+    spec.tasks = args.getCount("tasks", 20000);
+    spec.replications = args.getCount("replications", 1);
     spec.seed = static_cast<std::uint64_t>(args.getLong("seed", 1));
     spec.muN = args.getDouble("mu-n", 1.0);
     spec.analytic = !args.flag("no-analytic");
@@ -247,11 +245,9 @@ main(int argc, char **argv)
                      "--ledger DIR is required (the resume state)");
         const std::size_t jobs = args.getJobs();
         const std::size_t shards = args.getShards();
-        const auto shard_count = static_cast<std::size_t>(
-            args.getLong("shard-count", 1));
+        const std::size_t shard_count = args.getCount("shard-count", 1);
         const auto shard_index = static_cast<std::size_t>(
             args.getLong("shard-index", 0));
-        RSIN_REQUIRE(shard_count >= 1, "--shard-count must be >= 1");
         RSIN_REQUIRE(shard_index < shard_count,
                      "--shard-index must be < --shard-count");
         KillSwitch kill;

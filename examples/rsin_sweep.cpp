@@ -89,9 +89,8 @@ main(int argc, char **argv)
         const double mu_s = mu_n * ratio;
         const double rho_min = args.getDouble("rho-min", 0.1);
         const double rho_max = args.getDouble("rho-max", 0.9);
-        const long steps = args.getLong("steps", 9);
-        const auto tasks =
-            static_cast<std::uint64_t>(args.getLong("tasks", 20000));
+        const std::size_t steps = args.getCount("steps", 9);
+        const std::uint64_t tasks = args.getCount("tasks", 20000);
         const auto seed =
             static_cast<std::uint64_t>(args.getLong("seed", 1));
         const bool csv = args.flag("csv");
@@ -105,14 +104,13 @@ main(int argc, char **argv)
         const std::string out = args.get("out");
         const obs::Format out_format =
             obs::parseFormat(args.get("format", "json"));
-        RSIN_REQUIRE(steps >= 1, "need at least one sweep step");
         RSIN_REQUIRE(rho_max >= rho_min, "rho-max must be >= rho-min");
 
         std::vector<SystemConfig> configs;
         for (const auto &text : args.positional())
             configs.push_back(SystemConfig::parse(text));
 
-        const auto rhoAt = [&](long step) {
+        const auto rhoAt = [&](std::size_t step) {
             return steps == 1 ? rho_min
                               : rho_min + (rho_max - rho_min) *
                                               static_cast<double>(step) /
@@ -133,19 +131,18 @@ main(int argc, char **argv)
         if (jobs > 1)
             pool = std::make_unique<exec::ThreadPool>(jobs);
         const bool sharded = shards != 1;
-        const auto cells = static_cast<std::size_t>(steps);
-        std::vector<SimResult> results(configs.size() * cells);
-        std::vector<double> wall(configs.size() * cells, 0.0);
+        std::vector<SimResult> results(configs.size() * steps);
+        std::vector<double> wall(configs.size() * steps, 0.0);
         const exec::SweepRunner runner(sharded ? nullptr : pool.get(),
                                        &observer);
-        runner.run(configs.size(), cells, 1, seed,
+        runner.run(configs.size(), steps, 1, seed,
                    [&](const exec::SweepCell &sweep_cell) {
                        workload::WorkloadParams params;
                        params.muN = mu_n;
                        params.muS = mu_s;
                        params.lambda = lambdaForRho(
                            configs[sweep_cell.config],
-                           rhoAt(static_cast<long>(sweep_cell.point)),
+                           rhoAt(sweep_cell.point),
                            mu_n, mu_s);
                        SimOptions opts;
                        opts.seed = seed + static_cast<std::uint64_t>(
@@ -174,14 +171,13 @@ main(int argc, char **argv)
         TextTable table(csv ? "" : "rsin_sweep");
         table.header(head);
 
-        for (long step = 0; step < steps; ++step) {
+        for (std::size_t step = 0; step < steps; ++step) {
             const double rho = rhoAt(step);
             std::vector<std::string> row{formatf("%.3f", rho)};
             for (std::size_t c = 0; c < configs.size(); ++c) {
                 const auto &cfg = configs[c];
                 const double lambda = lambdaForRho(cfg, rho, mu_n, mu_s);
-                const auto flat =
-                    c * cells + static_cast<std::size_t>(step);
+                const std::size_t flat = c * steps + step;
                 const auto &res = results[flat];
                 // Saturated -> "inf"; truncated / no-data -> "n/a" (a
                 // run that completed nothing is not a zero delay).

@@ -85,6 +85,15 @@ ArgParser::getLong(const std::string &name, long fallback) const
 }
 
 std::size_t
+ArgParser::getCount(const std::string &name, std::size_t fallback) const
+{
+    const long raw = getLong(name, static_cast<long>(fallback));
+    RSIN_REQUIRE(raw >= 1, "ArgParser: --", name, " must be >= 1, got ",
+                 raw);
+    return static_cast<std::size_t>(raw);
+}
+
+std::size_t
 ArgParser::resolveJobs(long jobs)
 {
     // Negative counts must not silently fall through (or, for callers

@@ -43,6 +43,14 @@ class ArgParser
     long getLong(const std::string &name, long fallback) const;
 
     /**
+     * Count option ("--tasks N"): an integer >= 1.  Throws FatalError
+     * on a malformed, zero or negative value, which a cast of
+     * getLong() would turn into a count near 2^64.
+     */
+    std::size_t getCount(const std::string &name,
+                         std::size_t fallback) const;
+
+    /**
      * Worker count from a "--jobs N" style option: N >= 1 is taken
      * literally, 0 (or an absent option with @p fallback 0) means one
      * worker per hardware thread.

@@ -1,6 +1,7 @@
 #include "text.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
@@ -112,8 +113,10 @@ parseLong(std::string_view s)
     if (t.empty())
         return std::nullopt;
     char *end = nullptr;
+    errno = 0;
     const long v = std::strtol(t.c_str(), &end, 10);
-    if (end != t.c_str() + t.size())
+    // strtol clamps an overflowing literal to LONG_MAX/LONG_MIN.
+    if (end != t.c_str() + t.size() || errno == ERANGE)
         return std::nullopt;
     return v;
 }

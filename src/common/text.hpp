@@ -41,7 +41,8 @@ std::string csvQuote(std::string_view field);
  */
 std::vector<std::string> csvSplit(std::string_view row);
 
-/** Parse a non-negative integer; nullopt on malformed input. */
+/** Parse an integer; nullopt on malformed input or a literal that
+ *  overflows a long. */
 std::optional<long> parseLong(std::string_view s);
 
 /** Parse a finite double; nullopt on malformed input, nan, inf or a

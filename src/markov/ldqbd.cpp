@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
-#include "markov/qbd.hpp"
 
 namespace rsin {
 namespace markov {
@@ -17,8 +14,6 @@ namespace markov {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-/** Auto dispatch: the dense censored path up to this block size. */
-constexpr std::size_t kDenseBlockLimit = 192;
 /** Multiplier turning the observed depth-doubling change into the
  *  certified bound (covers the geometric remainder of the series of
  *  future changes). */
@@ -33,36 +28,10 @@ densify(const la::Triplets &entries, std::size_t n)
     return m;
 }
 
-double
-sumOf(const la::Vector &v)
-{
-    double s = 0.0;
-    for (double x : v)
-        s += x;
-    return s;
-}
-
-LdQbdResult
-unstableResult(LdQbdBackend backend)
-{
-    LdQbdResult res;
-    res.stable = false;
-    res.backend = backend;
-    res.meanLevel = kInf;
-    return res;
-}
-
-/** One level's generator blocks, as LdQbdModel::levelBlocks emits
- *  them. */
-struct LevelBlocks
-{
-    la::Triplets a0, a1, a2;
-};
-
 /** The limiting (level -> infinity) chain of a model. */
 struct LimitChain
 {
-    LevelBlocks blocks;
+    la::Triplets a1; ///< the limiting A1 block
     /** Stationary vector of A0 + A1 + A2: the limiting phase marginal. */
     la::Vector xi;
     /** Mean drift under xi (up rate minus down rate) is negative. */
@@ -74,20 +43,20 @@ limitChain(const LdQbdModel &model)
 {
     const std::size_t n = model.phases();
     LimitChain lim;
-    LevelBlocks &b = lim.blocks;
-    model.limitBlocks(b.a0, b.a1, b.a2);
+    la::Triplets a0, a2;
+    model.limitBlocks(a0, lim.a1, a2);
     {
         // (A0 + A1) + A2, summed in place with one densified addend
         // live at a time; the sum is then factored in place.
-        la::Matrix generator = densify(b.a0, n);
-        generator += densify(b.a1, n);
-        generator += densify(b.a2, n);
+        la::Matrix generator = densify(a0, n);
+        generator += densify(lim.a1, n);
+        generator += densify(a2, n);
         lim.xi = la::stationaryFromGenerator(std::move(generator));
     }
     la::Vector up(n, 0.0), down(n, 0.0);
-    for (const auto &e : b.a0)
+    for (const auto &e : a0)
         up[e.row] += e.value;
-    for (const auto &e : b.a2)
+    for (const auto &e : a2)
         down[e.row] += e.value;
     const double drift_up = la::dot(lim.xi, up);
     const double drift_down = la::dot(lim.xi, down);
@@ -95,8 +64,8 @@ limitChain(const LdQbdModel &model)
     return lim;
 }
 
-/** One truncation depth's answer: all the depth loop needs from a
- *  backend. */
+/** One truncation depth's answer: all the depth loop needs from
+ *  sparseSolveAt(). */
 struct DepthEstimate
 {
     double meanLevel = 0.0;
@@ -107,132 +76,6 @@ struct DepthEstimate
     la::Vector levelZero;
     la::Vector phaseMarginal;
 };
-
-// ---------------------------------------------------------------------
-// Dense censored backend.
-
-struct DenseTail
-{
-    la::Matrix censoredTop; ///< A1_lim + A0_lim G
-    la::Vector rTail1;      ///< R (I-R)^{-1} 1
-    la::Vector rTail2;      ///< R (I-R)^{-2} 1
-    std::unique_ptr<la::LuFactors> imr; ///< LU of I - R
-};
-
-/** The limiting chain's censored top block and closed-form tail
- *  moments; nullopt when logarithmic reduction does not converge. */
-std::optional<DenseTail>
-denseTail(const LevelBlocks &limit, std::size_t n)
-{
-    const la::Matrix a0_lim = densify(limit.a0, n);
-    const la::Matrix a1_lim = densify(limit.a1, n);
-    const la::Matrix a2_lim = densify(limit.a2, n);
-
-    const LogReductionResult lr = logReduction(a0_lim, a1_lim, a2_lim);
-    if (!lr.converged)
-        return std::nullopt;
-    DenseTail tail;
-    tail.censoredTop = a1_lim + a0_lim * lr.g;
-    tail.imr = std::make_unique<la::LuFactors>(
-        la::Matrix::identity(n) - lr.r);
-    const la::Vector ones(n, 1.0);
-    const la::Vector t1v = tail.imr->solve(ones); // (I-R)^{-1} 1
-    const la::Vector t2v = tail.imr->solve(t1v);  // (I-R)^{-2} 1
-    tail.rTail1 = lr.r * t1v;
-    tail.rTail2 = lr.r * t2v;
-    return tail;
-}
-
-/**
- * One censored solve at level-dependent depth L: banded backward
- * censoring over the level-dependent blocks with the homogeneous tail
- * folded into the top block, then a forward substitution pass and the
- * closed-form geometric tail moments.  @p levels holds the blocks of
- * the levels built so far; the solve extends it to level L, so each
- * level is built once per solve, not once per depth.
- */
-DepthEstimate
-denseSolveAt(const LdQbdModel &model, const DenseTail &tail,
-             std::vector<LevelBlocks> &levels, std::size_t depth)
-{
-    const std::size_t n = model.phases();
-    while (levels.size() <= depth) {
-        LevelBlocks &b = levels.emplace_back();
-        model.levelBlocks(levels.size() - 1, b.a0, b.a1, b.a2);
-    }
-
-    // Backward sweep: S_L = A1_lim + A0_lim G;
-    // S_l = A1(l) + A0(l) [(-S_{l+1})^{-1} A2(l+1)], with A0(l)
-    // applied as the sparse matrix it is (diagonal in the network
-    // chains) instead of by a dense product.
-    std::vector<std::unique_ptr<la::LuFactors>> factors(depth + 1);
-    la::Matrix s = tail.censoredTop;
-    for (std::size_t l = depth; l-- > 0;) {
-        factors[l + 1] = std::make_unique<la::LuFactors>(s * -1.0);
-        const la::Matrix down =
-            factors[l + 1]->solveMatrix(densify(levels[l + 1].a2, n));
-        s = densify(levels[l].a1, n);
-        for (const la::Triplet &e : levels[l].a0) {
-            double *row = s.data() + e.row * n;
-            const double *from = down.data() + e.col * n;
-            for (std::size_t c = 0; c < n; ++c)
-                row[c] += e.value * from[c];
-        }
-    }
-
-    // Forward pass: pi_0 from the fully censored boundary generator,
-    // then pi_{l+1} = pi_l A0(l) (-S_{l+1})^{-1}.
-    std::vector<la::Vector> pis(depth + 1);
-    pis[0] = la::stationaryFromGenerator(std::move(s));
-    for (std::size_t l = 0; l < depth; ++l) {
-        la::Vector up(n, 0.0);
-        for (const la::Triplet &e : levels[l].a0)
-            up[e.col] += pis[l][e.row] * e.value;
-        pis[l + 1] = factors[l + 1]->solveTransposed(up);
-    }
-
-    // Geometric tail beyond L: pi_{L+m} = pi_L R^m, summed exactly.
-    const la::Vector &pi_top = pis[depth];
-    const double tail_mass = la::dot(pi_top, tail.rTail1);
-    const double tail_mean =
-        static_cast<double>(depth) * tail_mass +
-        la::dot(pi_top, tail.rTail2);
-    la::Vector tail_marginal = tail.imr->solveTransposed(pi_top);
-    for (std::size_t p = 0; p < n; ++p)
-        tail_marginal[p] -= pi_top[p];
-
-    double norm = tail_mass;
-    double mean = tail_mean;
-    la::Vector marginal = tail_marginal;
-    for (std::size_t l = 0; l <= depth; ++l) {
-        const double mass = sumOf(pis[l]);
-        norm += mass;
-        mean += static_cast<double>(l) * mass;
-        for (std::size_t p = 0; p < n; ++p)
-            marginal[p] += pis[l][p];
-    }
-
-    DepthEstimate est;
-    est.meanLevel = mean / norm;
-    est.tailMass = tail_mass / norm;
-    // Levels below the depth use their exact level-dependent blocks,
-    // so the only modelling error is the homogeneous tail standing in
-    // for the still level-dependent blocks beyond it: its block
-    // entries are off by at most the homogeneity gap, and the damage
-    // is confined to the tail's share of the mean.
-    const double tail_mean_rel = tail_mean / std::max(mean, 1e-12);
-    est.tailError = model.homogeneityGap(depth) * tail_mean_rel;
-    est.levelZero = pis[0];
-    for (auto &v : est.levelZero)
-        v /= norm;
-    est.phaseMarginal = std::move(marginal);
-    for (auto &v : est.phaseMarginal)
-        v /= norm;
-    return est;
-}
-
-// ---------------------------------------------------------------------
-// Sparse Krylov backend.
 
 /** A1 of one level transposed, as compressed LU factors; level 0 has
  *  its first row replaced by the normalization row. */
@@ -496,26 +339,43 @@ sparseSolveAt(const LdQbdModel &model, std::size_t depth,
     return est;
 }
 
-// ---------------------------------------------------------------------
-// The depth loop both backends run through.
+} // namespace
 
-/**
- * Double the depth from max(initialLevels, @p first) up to @p cap until
- * the mean level stops moving, or until the tail term says the levels
- * beyond the depth cannot move it by more than the tolerance.
- * @p solve_at(depth) solves one depth and adds its work to @p res.
- */
-template <class SolveAt>
-void
-doubleDepth(const LdQbdOptions &opts, std::size_t first, std::size_t cap,
-            LdQbdResult &res, SolveAt solve_at)
+LdQbdResult
+solveStationary(const LdQbdModel &model, const LdQbdOptions &opts)
 {
+    LimitChain limit = limitChain(model);
+    LdQbdResult res;
+    if (!limit.stable) {
+        res.stable = false;
+        res.meanLevel = kInf;
+        return res;
+    }
+
+    const std::size_t n = model.phases();
+    // Keep the assembled system within a sane footprint.
+    const std::size_t state_cap = 1'500'000;
+    const std::size_t cap = std::min(
+        opts.maxLevels,
+        std::max<std::size_t>(opts.initialLevels,
+                              state_cap / std::max<std::size_t>(n, 1)));
+    la::Triplets a0, a1, a2;
+    model.levelBlocks(0, a0, a1, a2);
+    SparseSolve solve{factorTransposed(a1, n, true),
+                      factorTransposed(limit.a1, n, false),
+                      std::move(limit.xi), {}};
+    res.factorizations = 2;
+
+    // Double the depth from max(initialLevels, 4) up to the cap until
+    // the mean level stops moving, or until the tail term says the
+    // levels beyond the depth cannot move it by more than the
+    // tolerance.
     double previous_mean = -1.0;
     double rel_change = kInf;
     std::size_t depth =
-        std::min(std::max(opts.initialLevels, first), cap);
+        std::min(std::max<std::size_t>(opts.initialLevels, 4), cap);
     for (;;) {
-        DepthEstimate est = solve_at(depth);
+        DepthEstimate est = sparseSolveAt(model, depth, solve, res);
         ++res.depthSolves;
         if (previous_mean >= 0.0)
             rel_change =
@@ -541,58 +401,6 @@ doubleDepth(const LdQbdOptions &opts, std::size_t first, std::size_t cap,
         }
         depth = std::min(depth * 2, cap);
     }
-}
-
-} // namespace
-
-LdQbdResult
-solveStationary(const LdQbdModel &model, const LdQbdOptions &opts)
-{
-    const std::size_t n = model.phases();
-    const bool dense =
-        opts.backend == LdQbdBackend::DenseCensored ||
-        (opts.backend == LdQbdBackend::Auto && n <= kDenseBlockLimit);
-    const LdQbdBackend backend =
-        dense ? LdQbdBackend::DenseCensored : LdQbdBackend::SparseKrylov;
-    LimitChain limit = limitChain(model);
-    if (!limit.stable)
-        return unstableResult(backend);
-
-    LdQbdResult res;
-    res.backend = backend;
-    if (dense) {
-        const std::optional<DenseTail> tail = denseTail(limit.blocks, n);
-        if (!tail)
-            return unstableResult(backend);
-        // Memory-bounded depth cap: one n x n LU per level is stored.
-        const std::size_t mem_levels = std::max<std::size_t>(
-            64, 30'000'000 / std::max<std::size_t>(n * n, 1));
-        std::vector<LevelBlocks> levels;
-        doubleDepth(opts, 2, std::min(opts.maxLevels, mem_levels), res,
-                    [&](std::size_t depth) {
-                        // One LU of -S_l per level above the boundary,
-                        // one of S_0.
-                        res.factorizations += depth + 1;
-                        return denseSolveAt(model, *tail, levels, depth);
-                    });
-        return res;
-    }
-
-    // Keep the assembled system within a sane footprint.
-    const std::size_t state_cap = 1'500'000;
-    const std::size_t cap = std::min(
-        opts.maxLevels,
-        std::max<std::size_t>(opts.initialLevels,
-                              state_cap / std::max<std::size_t>(n, 1)));
-    LevelBlocks zero;
-    model.levelBlocks(0, zero.a0, zero.a1, zero.a2);
-    SparseSolve solve{factorTransposed(zero.a1, n, true),
-                      factorTransposed(limit.blocks.a1, n, false),
-                      std::move(limit.xi), {}};
-    res.factorizations = 2;
-    doubleDepth(opts, 4, cap, res, [&](std::size_t depth) {
-        return sparseSolveAt(model, depth, solve, res);
-    });
     return res;
 }
 

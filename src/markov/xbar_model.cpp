@@ -162,15 +162,6 @@ XbarChainModel::linkFactor(std::size_t, std::size_t) const
     return 1.0; // the crossbar never blocks a dispatch on the network
 }
 
-double
-XbarChainModel::homogeneityGap(std::size_t level) const
-{
-    const double j = static_cast<double>(params_.processors);
-    if (params_.processors <= 1)
-        return 0.0;
-    return std::pow((j - 1.0) / j, static_cast<double>(level));
-}
-
 void
 XbarChainModel::levelBlocks(std::size_t level, la::Triplets &a0,
                             la::Triplets &a1, la::Triplets &a2) const

@@ -28,9 +28,7 @@
  * was eligible do heads also wait at free processors; a service
  * completion that re-opens a bus then dispatches with the
  * uniform-spread probability 1 - (t/j)^l.  Both corrections tend to
- * their 0/1 indicators as l grows, and the deviation is bounded by
- * ((j-1)/j)^l, which is what LdQbdModel::homogeneityGap reports.
- * Only these two corrections depend on the level, so the transitions
+ * their 0/1 indicators as l grows.  Only these two corrections depend on the level, so the transitions
  * themselves (target phase, level-free rate, which correction
  * applies) are enumerated once per model, on the first block request,
  * and re-weighted for every level.
@@ -86,7 +84,6 @@ class XbarChainModel : public LdQbdModel
                      la::Triplets &a1, la::Triplets &a2) const override;
     void limitBlocks(la::Triplets &a0, la::Triplets &a1,
                      la::Triplets &a2) const override;
-    double homogeneityGap(std::size_t level) const override;
 
     const NetChainParams &params() const { return params_; }
 

@@ -276,7 +276,7 @@ TEST(AnalysisCachePersistTest, OlderBackendEntriesAreNotServed)
     // a different key, so it never answers a solve the current
     // backend owns.
     const std::string path =
-        ::testing::TempDir() + "rsin_analysis_cache_backend3.txt";
+        ::testing::TempDir() + "rsin_analysis_cache_backend4.txt";
     std::remove(path.c_str());
     markov::NetChainParams prm;
     prm.processors = 4;
@@ -289,7 +289,8 @@ TEST(AnalysisCachePersistTest, OlderBackendEntriesAreNotServed)
     source.solveNetwork(prm, SbusSolverKind::XbarLdQbd);
     ASSERT_EQ(source.save(path), 1u);
 
-    // Re-stamp the entry as backend version 3, with a valid crc.
+    // Re-stamp the entry as backend version 4 (the last to solve the
+    // small chains on the dense censored path), with a valid crc.
     std::string header, line;
     {
         std::ifstream is(path);
@@ -298,7 +299,7 @@ TEST(AnalysisCachePersistTest, OlderBackendEntriesAreNotServed)
     }
     std::vector<std::string> words = split(line, ' ');
     ASSERT_EQ(words.size(), 25u); // 24 words + crc
-    words[13] = formatf("%016llx", 3ULL);
+    words[13] = formatf("%016llx", 4ULL);
     std::string body;
     for (std::size_t i = 0; i < 24; ++i) {
         if (i > 0)

@@ -324,6 +324,7 @@ TEST(TextTest, TrimSplitParse)
     EXPECT_FALSE(iequals("omega", "omegas"));
     EXPECT_EQ(parseLong(" 42 ").value(), 42);
     EXPECT_FALSE(parseLong("4x2").has_value());
+    EXPECT_FALSE(parseLong("99999999999999999999").has_value());
     EXPECT_DOUBLE_EQ(parseDouble("2.5").value(), 2.5);
     EXPECT_FALSE(parseDouble("abc").has_value());
     // Non-finite values are malformed numbers here.
@@ -373,6 +374,20 @@ TEST(ArgParserTest, Rejections)
         const ArgParser args(3, argv, {}, {"rho"});
         EXPECT_THROW(args.getDouble("rho", 0.0), FatalError);
     }
+}
+
+TEST(ArgParserTest, CountsAreAtLeastOne)
+{
+    // A cast of getLong would wrap "-1" to 2^64 - 1 tasks.
+    for (const char *bad : {"-1", "0", "abc"}) {
+        const char *argv[] = {"prog", "--tasks", bad};
+        const ArgParser args(3, argv, {}, {"tasks"});
+        EXPECT_THROW(args.getCount("tasks", 20000), FatalError) << bad;
+    }
+    const char *argv[] = {"prog", "--tasks", "5"};
+    const ArgParser args(3, argv, {}, {"tasks", "steps"});
+    EXPECT_EQ(args.getCount("tasks", 20000), 5u);
+    EXPECT_EQ(args.getCount("steps", 9), 9u);
 }
 
 TEST(CsvQuoteTest, QuotesOnlyWhenRfc4180Requires)
