@@ -55,10 +55,6 @@ struct BenchContext
     std::string out;                       ///< artifact path; "" = none
     obs::Format format = obs::Format::Json;
     std::chrono::steady_clock::time_point start;
-    /** Calendar shards per run, in the unified SimOptions convention:
-     *  1 = serial, 0 = auto (resolved by the run layer against the
-     *  executor driving the shards), P > 1 explicit. */
-    std::size_t shards = 1;
     /** Values of the bench-specific options passed to initBench. */
     std::map<std::string, std::string> extra;
 };
@@ -66,7 +62,6 @@ struct BenchContext
 inline BenchContext &
 benchContext()
 {
-    // rsin-lint: allow(R10): audited 2026-08: ctx is fully initialized by initBench() before any worker spawns; workers only read pool/observer/shards and append through RunLog, which guards its records with an internal mutex
     static BenchContext ctx;
     return ctx;
 }
@@ -98,32 +93,24 @@ runLog()
 /**
  * Parse the common bench options and size the sweep pool:
  *   --jobs N        worker count (0 or absent: one per hardware thread)
- *   --shards P      calendar shards per run (default 1 = serial;
- *                   0 = auto, one per worker of the pool driving the
- *                   run).  With P != 1 the pool drives the shards
- *                   *inside* each run and cells are visited one at a
- *                   time.
  *   --out PATH      write the collected run records to PATH at exit
  *   --format F      artifact format, json (default) or csv
  *   --progress      live cells-done line on stderr during sweeps
- * Cell results are seed-deterministic, and a sharded run reproduces
- * the serial one bit for bit (src/rsin/partitioned_run.hpp), so none
- * of these change a table cell, only wall-clock time and side
- * artifacts.
+ * Cell results are seed-deterministic, so none of these change a table
+ * cell, only wall-clock time and side artifacts.
  */
 inline void
 initBench(int argc, const char *const *argv,
           const std::set<std::string> &extra_options = {})
 {
     try {
-        std::set<std::string> options{"jobs", "shards", "out", "format"};
+        std::set<std::string> options{"jobs", "out", "format"};
         options.insert(extra_options.begin(), extra_options.end());
         const ArgParser args(argc, argv, {"progress"}, options);
         auto &ctx = benchContext();
         for (const auto &name : extra_options)
             ctx.extra[name] = args.get(name);
         const std::size_t jobs = args.getJobs();
-        ctx.shards = args.getShards();
         ctx.out = args.get("out");
         ctx.format = obs::parseFormat(args.get("format", "json"));
         // Every flag is valid before the first worker thread starts.
@@ -237,19 +224,6 @@ logPoint(const std::string &curve, const std::string &config,
     runLog().add(std::move(rec));
 }
 
-/** SimResult view of an analytic solver point, for the run log. */
-inline SimResult
-analyticResult(bool stable, double queueing_delay,
-               double normalized_delay)
-{
-    SimResult res;
-    res.status = stable ? RunStatus::Ok : RunStatus::Saturated;
-    res.saturated = !stable;
-    res.meanDelay = queueing_delay;
-    res.normalizedDelay = normalized_delay;
-    return res;
-}
-
 /**
  * Build a Curve from any analytic solver closure (lambda ->
  * markov::SbusSolution), logging each point as an Analytic record.
@@ -285,11 +259,9 @@ analyticCurve(const std::string &name, const std::string &config_text,
     for (std::size_t p = 0; p < grid.size(); ++p) {
         const markov::SbusSolution &sol = sols[p];
         curve.cells.push_back(cell(sol.normalizedDelay, sol.stable));
-        logPoint(name, config_text, obs::RecordKind::Analytic, grid[p],
-                 lambdas[p], mu_n, mu_s, 0, -1,
-                 analyticResult(sol.stable, sol.queueingDelay,
-                                sol.normalizedDelay),
-                 wall[p], curve.cells.back());
+        runLog().add(obs::analyticRecord(name, config_text, grid[p],
+                                         lambdas[p], mu_n, mu_s, sol,
+                                         wall[p], curve.cells.back()));
     }
     return curve;
 }
@@ -379,12 +351,7 @@ simulatedCurve(const std::string &config_text, double mu_n, double mu_s,
     }
     std::vector<SimResult> runs(grid.size() * replications);
     std::vector<double> wall(grid.size() * replications, 0.0);
-    // One level of parallelism: with --shards the pool moves inside
-    // each run (cells then go one at a time); otherwise it fans the
-    // independent cells out as before.
-    const std::size_t shards = benchContext().shards;
-    const bool sharded = shards != 1;
-    const exec::SweepRunner runner(sharded ? nullptr : sweepPool(),
+    const exec::SweepRunner runner(sweepPool(),
                                    benchContext().observer.get());
     runner.run(1, grid.size(), replications, base_seed,
                [&](const exec::SweepCell &sweep_cell) {
@@ -393,11 +360,9 @@ simulatedCurve(const std::string &config_text, double mu_n, double mu_s,
                        seeds[sweep_cell.point][sweep_cell.replication];
                    opts.warmupTasks = measure_tasks / 10;
                    opts.measureTasks = measure_tasks;
-                   opts.shards = shards;
                    const auto start = std::chrono::steady_clock::now();
                    runs[sweep_cell.flat] =
-                       simulate(cfg, params[sweep_cell.point], opts, model,
-                                sharded ? sweepPool() : nullptr);
+                       simulate(cfg, params[sweep_cell.point], opts, model);
                    const std::chrono::duration<double> dt =
                        std::chrono::steady_clock::now() - start;
                    wall[sweep_cell.flat] = dt.count();

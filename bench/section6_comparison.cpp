@@ -8,11 +8,10 @@
  *
  * --scale large switches to the campaign-scale variant the paper could
  * not run: the same cross-class comparison at p = 131072 processors
- * (p >= 1e5) for workload ratios 0.1 and 10, executed as partitioned
- * runs.  Pass --jobs N --shards N (or --shards 0) to spread each run
- * over N calendar shards; rows are bit-identical at any shard count.
- * The table reports wall-clock and event throughput next to the delay
- * so the scaling is visible.
+ * (p >= 1e5) for workload ratios 0.1 and 10.  Its 18 runs are cells on
+ * the bench pool (--jobs), and the rows print once every cell is done,
+ * so they are the same at any --jobs.  The table reports wall-clock
+ * time and event throughput next to the delay so the cost is visible.
  */
 
 #include "figure_common.hpp"
@@ -27,53 +26,72 @@ using namespace rsin::bench;
 void
 runScaled()
 {
-    const std::size_t shards = benchContext().shards;
-    std::cout << "Scaled Section VI comparison: p = 131072 (>= 1e5), "
-              << shards << " calendar shard(s) per run\n\n";
-    const std::uint64_t measure = 30000;
-    for (const double ratio : {0.1, 10.0}) {
-        const double mu_n = 1.0;
-        const double mu_s = mu_n * ratio;
+    std::cout << "Scaled Section VI comparison: p = 131072 (>= 1e5)\n\n";
+    const double mu_n = 1.0;
+    const std::vector<double> ratios{0.1, 10.0}, rhos{0.2, 0.5, 0.8};
+    std::vector<SystemConfig> configs;
+    for (const char *text :
+         {"131072/8192x1x1 SBUS/2", "131072/8192x16x16 XBAR/2",
+          "131072/8192x16x16 OMEGA/2"})
+        configs.push_back(SystemConfig::parse(text));
+    // Grid order: ratio, then config, then rho.
+    std::vector<workload::WorkloadParams> params;
+    for (const double ratio : ratios)
+        for (const SystemConfig &cfg : configs)
+            for (const double rho : rhos) {
+                workload::WorkloadParams point;
+                point.muN = mu_n;
+                point.muS = mu_n * ratio;
+                point.lambda = lambdaForRho(cfg, rho, mu_n, point.muS);
+                params.push_back(point);
+            }
+    SimOptions opts;
+    opts.seed = 97;
+    opts.warmupTasks = 3000;
+    opts.measureTasks = 30000;
+    // Every run is one cell on the bench pool; the tables print
+    // afterwards.
+    std::vector<SimResult> results(params.size());
+    std::vector<double> wall(params.size(), 0.0);
+    const exec::SweepRunner runner(sweepPool(),
+                                   benchContext().observer.get());
+    runner.run(ratios.size() * configs.size(), rhos.size(), 1, 0,
+               [&](const exec::SweepCell &cell) {
+                   const auto t0 = std::chrono::steady_clock::now();
+                   results[cell.flat] =
+                       simulate(configs[cell.config % configs.size()],
+                                params[cell.flat], opts);
+                   const std::chrono::duration<double> dt =
+                       std::chrono::steady_clock::now() - t0;
+                   wall[cell.flat] = dt.count();
+               });
+
+    std::size_t flat = 0;
+    for (const double ratio : ratios) {
         TextTable table(
             formatf("scaled comparison, mu_s/mu_n = %.1f", ratio));
         table.header({"config", "rho", "mu_s*d", "status", "events",
                       "wall s", "Mevents/s"});
-        for (const char *text :
-             {"131072/8192x1x1 SBUS/2", "131072/8192x16x16 XBAR/2",
-              "131072/8192x16x16 OMEGA/2"}) {
-            const auto cfg = SystemConfig::parse(text);
-            for (const double rho : {0.2, 0.5, 0.8}) {
-                workload::WorkloadParams params;
-                params.muN = mu_n;
-                params.muS = mu_s;
-                params.lambda = lambdaForRho(cfg, rho, mu_n, mu_s);
-                SimOptions opts;
-                opts.seed = 97;
-                opts.warmupTasks = measure / 10;
-                opts.measureTasks = measure;
-                opts.shards = shards;
-                const auto t0 = std::chrono::steady_clock::now();
-                const auto res = simulate(cfg, params, opts, {},
-                                          shards != 1 ? sweepPool()
-                                                      : nullptr);
-                const std::chrono::duration<double> dt =
-                    std::chrono::steady_clock::now() - t0;
+        for (const SystemConfig &cfg : configs) {
+            for (const double rho : rhos) {
+                const SimResult &res = results[flat];
+                const double dt = wall[flat];
                 const double rate =
-                    dt.count() > 0.0
-                        ? static_cast<double>(res.kernel.fired) /
-                              dt.count() / 1e6
-                        : 0.0;
+                    dt > 0.0 ? static_cast<double>(res.kernel.fired) /
+                                   dt / 1e6
+                             : 0.0;
                 const std::string display =
                     obs::displayValue(res, res.normalizedDelay);
                 table.row({cfg.str(), formatf("%.2f", rho), display,
                            toString(res.status),
                            formatf("%llu", static_cast<unsigned long long>(
                                                res.kernel.fired)),
-                           formatf("%.2f", dt.count()),
-                           formatf("%.2f", rate)});
+                           formatf("%.2f", dt), formatf("%.2f", rate)});
                 logPoint(cfg.str() + " (scaled)", cfg.str(),
-                         obs::RecordKind::Run, rho, params.lambda, mu_n,
-                         mu_s, opts.seed, 0, res, dt.count(), display);
+                         obs::RecordKind::Run, rho, params[flat].lambda,
+                         mu_n, params[flat].muS, opts.seed, 0, res, dt,
+                         display);
+                ++flat;
             }
         }
         table.print(std::cout);

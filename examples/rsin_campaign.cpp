@@ -21,10 +21,7 @@
  * process appends to its own ledger segment family and they never
  * contend.
  *
- * --jobs fans cells out over worker threads; --shards instead moves
- * the parallelism inside each run (partitioned calendars, cells one
- * at a time): default 1 = serial calendar, 0 = auto, P > 1 explicit
- * -- the same convention as rsin_sweep and the figure benches.
+ * --jobs fans cells out over worker threads.
  *
  * Every configuration with an exact Markov chain (SBUS, and the
  * crossbar and Omega shapes in range of the LD-QBD solvers) also gets
@@ -112,7 +109,7 @@ specFromArgs(const ArgParser &args)
     spec.rhoSteps = args.getCount("steps", 9);
     spec.tasks = args.getCount("tasks", 20000);
     spec.replications = args.getCount("replications", 1);
-    spec.seed = static_cast<std::uint64_t>(args.getLong("seed", 1));
+    spec.seed = args.getUnsigned("seed", 1);
     spec.muN = args.getDouble("mu-n", 1.0);
     spec.analytic = !args.flag("no-analytic");
     return spec;
@@ -163,33 +160,6 @@ simulationRecord(const CampaignSpec &spec, const CampaignCell &cell,
     return rec;
 }
 
-obs::RunRecord
-analyticRecord(const CampaignSpec &spec, const CampaignCell &cell,
-               const markov::SbusSolution &sol, double wall_seconds)
-{
-    obs::RunRecord rec;
-    rec.curve = cellCurve(spec, cell);
-    rec.config = spec.configs[cell.configIndex].str();
-    rec.kind = obs::RecordKind::Analytic;
-    rec.rho = cell.rho;
-    rec.lambda = cell.lambda;
-    rec.muN = spec.muN;
-    rec.muS = spec.muN * cell.ratio;
-    rec.replication = -1;
-    rec.result.status =
-        sol.stable ? RunStatus::Ok : RunStatus::Saturated;
-    rec.result.saturated = !sol.stable;
-    rec.result.meanDelay = sol.queueingDelay;
-    rec.result.normalizedDelay = sol.normalizedDelay;
-    rec.result.timeAvgQueue = sol.meanQueueLength;
-    rec.result.fractionNoWait = sol.probNoWait;
-    rec.result.shardsUsed = 0; // no calendar ran
-    rec.display =
-        sol.stable ? formatf("%.5f", sol.normalizedDelay) : "inf";
-    rec.wallSeconds = wall_seconds;
-    return rec;
-}
-
 } // namespace
 
 int
@@ -201,9 +171,8 @@ main(int argc, char **argv)
             {"no-analytic", "progress", "deterministic", "help"},
             {"schedulers", "policies", "workloads", "ratios",
              "rho-min", "rho-max", "steps", "tasks", "replications",
-             "seed", "mu-n", "ledger", "jobs", "shards",
-             "shard-index", "shard-count", "out", "format",
-             "kill-after-cells"});
+             "seed", "mu-n", "ledger", "jobs", "shard-index",
+             "shard-count", "out", "format", "kill-after-cells"});
         if (args.flag("help") || args.positional().empty()) {
             std::cout
                 << "usage: " << args.program()
@@ -224,8 +193,6 @@ main(int argc, char **argv)
                    "  --tasks N --seed S --mu-n M --no-analytic\n"
                    "  --jobs J       cell fan-out workers (0 = all"
                    " hardware threads)\n"
-                   "  --shards P     in-run calendar shards (1 ="
-                   " serial, 0 = auto)\n"
                    "  --shard-index I --shard-count N   multi-process"
                    " sharding\n"
                    "  --out PATH --format json|csv      export merged"
@@ -244,15 +211,14 @@ main(int argc, char **argv)
         RSIN_REQUIRE(!ledger_dir.empty(),
                      "--ledger DIR is required (the resume state)");
         const std::size_t jobs = args.getJobs();
-        const std::size_t shards = args.getShards();
         const std::size_t shard_count = args.getCount("shard-count", 1);
-        const auto shard_index = static_cast<std::size_t>(
-            args.getLong("shard-index", 0));
+        const auto shard_index =
+            static_cast<std::size_t>(args.getUnsigned("shard-index", 0));
         RSIN_REQUIRE(shard_index < shard_count,
                      "--shard-index must be < --shard-count");
         KillSwitch kill;
         kill.killAfter = static_cast<std::size_t>(
-            args.getLong("kill-after-cells", 0));
+            args.getUnsigned("kill-after-cells", 0));
         const bool deterministic = args.flag("deterministic");
         const std::string out = args.get("out");
         const obs::Format out_format =
@@ -307,7 +273,6 @@ main(int argc, char **argv)
         std::unique_ptr<exec::ThreadPool> pool;
         if (jobs > 1)
             pool = std::make_unique<exec::ThreadPool>(jobs);
-        const bool sharded = shards != 1;
         const auto wallSince =
             [deterministic](std::chrono::steady_clock::time_point t0) {
                 const std::chrono::duration<double> dt =
@@ -337,7 +302,11 @@ main(int argc, char **argv)
                         : omegaExact(cfg, cell->lambda, spec.muN, mu_s);
                 kill.maybeKill(writer.append(
                     cell->key,
-                    analyticRecord(spec, *cell, sol, wallSince(t0))));
+                    obs::analyticRecord(
+                        cellCurve(spec, *cell), cfg.str(), cell->rho,
+                        cell->lambda, spec.muN, mu_s, sol, wallSince(t0),
+                        sol.stable ? formatf("%.5f", sol.normalizedDelay)
+                                   : "inf")));
             }
         };
 
@@ -356,8 +325,7 @@ main(int argc, char **argv)
             sc.seed = sim_cells[i]->seed;
             sweep_cells.push_back(sc);
         }
-        const exec::SweepRunner runner(sharded ? nullptr : pool.get(),
-                                       &observer);
+        const exec::SweepRunner runner(pool.get(), &observer);
         const auto simulateAll = [&] {
             runner.runCells(sweep_cells, [&](const exec::SweepCell &sc) {
                 const CampaignCell &cell = *sim_cells[sc.flat];
@@ -365,19 +333,17 @@ main(int argc, char **argv)
                 opts.seed = cell.seed;
                 opts.warmupTasks = spec.tasks / 10;
                 opts.measureTasks = spec.tasks;
-                opts.shards = shards;
                 const auto t0 = std::chrono::steady_clock::now();
                 const SimResult res = simulate(
                     spec.configs[cell.configIndex],
-                    cellWorkload(spec, cell), opts, cellModel(spec, cell),
-                    sharded ? pool.get() : nullptr);
+                    cellWorkload(spec, cell), opts, cellModel(spec, cell));
                 kill.maybeKill(writer.append(
                     cell.key,
                     simulationRecord(spec, cell, res, wallSince(t0))));
             });
         };
 
-        if (pool && !sharded) {
+        if (pool) {
             // The lane starts first; the other pool threads run the
             // simulation cells meanwhile (the nested runCells call
             // drains on whichever threads are free).  A throw from
@@ -389,8 +355,6 @@ main(int argc, char **argv)
                     simulateAll();
             });
         } else {
-            // No pool, or the pool works inside each run: one after
-            // the other.
             solveAnalytic();
             simulateAll();
         }

@@ -6,23 +6,14 @@
  *
  *   ./rsin_sweep "16/1x16x16 OMEGA/2" "16/1x16x16 XBAR/2" \
  *       --ratio 0.1 --rho-min 0.1 --rho-max 0.9 --steps 9 \
- *       --tasks 20000 --seed 7 --jobs 8 [--shards P] [--csv]
- *       [--analytic] [--response] [--progress] [--out run.json]
- *       [--format json|csv]
+ *       --tasks 20000 --seed 7 --jobs 8 [--csv] [--analytic]
+ *       [--response] [--progress] [--out run.json] [--format json|csv]
  *
  * With --analytic, SBUS configurations are additionally solved with
  * the exact Markov model (matrix-geometric).  The (config, rho) cells
- * are independent simulations seeded from their grid coordinates, so
- * --jobs only changes wall-clock time, never a printed value.
- *
- * --shards moves the parallelism *inside* each run: the system is
- * partitioned by network and executed on that many calendar shards
- * (see docs/PERF.md).  SBUS cells print bit-identical values at any
- * shard count; 0 means "auto: one shard per worker of the pool
- * driving the run" (hardware threads when there is no pool) -- the
- * convention shared by every --shards option in the tree.  With
- * --shards active the worker pool drives the shards, so cells are
- * visited one at a time.
+ * are independent simulations seeded from their grid coordinates, and
+ * --jobs runs them side by side: it only changes wall-clock time,
+ * never a printed value.
  *
  * Cells whose run produced no post-warmup observations (truncated or
  * no-data status) print "n/a" -- distinct from "inf", which means the
@@ -56,29 +47,19 @@ main(int argc, char **argv)
             argc, argv,
             {"csv", "analytic", "response", "progress", "help"},
             {"ratio", "rho-min", "rho-max", "steps", "tasks", "seed",
-             "mu-n", "jobs", "shards", "out", "format"});
+             "mu-n", "jobs", "out", "format"});
         if (args.flag("help") || args.positional().empty()) {
             std::cout
                 << "usage: " << args.program()
                 << " CONFIG [CONFIG...] [--ratio R] [--rho-min A]"
                    " [--rho-max B]\n"
                    "       [--steps N] [--tasks N] [--seed S] [--mu-n M]"
-                   " [--jobs J] [--shards P] [--csv] [--analytic]"
-                   " [--response]\n"
+                   " [--jobs J] [--csv] [--analytic] [--response]\n"
                    "       [--progress] [--out PATH] [--format json|csv]\n"
                    "CONFIG uses the paper notation, e.g."
                    " '16/1x16x16 OMEGA/2'.\n"
                    "--jobs 0 (the default) uses every hardware"
                    " thread to run cells concurrently.\n"
-                   "--shards P runs each simulation on P calendar"
-                   " shards (partitioned\n"
-                   "  by network; the output is bit-identical at any"
-                   " P).  --shards 0\n"
-                   "  means auto -- one shard per worker of the pool"
-                   " driving the run\n"
-                   "  (hardware threads when there is no pool);"
-                   " the default 1 is the\n"
-                   "  serial calendar.\n"
                    "--out writes every cell as a structured run record"
                    " (json or csv).\n";
             return args.flag("help") ? 0 : 1;
@@ -91,16 +72,10 @@ main(int argc, char **argv)
         const double rho_max = args.getDouble("rho-max", 0.9);
         const std::size_t steps = args.getCount("steps", 9);
         const std::uint64_t tasks = args.getCount("tasks", 20000);
-        const auto seed =
-            static_cast<std::uint64_t>(args.getLong("seed", 1));
+        const std::uint64_t seed = args.getUnsigned("seed", 1);
         const bool csv = args.flag("csv");
         const bool response = args.flag("response");
         const std::size_t jobs = args.getJobs();
-        // Unified --shards convention (see ArgParser::getShards):
-        // default 1 = serial calendar, 0 = auto (resolved by the run
-        // layer against the pool that actually drives the shards),
-        // P > 1 explicit.
-        const std::size_t shards = args.getShards();
         const std::string out = args.get("out");
         const obs::Format out_format =
             obs::parseFormat(args.get("format", "json"));
@@ -125,16 +100,12 @@ main(int argc, char **argv)
 
         // Simulate every (config, rho) cell up front, fanned out over
         // the worker pool; printing below then only reads results.
-        // With --shards the pool moves inside each run (one level of
-        // parallelism): cells go one at a time, each sharded.
         std::unique_ptr<exec::ThreadPool> pool;
         if (jobs > 1)
             pool = std::make_unique<exec::ThreadPool>(jobs);
-        const bool sharded = shards != 1;
         std::vector<SimResult> results(configs.size() * steps);
         std::vector<double> wall(configs.size() * steps, 0.0);
-        const exec::SweepRunner runner(sharded ? nullptr : pool.get(),
-                                       &observer);
+        const exec::SweepRunner runner(pool.get(), &observer);
         runner.run(configs.size(), steps, 1, seed,
                    [&](const exec::SweepCell &sweep_cell) {
                        workload::WorkloadParams params;
@@ -149,12 +120,9 @@ main(int argc, char **argv)
                                               sweep_cell.point);
                        opts.warmupTasks = tasks / 10;
                        opts.measureTasks = tasks;
-                       opts.shards = shards;
                        const auto t0 = std::chrono::steady_clock::now();
-                       results[sweep_cell.flat] =
-                           simulate(configs[sweep_cell.config], params,
-                                    opts, {},
-                                    sharded ? pool.get() : nullptr);
+                       results[sweep_cell.flat] = simulate(
+                           configs[sweep_cell.config], params, opts);
                        const std::chrono::duration<double> dt =
                            std::chrono::steady_clock::now() - t0;
                        wall[sweep_cell.flat] = dt.count();
@@ -204,30 +172,19 @@ main(int argc, char **argv)
                 }
                 if (args.flag("analytic") &&
                     cfg.network == NetworkClass::SingleBus) {
+                    const auto t0 = std::chrono::steady_clock::now();
                     const auto sol = analyzeSbus(cfg, lambda, mu_n, mu_s);
+                    const std::chrono::duration<double> dt =
+                        std::chrono::steady_clock::now() - t0;
                     // The analytic column always reports mu_s*d (the
                     // Markov model covers the queueing delay only).
                     row.push_back(sol.stable
                                       ? formatf("%.5f",
                                                 sol.normalizedDelay)
                                       : "inf");
-                    obs::RunRecord rec;
-                    rec.curve = cfg.str() + " (analytic)";
-                    rec.config = cfg.str();
-                    rec.kind = obs::RecordKind::Analytic;
-                    rec.rho = rho;
-                    rec.lambda = lambda;
-                    rec.muN = mu_n;
-                    rec.muS = mu_s;
-                    rec.replication = -1;
-                    rec.display = row.back();
-                    rec.result.status = sol.stable
-                                            ? RunStatus::Ok
-                                            : RunStatus::Saturated;
-                    rec.result.saturated = !sol.stable;
-                    rec.result.meanDelay = sol.queueingDelay;
-                    rec.result.normalizedDelay = sol.normalizedDelay;
-                    log.add(std::move(rec));
+                    log.add(obs::analyticRecord(
+                        cfg.str() + " (analytic)", cfg.str(), rho, lambda,
+                        mu_n, mu_s, sol, dt.count(), row.back()));
                 }
             }
             table.row(std::move(row));

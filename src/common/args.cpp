@@ -106,25 +106,19 @@ ArgParser::resolveJobs(long jobs)
     return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
-std::size_t
-ArgParser::getShards(const std::string &name, long fallback) const
+std::uint64_t
+ArgParser::getUnsigned(const std::string &name, std::uint64_t fallback) const
 {
-    const long raw = getLong(name, fallback);
-    RSIN_REQUIRE(raw >= 0, "ArgParser: --", name,
-                 " must be >= 0 (0 means auto: one shard per worker "
-                 "of the pool driving the run; 1 is the serial "
-                 "calendar), got ", raw);
-    return static_cast<std::size_t>(raw);
+    const long raw = getLong(name, static_cast<long>(fallback));
+    RSIN_REQUIRE(raw >= 0, "ArgParser: --", name, " must be >= 0, got ",
+                 raw);
+    return static_cast<std::uint64_t>(raw);
 }
 
 std::size_t
-ArgParser::getJobs(const std::string &name, long fallback) const
+ArgParser::getJobs(const std::string &name, std::uint64_t fallback) const
 {
-    const long raw = getLong(name, fallback);
-    RSIN_REQUIRE(raw >= 0, "ArgParser: --", name,
-                 " must be >= 0 (0 means all hardware threads), got ",
-                 raw);
-    return resolveJobs(raw);
+    return resolveJobs(static_cast<long>(getUnsigned(name, fallback)));
 }
 
 void

@@ -10,6 +10,7 @@
  */
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
@@ -56,24 +57,18 @@ class ArgParser
      * worker per hardware thread.
      */
     std::size_t getJobs(const std::string &name = "jobs",
-                        long fallback = 0) const;
+                        std::uint64_t fallback = 0) const;
 
     /** Resolve a raw jobs value (0 -> hardware concurrency, min 1). */
     static std::size_t resolveJobs(long jobs);
 
     /**
-     * Shard count from a "--shards P" style option, preserving the
-     * SimOptions convention everywhere: the default 1 is the serial
-     * calendar, 0 means "auto" and is passed through UNresolved so the
-     * run layer can size it against the executor actually driving the
-     * shards (hardware threads only when no pool exists), and P > 1 is
-     * an explicit request.  Rejects negative values.  Every tool with
-     * a --shards option must parse it through here so the flag means
-     * the same thing in rsin_sweep, the figure benches and the
-     * campaign runner.
+     * Non-negative integer option ("--seed S", "--shard-index I"): 0
+     * and up.  Throws FatalError on a malformed or negative value,
+     * which a cast of getLong() would wrap to a number near 2^64.
      */
-    std::size_t getShards(const std::string &name = "shards",
-                          long fallback = 1) const;
+    std::uint64_t getUnsigned(const std::string &name,
+                              std::uint64_t fallback) const;
 
     const std::vector<std::string> &positional() const
     {

@@ -5,10 +5,11 @@
  * Executor: the minimal parallel-for capability model code may accept.
  *
  * Model layers (rsin/) must not depend on the runtime layer (exec/) --
- * the layer DAG forbids it -- yet simulateReplicated wants to fan
- * replications out over whatever worker pool the caller owns.  This
- * interface inverts that dependency: exec::ThreadPool implements it,
- * model code consumes it, and the include arrow points down the DAG.
+ * the layer DAG forbids it -- yet simulate() runs the shards of a
+ * partitioned run (SimOptions::shards > 1) on whatever worker pool the
+ * caller owns.  This interface inverts that dependency:
+ * exec::ThreadPool implements it, the engine consumes it, and the
+ * include arrow points down the DAG.
  *
  * Implementations must guarantee that body(0..n-1) each run exactly
  * once and that parallelFor returns only after all of them completed;

@@ -62,13 +62,6 @@ SweepObserver::stats() const
     return stats_;
 }
 
-std::size_t
-SweepObserver::totalCells() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return total_;
-}
-
 void
 SweepRunner::run(std::size_t configs, std::size_t points,
                  std::size_t replications, std::uint64_t baseSeed,
@@ -115,7 +108,7 @@ SweepRunner::run(std::size_t configs, std::size_t points,
             fn(cell);
         }
     };
-    if (parallel()) {
+    if (pool_ && pool_->size() > 1) {
         pool_->parallelFor(total, runCell);
     } else {
         for (std::size_t flat = 0; flat < total; ++flat)
@@ -156,7 +149,7 @@ SweepRunner::runCells(const std::vector<SweepCell> &cells,
             fn(cell);
         }
     };
-    if (parallel()) {
+    if (pool_ && pool_->size() > 1) {
         pool_->parallelFor(cells.size(), runCell);
     } else {
         for (std::size_t i = 0; i < cells.size(); ++i)

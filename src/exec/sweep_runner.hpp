@@ -81,9 +81,6 @@ class SweepObserver
     /** Snapshot of the counters (thread-safe). */
     SweepStats stats() const;
 
-    /** Total cells announced via addWork. */
-    std::size_t totalCells() const;
-
   private:
     mutable std::mutex mutex_;
     std::string label_;
@@ -130,9 +127,6 @@ class SweepRunner
     void
     runCells(const std::vector<SweepCell> &cells,
              const std::function<void(const SweepCell &)> &fn) const;
-
-    /** True when cells will actually run concurrently. */
-    bool parallel() const { return pool_ && pool_->size() > 1; }
 
   private:
     ThreadPool *pool_;

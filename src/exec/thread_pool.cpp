@@ -48,13 +48,6 @@ ThreadPool::submit(std::function<void()> task)
 }
 
 void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    allIdle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
-void
 ThreadPool::workerLoop()
 {
     for (;;) {
@@ -67,15 +60,8 @@ ThreadPool::workerLoop()
                 return; // stopping_ and drained
             task = std::move(queue_.front());
             queue_.pop_front();
-            ++active_;
         }
         task();
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            --active_;
-            if (queue_.empty() && active_ == 0)
-                allIdle_.notify_all();
-        }
     }
 }
 

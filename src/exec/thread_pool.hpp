@@ -9,7 +9,7 @@
  * run each, milliseconds to seconds), so queue contention is
  * negligible and the simple design is easy to audit for races.
  *
- * parallelFor() is the main entry point.  The calling thread
+ * parallelFor() is the only entry point.  The calling thread
  * participates in the index loop, which makes nested calls safe: a
  * worker that re-enters parallelFor simply drains the inner range
  * itself instead of deadlocking on the (busy) pool.
@@ -50,12 +50,6 @@ class ThreadPool : public common::Executor
     /** Number of worker threads. */
     std::size_t size() const override { return workers_.size(); }
 
-    /** Enqueue a task for asynchronous execution. */
-    void submit(std::function<void()> task);
-
-    /** Block until every submitted task has finished. */
-    void wait();
-
     /**
      * Run body(0..n-1), distributing indices over the workers and the
      * calling thread; returns when all n indices have completed.  The
@@ -69,14 +63,15 @@ class ThreadPool : public common::Executor
     static std::size_t hardwareThreads();
 
   private:
+    /** Enqueue a task for asynchronous execution. */
+    void submit(std::function<void()> task);
+
     void workerLoop();
 
     std::vector<std::thread> workers_;
     std::mutex mutex_;
     std::condition_variable taskReady_;
-    std::condition_variable allIdle_;
     std::deque<std::function<void()>> queue_;
-    std::size_t active_ = 0;
     bool stopping_ = false;
 };
 

@@ -16,6 +16,9 @@
 #include "rsin/system.hpp"
 
 namespace rsin {
+namespace markov {
+struct SbusSolution;
+}
 namespace obs {
 
 /** What produced a record's numbers. */
@@ -59,6 +62,19 @@ struct RunRecord
  */
 std::string displayValue(const SimResult &result, double value,
                          const char *fmt = "%.4f");
+
+/**
+ * The record of one analytic solver point: kind analytic, no seed,
+ * replication -1, the solution's delays, E[l] (time_avg_queue) and
+ * P(no wait) (fraction_no_wait), 0 shards because no calendar ran, and
+ * the solve's wall time.  The one analytic view every producer shares
+ * (figure benches, rsin_sweep --analytic, rsin_campaign), so their
+ * records cannot drift apart.
+ */
+RunRecord analyticRecord(std::string curve, std::string config,
+                         double rho, double lambda, double mu_n,
+                         double mu_s, const markov::SbusSolution &sol,
+                         double wall_seconds, std::string display);
 
 class JsonWriter;
 struct JsonValue;

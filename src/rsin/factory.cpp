@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <thread>
 
 #include "common/contract.hpp"
 #include "common/error.hpp"
@@ -37,23 +36,14 @@ simulate(const SystemConfig &config, const workload::WorkloadParams &params,
          const SimOptions &options, const ModelOptions &model,
          common::Executor *executor)
 {
-    std::size_t requested = options.shards;
-    if (requested == 0) {
-        // Auto: one shard per available worker (the same "0 means
-        // hardware concurrency" convention as --jobs).
-        requested = executor
-                        ? std::max<std::size_t>(executor->size(), 1)
-                        : std::max<std::size_t>(
-                              std::thread::hardware_concurrency(), 1);
-    }
-    if (requested > 1) {
-        const PartitionPlan plan = planPartition(config, requested);
+    if (options.shards > 1) {
+        const PartitionPlan plan = planPartition(config, options.shards);
         if (plan.shardCount() >= 2)
             return runPartitioned(config, params, options, model, plan,
                                   executor);
     }
-    // Unsplittable (single network) or a single shard requested: the
-    // serial calendar, the oracle every partitioned run is checked
+    // Unsplittable (single network) or at most one shard requested:
+    // the serial calendar, the oracle every partitioned run is checked
     // against.
     return makeSystem(config, params, options, model)->run();
 }
@@ -192,27 +182,17 @@ SimResult
 simulateReplicated(const SystemConfig &config,
                    const workload::WorkloadParams &params,
                    const SimOptions &options, std::size_t replications,
-                   const ModelOptions &model, common::Executor *executor)
+                   const ModelOptions &model)
 {
     RSIN_REQUIRE(replications >= 1,
                  "simulateReplicated: need at least one replication");
     const auto seeds = replicationSeeds(options.seed, replications);
-    std::vector<SimResult> runs(replications);
-    // Spend the executor on exactly one level of parallelism: in-run
-    // sharding when the caller asked for it (shards == 0 auto or > 1),
-    // across replications otherwise.
-    const bool sharded = options.shards != 1;
-    const auto runOne = [&](std::size_t i) {
+    std::vector<SimResult> runs;
+    runs.reserve(replications);
+    for (const std::uint64_t seed : seeds) {
         SimOptions opts = options;
-        opts.seed = seeds[i];
-        runs[i] = simulate(config, params, opts, model,
-                           sharded ? executor : nullptr);
-    };
-    if (!sharded && executor && executor->size() > 1) {
-        executor->parallelFor(replications, runOne);
-    } else {
-        for (std::size_t i = 0; i < replications; ++i)
-            runOne(i);
+        opts.seed = seed;
+        runs.push_back(simulate(config, params, opts, model));
     }
     return aggregateReplications(std::move(runs), params);
 }

@@ -35,13 +35,13 @@ makeSystem(const SystemConfig &config,
            const SimOptions &options, const ModelOptions &model = {});
 
 /**
- * Build and run in one call.  When options.shards requests a
- * partitioned run (0 = auto, >1 = explicit) and the configuration can
- * be split (more than one network), the system is sharded by network
- * and executed through runPartitioned; @p executor then supplies the
- * worker threads (null runs the shards on the calling thread).  The
- * result is the serial one, bit for bit, in every mode and at any
- * shard count; see src/rsin/partitioned_run.hpp for the contract.
+ * Build and run in one call.  When options.shards > 1 and the
+ * configuration can be split (more than one network), the system is
+ * sharded by network and executed through runPartitioned; @p executor
+ * then supplies the worker threads (null runs the shards on the
+ * calling thread).  The result is the serial one, bit for bit, at any
+ * shard count and with any executor; see src/rsin/partitioned_run.hpp
+ * for the contract and the engine's remaining callers.
  */
 SimResult simulate(const SystemConfig &config,
                    const workload::WorkloadParams &params,
@@ -72,20 +72,15 @@ SimResult aggregateReplications(std::vector<SimResult> runs,
 
 /**
  * Run @p replications independent runs (seeds derived from
- * options.seed) and aggregate them (see aggregateReplications).
- * Benches use this for smooth figure curves.  With an @p executor
- * (e.g. an exec::ThreadPool) the replications run concurrently;
- * results are bit-identical to the serial path because each run's seed
- * depends only on its index.  When options.shards also requests a
- * partitioned run, the executor is spent on in-run sharding instead
- * and the replications proceed one at a time (one level of
- * parallelism, never nested).
+ * options.seed) one after another and aggregate them (see
+ * aggregateReplications).  Benches that want the replications of
+ * many cells in parallel fan them out as sweep cells instead (seeds
+ * from replicationSeeds).
  */
 SimResult simulateReplicated(const SystemConfig &config,
                              const workload::WorkloadParams &params,
                              const SimOptions &options,
                              std::size_t replications,
-                             const ModelOptions &model = {},
-                             common::Executor *executor = nullptr);
+                             const ModelOptions &model = {});
 
 } // namespace rsin

@@ -33,6 +33,14 @@
  *    order) is reconstructed exactly from the merged logs and the
  *    per-event kernel journals, and only observations at or before
  *    that cut are committed.
+ *
+ * Callers: no command-line driver shards a run; cells are what the
+ * worker pools run.  The engine is reached only through simulate()
+ * with SimOptions::shards > 1, and its remaining callers are the
+ * benchmark's two 4-shard sim_large cells (e2ebench/workloads.cpp),
+ * tests/test_partitioned.cpp and BM_PartitionedDes
+ * (bench/micro_kernels.cpp).  It is deleted together with them (see
+ * ROADMAP.md, "Delete in-run sharding").
  */
 
 #include "common/parallel.hpp"

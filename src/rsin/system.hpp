@@ -53,11 +53,11 @@ struct SimOptions
     /** Hard ceiling on simulated events (secondary safety valve). */
     std::uint64_t maxEvents = 200000000;
     /**
-     * Calendar shards for parallel-in-run execution: 1 runs the serial
-     * oracle, 0 means "auto: one shard per available hardware thread",
-     * and any other value is a shard-count request (clamped to the
-     * number of independent networks in the config; unsplittable
-     * systems fall back to the serial path).
+     * Calendar shards of a partitioned run (src/rsin/partitioned_run.hpp):
+     * 0 and 1 run the serial calendar, and any larger value is a
+     * shard-count request (clamped to the number of independent
+     * networks in the config; unsplittable systems fall back to the
+     * serial path).  No command-line driver sets it.
      */
     std::size_t shards = 1;
 };

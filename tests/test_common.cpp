@@ -390,6 +390,23 @@ TEST(ArgParserTest, CountsAreAtLeastOne)
     EXPECT_EQ(args.getCount("steps", 9), 9u);
 }
 
+TEST(ArgParserTest, UnsignedRejectsNegativesAndAcceptsZero)
+{
+    // A cast of getLong would wrap "--seed -1" to 2^64 - 1 and
+    // "--kill-after-cells -1" to "never kill".
+    for (const char *bad : {"-1", "-5", "abc"}) {
+        const char *argv[] = {"prog", "--seed", bad};
+        const ArgParser args(3, argv, {}, {"seed"});
+        EXPECT_THROW(args.getUnsigned("seed", 1), FatalError) << bad;
+    }
+    const char *argv[] = {"prog", "--seed", "0", "--shard-index", "7"};
+    const ArgParser args(5, argv, {},
+                         {"seed", "shard-index", "kill-after-cells"});
+    EXPECT_EQ(args.getUnsigned("seed", 1), 0u);
+    EXPECT_EQ(args.getUnsigned("shard-index", 0), 7u);
+    EXPECT_EQ(args.getUnsigned("kill-after-cells", 0), 0u);
+}
+
 TEST(CsvQuoteTest, QuotesOnlyWhenRfc4180Requires)
 {
     EXPECT_EQ(csvQuote("plain"), "plain");

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <set>
@@ -19,7 +21,6 @@
 #include "common/rng.hpp"
 #include "exec/sweep_runner.hpp"
 #include "exec/thread_pool.hpp"
-#include "rsin/factory.hpp"
 
 namespace rsin {
 namespace exec {
@@ -27,27 +28,33 @@ namespace {
 
 TEST(ThreadPoolTest, RunsAllSubmittedTasksOnWorkers)
 {
+    // One index per pool worker plus one for the calling thread, and
+    // no body finishes until all of them have started: each thread
+    // that drains the range then holds exactly one index, so the
+    // bodies ran on every worker as well as on the caller.
     constexpr std::size_t kThreads = 4;
-    constexpr std::size_t kTasks = 64;
+    constexpr std::size_t kIndices = kThreads + 1;
     ThreadPool pool(kThreads);
     EXPECT_EQ(pool.size(), kThreads);
 
-    std::atomic<std::size_t> done{0};
     std::mutex mutex;
+    std::condition_variable allStarted;
     std::set<std::thread::id> ids;
-    for (std::size_t i = 0; i < kTasks; ++i)
-        pool.submit([&] {
-            {
-                std::lock_guard<std::mutex> lock(mutex);
-                ids.insert(std::this_thread::get_id());
-            }
-            done.fetch_add(1, std::memory_order_relaxed);
-        });
-    pool.wait();
-    EXPECT_EQ(done.load(), kTasks);
-    // Tasks ran on the pool's workers, never inline on the caller.
-    EXPECT_LE(ids.size(), kThreads);
-    EXPECT_EQ(ids.count(std::this_thread::get_id()), 0u);
+    std::size_t started = 0;
+    bool timedOut = false;
+    pool.parallelFor(kIndices, [&](std::size_t) {
+        std::unique_lock<std::mutex> lock(mutex);
+        ids.insert(std::this_thread::get_id());
+        ++started;
+        allStarted.notify_all();
+        if (!allStarted.wait_for(lock, std::chrono::seconds(10),
+                                 [&] { return started == kIndices; }))
+            timedOut = true;
+    });
+    EXPECT_FALSE(timedOut);
+    EXPECT_EQ(started, kIndices);
+    EXPECT_EQ(ids.size(), kIndices);
+    EXPECT_EQ(ids.count(std::this_thread::get_id()), 1u);
 }
 
 TEST(ThreadPoolTest, ZeroThreadsMeansHardwareConcurrency)
@@ -204,33 +211,6 @@ TEST(SweepRunnerTest, ParallelGridBitIdenticalToSerial)
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
         EXPECT_EQ(parallel[i], serial[i]) << "cell " << i;
-}
-
-TEST(SweepRunnerTest, PooledSimulateReplicatedMatchesSerial)
-{
-    // End-to-end through the factory: fanning the replications of a
-    // real simulation over the pool must not change a single bit of
-    // the aggregated result.
-    const auto cfg = SystemConfig::parse("4/1x4x4 OMEGA/1");
-    workload::WorkloadParams params;
-    params.muN = 1.0;
-    params.muS = 0.1;
-    params.lambda = 0.05;
-    SimOptions opts;
-    opts.seed = 21;
-    opts.warmupTasks = 50;
-    opts.measureTasks = 500;
-    const SimResult serial =
-        simulateReplicated(cfg, params, opts, 3);
-    ThreadPool pool(3);
-    const SimResult pooled =
-        simulateReplicated(cfg, params, opts, 3, {}, &pool);
-    EXPECT_EQ(pooled.meanDelay, serial.meanDelay);
-    EXPECT_EQ(pooled.meanResponse, serial.meanResponse);
-    EXPECT_EQ(pooled.normalizedDelay, serial.normalizedDelay);
-    EXPECT_EQ(pooled.saturated, serial.saturated);
-    EXPECT_EQ(pooled.delayHalfWidth, serial.delayHalfWidth);
-    EXPECT_EQ(pooled.completedTasks, serial.completedTasks);
 }
 
 } // namespace

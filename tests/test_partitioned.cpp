@@ -225,32 +225,6 @@ TEST(PartitionedRunTest, UnsplittableConfigFallsBackToSerial)
     expectSameResult(simulate(cfg, params, smallOptions()), result);
 }
 
-TEST(PartitionedRunTest, AutoShardsMatchesSerial)
-{
-    const auto cfg = SystemConfig::parse("8/4x1x1 SBUS/2");
-    const auto params = makeParams(0.1, 1.0, 0.5);
-    SimOptions opts = smallOptions(17);
-    opts.shards = 0; // auto: one shard per hardware thread
-    const SimResult result = simulate(cfg, params, opts);
-    EXPECT_GE(result.shardsUsed, 1u);
-    expectSameResult(simulate(cfg, params, smallOptions(17)), result);
-}
-
-TEST(PartitionedRunTest, ReplicatedShardedMatchesReplicatedSerial)
-{
-    const auto cfg = SystemConfig::parse("8/4x1x1 SBUS/2");
-    const auto params = makeParams(0.12, 1.0, 0.4);
-    SimOptions serialOpts = smallOptions(23);
-    const SimResult serial =
-        simulateReplicated(cfg, params, serialOpts, 3);
-    SimOptions shardedOpts = serialOpts;
-    shardedOpts.shards = 4;
-    exec::ThreadPool pool(4);
-    const SimResult sharded =
-        simulateReplicated(cfg, params, shardedOpts, 3, {}, &pool);
-    expectSameResult(serial, sharded);
-}
-
 /** A switched-network model under test, with a label for failures. */
 struct SwitchedCase
 {
