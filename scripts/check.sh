@@ -102,6 +102,16 @@ run_lint() {
         echo "check.sh: lint call graph has no resolved edges" >&2
         exit 1
     }
+    # The sweep cell lambdas reach the pool only through SweepRunner's
+    # callable parameters; if forwarder inference loses them, these
+    # two files keep their cells but lose every worker root.
+    for file in bench/figure_common.hpp examples/rsin_sweep.cpp; do
+        echo "$graph" | grep -F "worker root:" | grep -q -F "($file:" || {
+            echo "check.sh: lint call graph found no worker root" \
+                 "in $file" >&2
+            exit 1
+        }
+    done
     # Whole-tree run with per-phase timings; gate its wall time so the
     # linter never quietly becomes the slow part of the loop.
     timings=$("$build/tools/rsin_lint/rsin_lint" --root "$repo" \

@@ -93,19 +93,6 @@ ArgParser::getCount(const std::string &name, std::size_t fallback) const
     return static_cast<std::size_t>(raw);
 }
 
-std::size_t
-ArgParser::resolveJobs(long jobs)
-{
-    // Negative counts must not silently fall through (or, for callers
-    // that cast, wrap through std::size_t into an absurd pool size).
-    RSIN_REQUIRE(jobs >= 0, "jobs count must be >= 0 "
-                 "(0 means all hardware threads), got ", jobs);
-    if (jobs > 0)
-        return static_cast<std::size_t>(jobs);
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<std::size_t>(hw);
-}
-
 std::uint64_t
 ArgParser::getUnsigned(const std::string &name, std::uint64_t fallback) const
 {
@@ -118,7 +105,11 @@ ArgParser::getUnsigned(const std::string &name, std::uint64_t fallback) const
 std::size_t
 ArgParser::getJobs(const std::string &name, std::uint64_t fallback) const
 {
-    return resolveJobs(static_cast<long>(getUnsigned(name, fallback)));
+    const std::uint64_t jobs = getUnsigned(name, fallback);
+    if (jobs > 0)
+        return static_cast<std::size_t>(jobs);
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
 void

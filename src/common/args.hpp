@@ -54,13 +54,11 @@ class ArgParser
     /**
      * Worker count from a "--jobs N" style option: N >= 1 is taken
      * literally, 0 (or an absent option with @p fallback 0) means one
-     * worker per hardware thread.
+     * worker per hardware thread (at least 1).  Throws FatalError on a
+     * malformed or negative value.
      */
     std::size_t getJobs(const std::string &name = "jobs",
                         std::uint64_t fallback = 0) const;
-
-    /** Resolve a raw jobs value (0 -> hardware concurrency, min 1). */
-    static std::size_t resolveJobs(long jobs);
 
     /**
      * Non-negative integer option ("--seed S", "--shard-index I"): 0

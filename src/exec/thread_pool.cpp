@@ -9,17 +9,10 @@
 namespace rsin {
 namespace exec {
 
-std::size_t
-ThreadPool::hardwareThreads()
-{
-    const unsigned n = std::thread::hardware_concurrency();
-    return n == 0 ? 1 : static_cast<std::size_t>(n);
-}
-
 ThreadPool::ThreadPool(std::size_t threads)
 {
-    if (threads == 0)
-        threads = hardwareThreads();
+    RSIN_REQUIRE(threads >= 1, "ThreadPool: need at least one worker, "
+                 "got ", threads);
     workers_.reserve(threads);
     for (std::size_t i = 0; i < threads; ++i)
         workers_.emplace_back([this] { workerLoop(); });

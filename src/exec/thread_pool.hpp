@@ -37,9 +37,10 @@ class ThreadPool : public common::Executor
 {
   public:
     /**
-     * @param threads worker count; 0 means one per hardware thread.
+     * @param threads worker count, at least 1 (a "--jobs 0" resolves
+     *        to a count in ArgParser::getJobs)
      */
-    explicit ThreadPool(std::size_t threads = 0);
+    explicit ThreadPool(std::size_t threads);
 
     /** Drains outstanding tasks, then joins the workers. */
     ~ThreadPool() override;
@@ -58,9 +59,6 @@ class ThreadPool : public common::Executor
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &body) override;
-
-    /** std::thread::hardware_concurrency with a floor of 1. */
-    static std::size_t hardwareThreads();
 
   private:
     /** Enqueue a task for asynchronous execution. */

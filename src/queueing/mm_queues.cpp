@@ -129,53 +129,6 @@ mmcK(double lambda, double mu, std::size_t c, std::size_t k)
     return out;
 }
 
-QueueMetrics
-mg1(double lambda, double mean_service, double second_moment)
-{
-    RSIN_REQUIRE(lambda >= 0.0 && mean_service > 0.0, "mg1: bad args");
-    RSIN_REQUIRE(second_moment >= mean_service * mean_service - 1e-12,
-                 "mg1: E[S^2] must be >= E[S]^2");
-    const double rho = lambda * mean_service;
-    if (rho >= 1.0)
-        return unstableMetrics(rho);
-    QueueMetrics metrics;
-    metrics.utilization = rho;
-    metrics.meanWait = lambda * second_moment / (2.0 * (1.0 - rho));
-    metrics.meanResponse = metrics.meanWait + mean_service;
-    metrics.meanQueue = lambda * metrics.meanWait;   // Little
-    metrics.meanNumber = lambda * metrics.meanResponse;
-    return metrics;
-}
-
-double
-secondMomentExponential(double rate)
-{
-    RSIN_REQUIRE(rate > 0.0, "secondMomentExponential: bad rate");
-    return 2.0 / (rate * rate);
-}
-
-double
-secondMomentDeterministic(double rate)
-{
-    RSIN_REQUIRE(rate > 0.0, "secondMomentDeterministic: bad rate");
-    return 1.0 / (rate * rate);
-}
-
-double
-secondMomentErlang(int k, double mean)
-{
-    RSIN_REQUIRE(k >= 1 && mean > 0.0, "secondMomentErlang: bad args");
-    // CV^2 = 1/k  =>  E[S^2] = (1 + 1/k) * mean^2.
-    return (1.0 + 1.0 / static_cast<double>(k)) * mean * mean;
-}
-
-double
-secondMomentFromCv2(double mean, double cv2)
-{
-    RSIN_REQUIRE(mean > 0.0 && cv2 >= 0.0, "secondMomentFromCv2: bad");
-    return (1.0 + cv2) * mean * mean;
-}
-
 double
 paperTrafficIntensity(std::size_t p, std::size_t m, double lambda,
                       double mu_n, double mu_s)

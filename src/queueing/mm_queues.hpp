@@ -65,26 +65,6 @@ FiniteQueueMetrics mmcK(double lambda, double mu, std::size_t c,
                         std::size_t k);
 
 /**
- * M/G/1 queue via the Pollaczek-Khinchine formula:
- *   E[W] = lambda * E[S^2] / (2 (1 - rho)).
- * Used to sanity-check the service-time-distribution ablation: the
- * exponential, Erlang, deterministic and hyperexponential cases differ
- * exactly through E[S^2].
- * @param lambda arrival rate
- * @param mean_service E[S]
- * @param second_moment E[S^2] (>= E[S]^2)
- */
-QueueMetrics mg1(double lambda, double mean_service,
-                 double second_moment);
-
-/** E[S^2] of common service laws with mean 1/rate. */
-double secondMomentExponential(double rate);
-double secondMomentDeterministic(double rate);
-double secondMomentErlang(int k, double mean);
-/** Squared-CV parameterization: E[S^2] = (1 + cv2) * mean^2. */
-double secondMomentFromCv2(double mean, double cv2);
-
-/**
  * The paper's traffic-intensity definition for a p-processor, m-resource
  * system (Section III): the utilization of a hypothetical single bus of
  * rate p*mu_n feeding a single resource of rate m*mu_s:

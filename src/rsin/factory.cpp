@@ -19,7 +19,8 @@ makeSystem(const SystemConfig &config,
     config.validate();
     switch (config.network) {
       case NetworkClass::SingleBus:
-        return std::make_unique<SbusSystem>(config, params, options);
+        return std::make_unique<CrossbarSystem>(
+            config, params, options, XbarArbitration::FifoArrival);
       case NetworkClass::Crossbar:
         return std::make_unique<CrossbarSystem>(config, params, options,
                                                 model.xbarArbitration);

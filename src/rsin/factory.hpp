@@ -15,7 +15,6 @@
 
 #include "common/parallel.hpp"
 #include "rsin/omega_system.hpp"
-#include "rsin/sbus_system.hpp"
 #include "rsin/system.hpp"
 #include "rsin/xbar_system.hpp"
 

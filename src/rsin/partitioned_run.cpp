@@ -146,8 +146,8 @@ makeShardSystem(const SystemConfig &config,
 {
     switch (config.network) {
       case NetworkClass::SingleBus:
-        return std::make_unique<SbusSystem>(config, params, options,
-                                            shard);
+        return std::make_unique<CrossbarSystem>(
+            config, params, options, XbarArbitration::FifoArrival, shard);
       case NetworkClass::Crossbar:
         return std::make_unique<CrossbarSystem>(
             config, params, options, model.xbarArbitration, shard);

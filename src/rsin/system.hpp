@@ -2,9 +2,10 @@
 
 /**
  * @file
- * Event-driven simulation framework shared by the three RSIN system
- * models, implementing the task lifecycle and assumptions of paper
- * Section II:
+ * Event-driven simulation framework shared by the RSIN system models
+ * (bus and crossbar, Omega, and the packet and multi-resource
+ * extensions), implementing the task lifecycle and assumptions of
+ * paper Section II:
  *
  *   (a) Poisson arrivals per processor; exponential transmit/service
  *       (other distributions are available as extensions);

@@ -15,20 +15,22 @@ CrossbarSystem::CrossbarSystem(const SystemConfig &config,
       arbitration_(arbitration)
 {
     config.validate();
-    RSIN_REQUIRE(config.network == NetworkClass::Crossbar,
-                 "CrossbarSystem: config is not an XBAR system: ",
+    RSIN_REQUIRE(config.network == NetworkClass::Crossbar ||
+                     config.network == NetworkClass::SingleBus,
+                 "CrossbarSystem: config is not an XBAR or SBUS system: ",
                  config.str());
-    inputsPerNet_ = config.inputsPerNet;
+    // j for a crossbar; p/i for a bus, which the notation writes 1x1.
+    inputsPerNet_ = config.processorsPerNet();
     resourcesPerBus_ = config.resourcesPerPort;
     nets_.resize(config.networks);
     for (std::size_t n = 0; n < nets_.size(); ++n) {
-        nets_[n].firstProcessor = n * config.inputsPerNet;
-        nets_[n].lastProcessor = (n + 1) * config.inputsPerNet;
+        nets_[n].firstProcessor = n * inputsPerNet_;
+        nets_[n].lastProcessor = (n + 1) * inputsPerNet_;
         nets_[n].buses.resize(config.outputsPerNet);
-        nets_[n].rng = networkRng(n, config.inputsPerNet);
+        nets_[n].rng = networkRng(n, inputsPerNet_);
         if (arbitration_ == XbarArbitration::GateLevel) {
             nets_[n].fabric = std::make_unique<logic::CrossbarFabric>(
-                config.inputsPerNet, config.outputsPerNet);
+                inputsPerNet_, config.outputsPerNet);
         }
     }
 }

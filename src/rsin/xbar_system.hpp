@@ -7,6 +7,12 @@
  * output ports are buses with r resources each.  The crossbar itself is
  * nonblocking; contention exists only for buses and resources.
  *
+ * It also models the single-shared-bus RSINs of Section III: a
+ * p/i x 1 x 1 SBUS/r partition is the crossbar with p/i inputs and one
+ * output bus.  The factory builds it under FifoArrival, because
+ * Section III's chain (Fig. 3) pools a partition's waiting tasks into
+ * one FIFO queue, so the bus serves the earliest waiting task first.
+ *
  * Arbitration mirrors the hardware alternatives of Section IV:
  *  - IndexPriority: the wave-propagation cell design -- processors with
  *    lower indices win, and win lower-numbered buses;
@@ -40,7 +46,8 @@ enum class XbarArbitration
     GateLevel,
 };
 
-/** Simulation model for p/i x j x k XBAR/r systems. */
+/** Simulation model for p/i x j x k XBAR/r and p/i x 1 x 1 SBUS/r
+ *  systems. */
 class CrossbarSystem : public SystemSimulation
 {
   public:

@@ -674,12 +674,13 @@ TEST(SweepObserverTest, ProgressLineReachesTheStream)
 
 TEST(ArgsTest, NegativeJobsAreRejected)
 {
-    EXPECT_THROW(ArgParser::resolveJobs(-3), FatalError);
-    const char *argv[] = {"prog", "--jobs", "-2"};
-    const ArgParser args(3, argv, {}, {"jobs"});
-    EXPECT_THROW(args.getJobs(), FatalError);
-    EXPECT_GE(ArgParser::resolveJobs(0), 1u);
-    EXPECT_EQ(ArgParser::resolveJobs(4), 4u);
+    const auto jobsOf = [](const char *value) {
+        const char *argv[] = {"prog", "--jobs", value};
+        return ArgParser(3, argv, {}, {"jobs"}).getJobs();
+    };
+    EXPECT_GE(jobsOf("0"), 1u); // one per hardware thread
+    EXPECT_EQ(jobsOf("4"), 4u);
+    EXPECT_THROW(jobsOf("-2"), FatalError);
 }
 
 } // namespace

@@ -118,53 +118,6 @@ TEST(MmcKTest, ThroughputConservation)
                 fin.base.utilization * 2.0 * 1.0, 1e-12);
 }
 
-TEST(Mg1Test, ReducesToMm1ForExponentialService)
-{
-    const double lambda = 0.6, mu = 1.0;
-    const auto general =
-        mg1(lambda, 1.0 / mu, secondMomentExponential(mu));
-    const auto markov = mm1(lambda, mu);
-    EXPECT_NEAR(general.meanWait, markov.meanWait, 1e-12);
-    EXPECT_NEAR(general.meanNumber, markov.meanNumber, 1e-12);
-}
-
-TEST(Mg1Test, DeterministicServiceHalvesTheWait)
-{
-    // M/D/1 waits exactly half of M/M/1 at the same utilization.
-    const double lambda = 0.7, mu = 1.0;
-    const auto md1 =
-        mg1(lambda, 1.0 / mu, secondMomentDeterministic(mu));
-    const auto mm = mm1(lambda, mu);
-    EXPECT_NEAR(md1.meanWait, 0.5 * mm.meanWait, 1e-12);
-}
-
-TEST(Mg1Test, WaitGrowsLinearlyWithCv2)
-{
-    const double lambda = 0.5, mean = 1.0;
-    const double w0 = mg1(lambda, mean, secondMomentFromCv2(mean, 0.0))
-                          .meanWait;
-    const double w1 = mg1(lambda, mean, secondMomentFromCv2(mean, 1.0))
-                          .meanWait;
-    const double w4 = mg1(lambda, mean, secondMomentFromCv2(mean, 4.0))
-                          .meanWait;
-    EXPECT_NEAR(w1, 2.0 * w0, 1e-12);
-    EXPECT_NEAR(w4, 5.0 * w0, 1e-12);
-}
-
-TEST(Mg1Test, ErlangSecondMoment)
-{
-    EXPECT_NEAR(secondMomentErlang(1, 2.0),
-                secondMomentExponential(0.5), 1e-12);
-    EXPECT_NEAR(secondMomentErlang(2, 1.0), 1.5, 1e-12);
-}
-
-TEST(Mg1Test, UnstableAndInvalid)
-{
-    EXPECT_FALSE(mg1(1.0, 1.0, 2.0).stable);
-    EXPECT_THROW(mg1(0.5, 1.0, 0.5), FatalError); // E[S^2] < E[S]^2
-    EXPECT_THROW(mg1(0.5, 0.0, 1.0), FatalError);
-}
-
 TEST(TrafficIntensityTest, PaperDefinition)
 {
     // Section III: rho = p*lambda*(1/(p*mu_n) + 1/(m*mu_s)).

@@ -996,6 +996,25 @@ analyzeWorkers(const Program &prog)
     std::map<int, std::set<std::size_t>> forwarders;
 
     for (int pass = 0; pass < 8; ++pass) {
+        // Forwarders: a parameter of F that F invokes at a reachable
+        // point (step 3), or hands on as a bare identifier at a spawn
+        // index of a call -- to a spawn site or another forwarder --
+        // which runs on a worker wherever F runs (step 1).  Either
+        // way every callable passed to F becomes a root next pass.
+        std::map<int, std::set<std::size_t>> newForwarders =
+            forwarders;
+        const auto markParam = [&](int from, const std::string &name) {
+            for (int s = from; s >= 0;
+                 s = prog.symbols[static_cast<std::size_t>(s)]
+                         .parent) {
+                const Symbol &sym =
+                    prog.symbols[static_cast<std::size_t>(s)];
+                for (std::size_t k = 0; k < sym.params.size(); ++k)
+                    if (sym.params[k] == name)
+                        newForwarders[s].insert(k);
+            }
+        };
+
         // 1. Roots: callables handed to spawn sites.
         std::set<int> newRoots = roots;
         for (const CallSite &call : prog.calls) {
@@ -1009,6 +1028,7 @@ analyzeWorkers(const Program &prog)
                     arg.lambda >= 0) {
                     newRoots.insert(arg.lambda);
                 } else if (arg.kind == CallArg::Kind::Ident) {
+                    markParam(call.caller, arg.ident);
                     bool bound = false;
                     for (int s = call.caller; s >= 0;
                          s = prog.symbols[static_cast<std::size_t>(s)]
@@ -1064,23 +1084,10 @@ analyzeWorkers(const Program &prog)
                 }
         }
 
-        // 3. Forwarders: a parameter of F invoked at a reachable
-        // point makes every callable passed to F a root next pass.
-        std::map<int, std::set<std::size_t>> newForwarders =
-            forwarders;
-        for (const CallSite &call : prog.calls) {
-            if (!reachable.count(call.caller))
-                continue;
-            for (int s = call.caller; s >= 0;
-                 s = prog.symbols[static_cast<std::size_t>(s)]
-                         .parent) {
-                const Symbol &sym =
-                    prog.symbols[static_cast<std::size_t>(s)];
-                for (std::size_t k = 0; k < sym.params.size(); ++k)
-                    if (sym.params[k] == call.name)
-                        newForwarders[s].insert(k);
-            }
-        }
+        // 3. Forwarders invoked at a reachable point.
+        for (const CallSite &call : prog.calls)
+            if (reachable.count(call.caller))
+                markParam(call.caller, call.name);
 
         const bool stable =
             newRoots == roots && newForwarders == forwarders;
