@@ -415,9 +415,12 @@ BM_DispatchScaling(benchmark::State &state)
     // Cost of the simulation path per fired event as the system grows:
     // p processors on p/n networks of n ports, p/(p/n)xnxn OMEGA/2 at
     // rho 0.7, ratio 0.1.  Dispatch is event-local, so with n fixed the
-    // cost should stay flat in p; with one network of n ports it grows
-    // with the 2n-1 availability registers each claim and release
-    // refreshes.  Construction (the reachability tables) is not timed.
+    // cost should stay flat in p.  With one network of n ports it grows
+    // with the stale availability registers a route reads and must
+    // recompute: those on paths toward the ports that changed since
+    // their last read, about 11 per task at n = 16 and 110 at n = 1024
+    // (a claim or release itself only stamps log2(n)+1 output blocks).
+    // Construction (the reachability tables) is not timed.
     const auto p = static_cast<std::size_t>(state.range(0));
     const auto n = static_cast<std::size_t>(state.range(1));
     const auto cfg = SystemConfig::parse(

@@ -17,7 +17,9 @@
 #              whose analytic lane runs chain solves, the shared
 #              analysis cache and ledger appends beside the
 #              simulation workers (a TSan report exits the child 66
-#              and fails the test).
+#              and fails the test).  test_allocations runs too: its
+#              counting operator new must coexist with the TSan
+#              runtime's allocator.
 #   contracts  Debug build with -DRSIN_CONTRACTS=ON, full ctest suite
 #              (build-contracts/).  Runtime invariants fire: calendar
 #              heap order, per-fire time monotonicity, task
@@ -59,9 +61,11 @@ run_tsan() {
         "$@"
     cmake --build "$build" \
         --target test_exec test_des test_partitioned test_campaign \
+                 test_allocations \
         -j "$(nproc)"
     status=0
-    for t in test_exec test_des test_partitioned test_campaign; do
+    for t in test_exec test_des test_partitioned test_campaign \
+             test_allocations; do
         echo "== TSan: $t =="
         "$build/tests/$t" || status=1
     done

@@ -67,78 +67,54 @@ SweepRunner::run(std::size_t configs, std::size_t points,
                  std::size_t replications, std::uint64_t baseSeed,
                  const std::function<void(const SweepCell &)> &fn) const
 {
-    const std::size_t total = configs * points * replications;
-    RSIN_PRECONDITION(static_cast<bool>(fn) || total == 0,
-                      "SweepRunner::run: empty cell function");
-#if RSIN_CONTRACTS_ENABLED
-    {
-        // Bit-identical parallel/serial sweeps require every cell to
-        // own a distinct stream: audit the whole grid for cellSeed
-        // collisions before any cell runs.
-        std::vector<std::uint64_t> seeds;
-        seeds.reserve(total);
-        for (std::size_t c = 0; c < configs; ++c)
-            for (std::size_t p = 0; p < points; ++p)
-                for (std::size_t r = 0; r < replications; ++r)
-                    seeds.push_back(cellSeed(baseSeed, c, p, r));
-        std::sort(seeds.begin(), seeds.end());
-        RSIN_INVARIANT(std::adjacent_find(seeds.begin(), seeds.end()) ==
-                           seeds.end(),
-                       "cellSeed collision inside one sweep grid: two "
-                       "cells would replay the same random stream");
-    }
-#endif
-    if (observer_)
-        observer_->addWork(total);
-    const auto runCell = [&](std::size_t flat) {
-        SweepCell cell;
-        cell.flat = flat;
-        cell.replication = flat % replications;
-        cell.point = (flat / replications) % points;
-        cell.config = flat / (replications * points);
-        cell.seed =
-            cellSeed(baseSeed, cell.config, cell.point, cell.replication);
-        if (observer_) {
-            const auto start = std::chrono::steady_clock::now();
-            fn(cell);
-            const std::chrono::duration<double> elapsed =
-                std::chrono::steady_clock::now() - start;
-            observer_->cellDone(cell, elapsed.count());
-        } else {
-            fn(cell);
-        }
-    };
-    if (pool_ && pool_->size() > 1) {
-        pool_->parallelFor(total, runCell);
-    } else {
-        for (std::size_t flat = 0; flat < total; ++flat)
-            runCell(flat);
-    }
+    forEachCell(configs * points * replications,
+                [&](std::size_t flat) {
+                    SweepCell cell;
+                    cell.flat = flat;
+                    cell.replication = flat % replications;
+                    cell.point = (flat / replications) % points;
+                    cell.config = flat / (replications * points);
+                    cell.seed = cellSeed(baseSeed, cell.config, cell.point,
+                                         cell.replication);
+                    return cell;
+                },
+                fn);
 }
 
 void
 SweepRunner::runCells(const std::vector<SweepCell> &cells,
                       const std::function<void(const SweepCell &)> &fn) const
 {
-    RSIN_PRECONDITION(static_cast<bool>(fn) || cells.empty(),
-                      "SweepRunner::runCells: empty cell function");
+    forEachCell(cells.size(), [&](std::size_t i) { return cells[i]; }, fn);
+}
+
+void
+SweepRunner::forEachCell(
+    std::size_t count, const std::function<SweepCell(std::size_t)> &cellAt,
+    const std::function<void(const SweepCell &)> &fn) const
+{
+    RSIN_PRECONDITION(static_cast<bool>(fn) || count == 0,
+                      "SweepRunner: empty cell function");
 #if RSIN_CONTRACTS_ENABLED
     {
+        // Bit-identical parallel/serial sweeps require every cell to
+        // own a distinct stream: audit every seed for collisions
+        // before any cell runs.
         std::vector<std::uint64_t> seeds;
-        seeds.reserve(cells.size());
-        for (const SweepCell &cell : cells)
-            seeds.push_back(cell.seed);
+        seeds.reserve(count);
+        for (std::size_t i = 0; i < count; ++i)
+            seeds.push_back(cellAt(i).seed);
         std::sort(seeds.begin(), seeds.end());
         RSIN_INVARIANT(std::adjacent_find(seeds.begin(), seeds.end()) ==
                            seeds.end(),
-                       "seed collision inside one cell list: two cells "
-                       "would replay the same random stream");
+                       "seed collision inside one sweep: two cells would "
+                       "replay the same random stream");
     }
 #endif
     if (observer_)
-        observer_->addWork(cells.size());
+        observer_->addWork(count);
     const auto runCell = [&](std::size_t i) {
-        const SweepCell &cell = cells[i];
+        const SweepCell cell = cellAt(i);
         if (observer_) {
             const auto start = std::chrono::steady_clock::now();
             fn(cell);
@@ -150,9 +126,9 @@ SweepRunner::runCells(const std::vector<SweepCell> &cells,
         }
     };
     if (pool_ && pool_->size() > 1) {
-        pool_->parallelFor(cells.size(), runCell);
+        pool_->parallelFor(count, runCell);
     } else {
-        for (std::size_t i = 0; i < cells.size(); ++i)
+        for (std::size_t i = 0; i < count; ++i)
             runCell(i);
     }
 }

@@ -129,6 +129,16 @@ class SweepRunner
              const std::function<void(const SweepCell &)> &fn) const;
 
   private:
+    /**
+     * The cell loop of run() and runCells(): audit the seeds of the
+     * @p count cells that @p cellAt builds, then call @p fn on each,
+     * timed for the observer, over the pool when it has more than one
+     * worker.
+     */
+    void forEachCell(std::size_t count,
+                     const std::function<SweepCell(std::size_t)> &cellAt,
+                     const std::function<void(const SweepCell &)> &fn) const;
+
     ThreadPool *pool_;
     SweepObserver *observer_;
 };

@@ -119,7 +119,7 @@ omegaLinkConflict(std::size_t size)
 
     const topology::MultistageNetwork net(
         topology::MultistageKind::Omega, size);
-    std::vector<std::vector<std::vector<std::size_t>>> paths(size);
+    std::vector<std::vector<topology::LinkPath>> paths(size);
     for (std::size_t x = 0; x < size; ++x) {
         paths[x].resize(size);
         for (std::size_t y = 0; y < size; ++y)

@@ -1,5 +1,7 @@
 #include "omega_system.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 
 namespace rsin {
@@ -22,14 +24,17 @@ OmegaSystem::OmegaSystem(const SystemConfig &config,
                           : topology::MultistageKind::IndirectCube;
 
     inputsPerNet_ = config.inputsPerNet;
+    topo_ = std::make_unique<topology::MultistageNetwork>(
+        kind, config.inputsPerNet);
+    router_ =
+        std::make_unique<sched::OmegaRouter>(*topo_, omegaOptions_.policy);
+    const std::size_t links = topo_->stages() + 1;
     nets_.resize(config.networks);
     for (std::size_t n = 0; n < nets_.size(); ++n) {
         Net &net = nets_[n];
         net.firstProcessor = n * config.inputsPerNet;
         net.rng = networkRng(n, config.inputsPerNet);
-        net.topo = std::make_unique<topology::MultistageNetwork>(
-            kind, config.inputsPerNet);
-        net.circuit = std::make_unique<topology::CircuitState>(*net.topo);
+        net.circuit = std::make_unique<topology::CircuitState>(*topo_);
         // Typed layout: the paper leaves the number-and-placement
         // question open; two natural strategies are provided and the
         // resource_placement bench compares them.
@@ -54,24 +59,24 @@ OmegaSystem::OmegaSystem(const SystemConfig &config,
             }
         }
         net.pool = std::make_unique<sched::ResourcePool>(std::move(types));
-        net.router = std::make_unique<sched::OmegaRouter>(
-            *net.topo, omegaOptions_.policy);
-        net.clocked = std::make_unique<sched::ClockedOmegaScheduler>(
-            *net.topo, omegaOptions_.policy);
         if (omegaOptions_.scheduling == OmegaScheduling::Distributed)
             net.avail = std::make_unique<sched::AvailabilityRegisters>(
                 *net.circuit, *net.pool);
+        net.circuits.resize(config.inputsPerNet * links);
         if (omegaOptions_.modelReturnNetwork) {
             net.returnCircuit =
-                std::make_unique<topology::CircuitState>(*net.topo);
+                std::make_unique<topology::CircuitState>(*topo_);
             net.returnQueues.resize(config.outputsPerNet);
             net.returnBusy.assign(config.outputsPerNet, false);
+            net.returnCircuits.resize(config.outputsPerNet * links);
         }
     }
     if (omegaOptions_.scheduling == OmegaScheduling::DistributedClocked) {
         RSIN_REQUIRE(params.resourceTypes == 1,
                      "OmegaSystem: the clocked-box scheduler handles a "
                      "single resource type");
+        clocked_ = std::make_unique<sched::ClockedOmegaScheduler>(
+            *topo_, omegaOptions_.policy);
     }
 }
 
@@ -88,8 +93,8 @@ OmegaSystem::scheduleRequest(Net &net, std::size_t input, std::size_t type)
       case OmegaScheduling::DistributedClocked:
         RSIN_PANIC("scheduleRequest: clocked mode dispatches in batches");
       case OmegaScheduling::Distributed:
-        return net.router->tryRoute(*net.avail, *net.circuit, *net.pool,
-                                    input, net.rng, type);
+        return router_->tryRoute(*net.avail, *net.circuit, *net.pool,
+                                 input, net.rng, type);
       case OmegaScheduling::AddressRandomFree: {
         // Centralized scheduler: pick a random output that has a free
         // resource of the right type, then route by destination tag.
@@ -101,15 +106,15 @@ OmegaSystem::scheduleRequest(Net &net, std::size_t input, std::size_t type)
             return std::nullopt;
         const std::size_t dst = frees[net.rng.uniformInt(
             static_cast<std::uint64_t>(frees.size()))];
-        return net.router->tryRouteAddressed(*net.circuit, *net.pool,
-                                             input, dst, type);
+        return router_->tryRouteAddressed(*net.circuit, *net.pool,
+                                          input, dst, type);
       }
       case OmegaScheduling::AddressFirstFree: {
         for (std::size_t port = 0; port < net.pool->ports(); ++port) {
             if (!net.pool->hasFree(port, type))
                 continue;
-            return net.router->tryRouteAddressed(*net.circuit, *net.pool,
-                                                 input, port, type);
+            return router_->tryRouteAddressed(*net.circuit, *net.pool,
+                                              input, port, type);
         }
         return std::nullopt;
       }
@@ -124,15 +129,15 @@ OmegaSystem::dispatchNetClocked(Net &net)
     // fabric together and contend through stale status, rejects and
     // reroutes; the round's ticks are instantaneous in simulated time
     // (assumption (c): negligible propagation delay).
-    const std::size_t last = net.firstProcessor + net.topo->size();
+    const std::size_t last = net.firstProcessor + topo_->size();
     std::vector<std::size_t> sources;
     for (std::size_t proc = nextReady(net.firstProcessor, last);
          proc < last; proc = nextReady(proc + 1, last))
         sources.push_back(proc - net.firstProcessor);
     if (sources.empty())
         return;
-    const auto round = net.clocked->scheduleRound(*net.circuit, *net.pool,
-                                                  sources, net.rng);
+    const auto round = clocked_->scheduleRound(*net.circuit, *net.pool,
+                                               sources, net.rng);
     for (const auto &outcome : round.outcomes) {
         if (!outcome.served) {
             noteRejection();
@@ -143,7 +148,7 @@ OmegaSystem::dispatchNetClocked(Net &net)
         route.outputPort = outcome.outputPort;
         route.resource = outcome.resource;
         route.boxesTraversed = outcome.boxesVisited;
-        startOn(net, net.firstProcessor + outcome.src, std::move(route));
+        startOn(net, net.firstProcessor + outcome.src, route);
     }
 }
 
@@ -154,7 +159,7 @@ OmegaSystem::dispatchNet(Net &net)
         dispatchNetClocked(net);
         return;
     }
-    const std::size_t last = net.firstProcessor + net.topo->size();
+    const std::size_t last = net.firstProcessor + topo_->size();
     for (std::size_t proc = nextReady(net.firstProcessor, last);
          proc < last; proc = nextReady(proc + 1, last)) {
         const std::size_t type = headTask(proc).resourceType;
@@ -163,28 +168,30 @@ OmegaSystem::dispatchNet(Net &net)
             noteRejection();
             continue;
         }
-        startOn(net, proc, std::move(*route));
+        startOn(net, proc, *route);
     }
 }
 
 void
-OmegaSystem::startOn(Net &net, std::size_t proc, sched::RouteResult route)
+OmegaSystem::startOn(Net &net, std::size_t proc,
+                     const sched::RouteResult &route)
 {
     workload::Task task = beginTransmission(proc);
     task.routingAttempts = 1;
     task.resource = route.outputPort;
     task.boxesTraversed =
         static_cast<std::uint32_t>(route.boxesTraversed);
+    std::copy(route.path.begin(), route.path.end(),
+              slot(net.circuits, proc - net.firstProcessor).begin());
     // Capture only what the completion reads of the route, so the
     // callback fits the kernel's large inline slot.
     sim().schedule(task.transmitTime, [this, &net, proc,
-                                       path = std::move(route.path),
                                        port = route.outputPort,
                                        resource = route.resource,
                                        task = std::move(task)]() mutable {
         // Data delivered: tear the circuit down; the resource keeps
         // serving after the disconnection (the RSIN property).
-        net.circuit->release(path);
+        net.circuit->release(slot(net.circuits, proc - net.firstProcessor));
         if (net.avail)
             net.avail->refresh(port);
         endTransmission(proc);
@@ -203,6 +210,13 @@ OmegaSystem::startOn(Net &net, std::size_t proc, sched::RouteResult route)
                        });
         dispatchNet(net);
     });
+}
+
+std::span<std::uint32_t>
+OmegaSystem::slot(std::vector<std::uint32_t> &circuits, std::size_t i) const
+{
+    const std::size_t links = topo_->stages() + 1;
+    return std::span<std::uint32_t>(circuits).subspan(i * links, links);
 }
 
 void
@@ -235,17 +249,19 @@ OmegaSystem::dispatchReturns(Net &net)
             continue;
         const workload::Task &head = net.returnQueues[port].front();
         const std::size_t dst = head.processor - net.firstProcessor;
-        auto path = net.topo->path(port, dst);
+        const topology::LinkPath path = topo_->path(port, dst);
         if (!net.returnCircuit->pathFree(path))
             continue; // retried when a return circuit releases
         net.returnCircuit->claim(path);
+        std::copy(path.begin(), path.end(),
+                  slot(net.returnCircuits, port).begin());
         net.returnBusy[port] = true;
         workload::Task task = std::move(net.returnQueues[port].front());
         net.returnQueues[port].pop_front();
         const double duration = net.rng.exponential(mu_r);
-        sim().schedule(duration, [this, &net, port, path = std::move(path),
+        sim().schedule(duration, [this, &net, port,
                                   task = std::move(task)]() mutable {
-            net.returnCircuit->release(path);
+            net.returnCircuit->release(slot(net.returnCircuits, port));
             net.returnBusy[port] = false;
             completeTask(std::move(task));
             dispatchReturns(net);

@@ -22,6 +22,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "rsin/system.hpp"
@@ -90,18 +91,25 @@ class OmegaSystem : public SystemSimulation
     struct Net
     {
         std::size_t firstProcessor = 0;
-        std::unique_ptr<topology::MultistageNetwork> topo;
         std::unique_ptr<topology::CircuitState> circuit;
         std::unique_ptr<sched::ResourcePool> pool;
-        std::unique_ptr<sched::OmegaRouter> router;
-        /** Current availability counts (Distributed scheduling only):
-         *  refreshed on every claim and release in this network. */
+        /** Availability counts (Distributed scheduling only): every
+         *  claim and release in this network stamps the output blocks
+         *  it touched, and the router's reads bring the stale counts on
+         *  their way up to date. */
         std::unique_ptr<sched::AvailabilityRegisters> avail;
-        std::unique_ptr<sched::ClockedOmegaScheduler> clocked;
+        /** The circuit each input holds while it transmits (at most
+         *  one), stages+1 links per input; kept here so the transmit
+         *  completion stays small and the path off the heap. */
+        std::vector<std::uint32_t> circuits;
         /** Return path (only when modelReturnNetwork is set). */
         std::unique_ptr<topology::CircuitState> returnCircuit;
         std::vector<std::deque<workload::Task>> returnQueues;
         std::vector<bool> returnBusy;
+        /** The return circuit of each output port's result in flight,
+         *  stages+1 links per port, as circuits for the forward
+         *  network. */
+        std::vector<std::uint32_t> returnCircuits;
         /** Every draw this network makes: routing ties, random
          *  addresses, clocked rounds, return times (networkRng). */
         Rng rng;
@@ -114,8 +122,19 @@ class OmegaSystem : public SystemSimulation
     std::optional<sched::RouteResult> scheduleRequest(Net &net,
                                                       std::size_t input,
                                                       std::size_t type);
-    void startOn(Net &net, std::size_t proc, sched::RouteResult route);
+    void startOn(Net &net, std::size_t proc,
+                 const sched::RouteResult &route);
+    /** Slot @p i (stages+1 links) of a circuits table of a Net. */
+    std::span<std::uint32_t> slot(std::vector<std::uint32_t> &circuits,
+                                  std::size_t i) const;
 
+    /** The wiring all networks share, built once with its
+     *  reachability and block tables, and the stateless schedulers
+     *  over it (the clocked boxes in DistributedClocked scheduling
+     *  only). */
+    std::unique_ptr<topology::MultistageNetwork> topo_;
+    std::unique_ptr<sched::OmegaRouter> router_;
+    std::unique_ptr<sched::ClockedOmegaScheduler> clocked_;
     std::vector<Net> nets_;
     std::size_t inputsPerNet_ = 1;
     OmegaOptions omegaOptions_;

@@ -79,7 +79,7 @@ maxCompatibleSubset(const topology::MultistageNetwork &net,
                     const std::vector<Mapping> &mapping)
 {
     RSIN_REQUIRE(mapping.size() <= 20, "maxCompatibleSubset: too large");
-    std::vector<std::vector<std::size_t>> paths;
+    std::vector<topology::LinkPath> paths;
     paths.reserve(mapping.size());
     for (const auto &m : mapping)
         paths.push_back(net.path(m.src, m.dst));

@@ -209,7 +209,7 @@ ClockedOmegaScheduler::scheduleRound(
             req.src = src;
             req.position = 0;
             req.retreating = false;
-            req.path = {src};
+            req.path.push_back(src);
             req.triedPorts.assign(stages, 0);
             circuit.claimSegment(0, src);
             pending[i] = false;

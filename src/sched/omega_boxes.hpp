@@ -49,7 +49,7 @@ struct BoxedRequestOutcome
     std::size_t boxesVisited = 0;     ///< every box arrival, fwd or back
     std::size_t rejects = 0;          ///< J signals received
     std::size_t launches = 0;         ///< entries into the network
-    std::vector<std::size_t> path;    ///< claimed boundary links if served
+    topology::LinkPath path;          ///< claimed boundary links if served
 };
 
 /** Aggregate results of a scheduling round. */
@@ -108,7 +108,7 @@ class ClockedOmegaScheduler
         std::size_t src;
         std::size_t position;       ///< boundaries 0..position claimed
         bool retreating;            ///< reject travelling backwards
-        std::vector<std::size_t> path;
+        topology::LinkPath path;
         std::vector<std::uint8_t> triedPorts; ///< bitmask per stage
     };
 

@@ -11,6 +11,8 @@ AvailabilityRegisters::AvailabilityRegisters(
     : circuit_(&circuit), pool_(&pool), width_(circuit.network().size()),
       boundaries_(circuit.network().stages() + 1),
       types_(pool.typeCount()),
+      blocks_(circuit.network().blockCount()),
+      linkBlocks_(circuit.network().linkBlocks(0)),
       counts_(types_ * boundaries_ * width_, 0)
 {
     const topology::MultistageNetwork &net = circuit.network();
@@ -49,8 +51,7 @@ void
 AvailabilityRegisters::refresh(std::size_t port)
 {
     RSIN_REQUIRE(port < width_, "refresh: bad output port");
-    for (std::size_t type = 0; type < types_; ++type)
-        refreshCone(port, type);
+    stamp(port, 0, types_);
     RSIN_INVARIANT(*this == AvailabilityRegisters(*circuit_, *pool_),
                    "availability registers drifted from a rebuild after "
                    "a change at output port ", port);
@@ -61,55 +62,70 @@ AvailabilityRegisters::refresh(std::size_t port, std::size_t type)
 {
     RSIN_REQUIRE(port < width_, "refresh: bad output port");
     RSIN_REQUIRE(type < types_, "refresh: type not in the pool");
-    refreshCone(port, type);
+    stamp(port, type, type + 1);
     RSIN_INVARIANT(*this == AvailabilityRegisters(*circuit_, *pool_),
                    "availability registers drifted from a rebuild after "
                    "a change of type ", type, " at output port ", port);
 }
 
-void
-AvailabilityRegisters::refreshCone(std::size_t port, std::size_t type)
+bool
+AvailabilityRegisters::operator==(const AvailabilityRegisters &other) const
 {
-    const topology::MultistageNetwork &net = circuit_->network();
-    const std::size_t stages = boundaries_ - 1;
-    std::uint32_t *plane = counts_.data() + type * boundaries_ * width_;
-    cone_.resize(2 * width_ - 1);
-    std::uint32_t *cone = cone_.data();
+    if (types_ != other.types_ || boundaries_ != other.boundaries_ ||
+        width_ != other.width_)
+        return false;
+    for (std::size_t type = 0; type < types_; ++type)
+        for (std::size_t b = 0; b < boundaries_; ++b)
+            for (std::size_t l = 0; l < width_; ++l)
+                if (count(type, b, l) != other.count(type, b, l))
+                    return false;
+    return true;
+}
 
-    plane[stages * width_ + port] =
-        circuit_->segmentFree(stages, port)
-            ? static_cast<std::uint32_t>(pool_->freeCount(port, type))
-            : 0;
-    cone[0] = static_cast<std::uint32_t>(port);
-
-    // Level by level toward the inputs: a boundary-(b+1) link m of the
-    // cone is an output of stage-b box m/2, whose two inputs join the
-    // cone at boundary b and both see the sum of that box's outputs
-    // m & ~1 and m | 1.  Each level is final before the next reads it.
-    // (A non-banyan wiring can list a link twice; recomputing it again
-    // writes the same value.)
-    std::size_t begin = 0;
-    std::size_t end = 1;
-    for (std::size_t b = stages; b-- > 0;) {
-        const std::uint32_t *inputs = net.inputLinks(b);
-        const std::uint8_t *busy = circuit_->busyFlags(b);
-        std::uint32_t *row = plane + b * width_;
-        const std::uint32_t *below = row + width_;
-        std::size_t out = end;
-        for (std::size_t i = begin; i < end; ++i) {
-            const std::uint32_t upper_out = cone[i] & ~1U;
-            const std::uint32_t lower_out = cone[i] | 1U;
-            const std::uint32_t sum = below[upper_out] + below[lower_out];
-            const std::uint32_t up = inputs[upper_out];
-            const std::uint32_t down = inputs[lower_out];
-            row[up] = busy[up] ? 0 : sum;
-            row[down] = busy[down] ? 0 : sum;
-            cone[out++] = up;
-            cone[out++] = down;
-        }
-        begin = end;
-        end = out;
+void
+AvailabilityRegisters::stamp(std::size_t port, std::size_t first,
+                             std::size_t last)
+{
+    if (clock_ == 0) {
+        // Every register is fresh as built, so all of them carry stamp
+        // 0 and the first change is clock 1.
+        stamps_.assign(counts_.size(), 0);
+        changed_.assign(types_ * blocks_, 0);
     }
+    ++clock_;
+    const std::uint32_t *parents = circuit_->network().blockParents();
+    for (std::size_t type = first; type < last; ++type) {
+        std::uint64_t *changed = changed_.data() + type * blocks_;
+        // Block `port` at boundary `stages`, then the blocks holding it
+        // up to boundary 0.
+        std::uint32_t block = static_cast<std::uint32_t>(port);
+        for (std::size_t b = 0; b < boundaries_; ++b) {
+            changed[block] = clock_;
+            block = parents[block];
+        }
+    }
+}
+
+std::size_t
+AvailabilityRegisters::recompute(std::size_t type, std::size_t boundary,
+                                 std::size_t link, std::size_t reg) const
+{
+    // A held segment reads 0 whatever lies below it; its box's outputs
+    // are left as they are, for the read that next reaches them.
+    std::size_t value = 0;
+    if (circuit_->busyFlags(boundary)[link] == 0) {
+        if (boundary + 1 == boundaries_) {
+            value = pool_->freeCount(link, type);
+        } else {
+            const topology::MultistageNetwork &net = circuit_->network();
+            const std::size_t box = net.boxOf(boundary, link);
+            value = count(type, boundary + 1, net.outputLink(box, 0)) +
+                    count(type, boundary + 1, net.outputLink(box, 1));
+        }
+    }
+    counts_[reg] = static_cast<std::uint32_t>(value);
+    stamps_[reg] = clock_;
+    return value;
 }
 
 OmegaRouter::OmegaRouter(const topology::MultistageNetwork &net,
@@ -160,7 +176,6 @@ OmegaRouter::descend(const AvailabilityRegisters &avail,
 
     RouteResult result;
     std::size_t link = src;
-    result.path.reserve(net_->stages() + 1);
     result.path.push_back(link);
     for (std::size_t stage = 0; stage < net_->stages(); ++stage) {
         const std::size_t box = net_->boxOf(stage, link);
@@ -210,11 +225,10 @@ OmegaRouter::tryRouteAddressed(topology::CircuitState &circuit,
                  "tryRouteAddressed: bad endpoints");
     if (!pool.hasFree(dst, type))
         return std::nullopt;
-    const std::vector<std::size_t> path = net_->path(src, dst);
-    if (!circuit.pathFree(path))
-        return std::nullopt;
     RouteResult result;
-    result.path = path;
+    result.path = net_->path(src, dst);
+    if (!circuit.pathFree(result.path))
+        return std::nullopt;
     result.outputPort = dst;
     result.boxesTraversed = net_->stages();
     circuit.claim(result.path);

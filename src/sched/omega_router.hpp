@@ -17,14 +17,19 @@
  * are exact sums and greedy steering always terminates at a free
  * resource when the entry availability is positive.
  *
- * AvailabilityRegisters keeps those counts current across events the
- * way the boxes of Fig. 10 do: status travels backwards only when it
- * changes.  A claim or release at output port d can only change the
- * counts of links that reach d -- a cone of 2n-1 links in an n x n
- * banyan -- so only that cone is recomputed.  The from-scratch pass
- * over every boundary builds the registers, backs the stateless
- * OmegaRouter calls, and is the oracle the incremental registers are
- * tested against.
+ * AvailabilityRegisters keeps those counts exact wherever a request
+ * reads them, in the spirit of the boxes of Fig. 10, which run a status
+ * phase before each request phase.  A claim or release at output port
+ * d can only change the counts of links that reach d.  In a banyan the
+ * outputs a boundary-b link reaches form one of 2^b nested blocks, so
+ * those links are the ones whose block holds d: one block per boundary.
+ * A change therefore stamps those stages+1 blocks with a clock; a read
+ * finds a register stale when its block changed after the register was
+ * last computed, and recomputes it from its box's two outputs,
+ * recursively, so work follows the registers that are read.  The
+ * from-scratch pass over every boundary builds the registers, backs the
+ * stateless OmegaRouter calls, and is the oracle the validated
+ * registers are tested against.
  *
  * The clocked, stale-status hardware realization of the same algorithm
  * (Fig. 10) lives in omega_boxes.hpp; the two are compared in tests.
@@ -54,7 +59,7 @@ enum class RoutingPolicy
 /** Outcome of a successful route. */
 struct RouteResult
 {
-    std::vector<std::size_t> path; ///< boundary links, size stages()+1
+    topology::LinkPath path;       ///< boundary links, size stages()+1
     std::size_t outputPort = 0;    ///< port whose bus now transmits
     ResourceRef resource;          ///< the claimed resource
     std::size_t boxesTraversed = 0;
@@ -67,6 +72,12 @@ struct RouteResult
  * segment is itself held.  Watches an externally owned circuit state
  * and pool (both must outlive it); after every change to either, the
  * owner calls refresh() with the output port the change sits under.
+ *
+ * refresh() only stamps the output blocks that hold the port
+ * (MultistageNetwork::blockParents); count() brings a stale register
+ * up to date before returning it.  Reads therefore write the register
+ * cache, so one set of registers must not be read from two threads at
+ * once.
  */
 class AvailabilityRegisters
 {
@@ -87,12 +98,20 @@ class AvailabilityRegisters
                     "AvailabilityRegisters::count: out of range");
         if (type >= types_)
             return 0;
-        return counts_[(type * boundaries_ + boundary) * width_ + link];
+        const std::size_t reg = (type * boundaries_ + boundary) * width_ +
+                                link;
+        // Clock 0: nothing has changed since the from-scratch build, and
+        // the stamps are not allocated yet.
+        if (clock_ != 0 &&
+            stamps_[reg] < changed_[type * blocks_ +
+                                    linkBlocks_[boundary * width_ + link]])
+            return recompute(type, boundary, link, reg);
+        return counts_[reg];
     }
 
     /**
      * A path ending at, or a resource on, output @p port changed state:
-     * recompute the cone of links upstream of @p port for every type.
+     * mark the counts above @p port stale for every type.
      */
     void refresh(std::size_t port);
 
@@ -100,27 +119,37 @@ class AvailabilityRegisters
      *  (a resource claim or release, no segment changed). */
     void refresh(std::size_t port, std::size_t type);
 
-    /** Same counts (registers over the same-shaped network). */
-    bool operator==(const AvailabilityRegisters &other) const
-    {
-        return counts_ == other.counts_;
-    }
+    /** Same counts, as read (registers over the same-shaped network). */
+    bool operator==(const AvailabilityRegisters &other) const;
 
   private:
-    /** Recompute type @p type's counts in the cone above @p port. */
-    void refreshCone(std::size_t port, std::size_t type);
+    /** Stamp the blocks holding @p port for types [first, last). */
+    void stamp(std::size_t port, std::size_t first, std::size_t last);
+
+    /** Recompute stale register @p reg = (type, boundary, link) from the
+     *  segment, the pool and its box's two outputs. */
+    std::size_t recompute(std::size_t type, std::size_t boundary,
+                          std::size_t link, std::size_t reg) const;
 
     const topology::CircuitState *circuit_;
     const ResourcePool *pool_;
     std::size_t width_ = 0;      ///< n
     std::size_t boundaries_ = 0; ///< stages + 1
     std::size_t types_ = 0;
+    std::size_t blocks_ = 0;     ///< output blocks per type
+    /** The network's block of every (boundary, link); see
+     *  MultistageNetwork::linkBlocks. */
+    const std::uint32_t *linkBlocks_ = nullptr;
+    /** Bumped by every refresh; 0 until the first. */
+    std::uint64_t clock_ = 0;
     /** [type][boundary][link], flattened.  32-bit entries keep the
-     *  refresh's working set small (the pool size is checked to fit). */
-    std::vector<std::uint32_t> counts_;
-    /** Scratch for refresh: the cone's links level by level, boundary
-     *  `stages` first -- 1, 2, 4, ..., n links, 2n-1 in all. */
-    std::vector<std::uint32_t> cone_;
+     *  working set small (the pool size is checked to fit). */
+    mutable std::vector<std::uint32_t> counts_;
+    /** Clock at which each count was last computed (same layout);
+     *  allocated by the first refresh. */
+    mutable std::vector<std::uint64_t> stamps_;
+    /** [type][block]: clock of the last change under each block. */
+    std::vector<std::uint64_t> changed_;
 };
 
 /**
@@ -157,10 +186,10 @@ class OmegaRouter
                                         std::size_t type = 0) const;
 
     /**
-     * tryRoute against registers kept current across calls: a failed
-     * attempt costs one register read, and a success refreshes only the
-     * cone above the claimed output port.  @p circuit and @p pool must
-     * be the objects @p registers watches.
+     * tryRoute against registers kept across calls: a failed attempt
+     * reads one register, and a success stamps the blocks holding the
+     * claimed output port.  @p circuit and @p pool must be the
+     * objects @p registers watches.
      */
     std::optional<RouteResult> tryRoute(AvailabilityRegisters &registers,
                                         topology::CircuitState &circuit,

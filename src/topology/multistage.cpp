@@ -52,6 +52,7 @@ MultistageNetwork::MultistageNetwork(MultistageKind kind, std::size_t size)
                  "permutations");
     buildWiring();
     buildReachability();
+    buildBlocks();
 }
 
 MultistageNetwork::MultistageNetwork(
@@ -79,6 +80,7 @@ MultistageNetwork::MultistageNetwork(
     }
     buildWiring();
     buildReachability();
+    buildBlocks();
 }
 
 std::size_t
@@ -114,6 +116,9 @@ MultistageNetwork::computePosition(std::size_t stage,
 void
 MultistageNetwork::buildWiring()
 {
+    RSIN_REQUIRE(stages_ < LinkPath::kCapacity,
+                 "MultistageNetwork: at most ", LinkPath::kCapacity - 1,
+                 " stages, got ", stages_);
     position_.assign(stages_ * n_, 0);
     inputLink_.assign(stages_ * n_, 0);
     for (std::size_t stage = 0; stage < stages_; ++stage) {
@@ -150,6 +155,72 @@ MultistageNetwork::buildReachability()
                 row[w] = upper[w] | lower[w];
         }
     }
+}
+
+void
+MultistageNetwork::buildBlocks()
+{
+    // Bottom-up.  Boundary `stages` has one block per output.  A
+    // boundary-b link reaches what both outputs of its box reach, so
+    // the blocks of boundary b are those of boundary b+1 merged box by
+    // box: a union-find over b+1's blocks first..first+blocks-1, whose
+    // components are numbered after them.
+    linkBlock_.resize((stages_ + 1) * n_);
+    blockParent_.reserve(2 * n_); // a banyan's 2n-1 blocks
+    blockParent_.resize(n_);
+    for (std::size_t d = 0; d < n_; ++d)
+        linkBlock_[stages_ * n_ + d] = static_cast<std::uint32_t>(d);
+    std::size_t first = 0;
+    std::size_t blocks = n_;
+    for (std::size_t b = stages_; b-- > 0;) {
+        const std::uint32_t *below = linkBlocks(b + 1);
+        std::uint32_t *row = linkBlock_.data() + b * n_;
+        // Boundary b's row is still free: it holds the union-find, over
+        // local numbers, until the row itself is filled.  Union by the
+        // smaller number makes each root its component's lowest block.
+        std::uint32_t *parent = row;
+        const auto find = [parent](std::uint32_t x) {
+            while (parent[x] != x)
+                x = parent[x] = parent[parent[x]];
+            return x;
+        };
+        for (std::uint32_t k = 0; k < blocks; ++k)
+            parent[k] = k;
+        for (std::size_t box = 0; box < n_ / 2; ++box) {
+            const std::uint32_t upper = find(static_cast<std::uint32_t>(
+                below[outputLink(box, 0)] - first));
+            const std::uint32_t lower = find(static_cast<std::uint32_t>(
+                below[outputLink(box, 1)] - first));
+            parent[std::max(upper, lower)] = std::min(upper, lower);
+        }
+        // A root comes before the rest of its component, so numbering
+        // roots in order keeps the blocks in order of their lowest
+        // output (the Omega's come out contiguous).
+        const std::size_t next = first + blocks;
+        std::size_t merged = 0;
+        blockParent_.resize(next);
+        for (std::uint32_t k = 0; k < blocks; ++k) {
+            const std::uint32_t root = find(k);
+            blockParent_[first + k] =
+                root == k ? static_cast<std::uint32_t>(next + merged++)
+                          : blockParent_[first + root];
+        }
+        // Both inputs of a box reach what its outputs reach.
+        const std::uint32_t *inputs = inputLinks(b);
+        for (std::size_t box = 0; box < n_ / 2; ++box) {
+            const std::uint32_t block =
+                blockParent_[below[outputLink(box, 0)]];
+            row[inputs[2 * box]] = block;
+            row[inputs[2 * box + 1]] = block;
+        }
+        first = next;
+        blocks = merged;
+    }
+    // Boundary 0's blocks are the roots.
+    blockCount_ = first + blocks;
+    blockParent_.resize(blockCount_);
+    for (std::size_t k = first; k < blockCount_; ++k)
+        blockParent_[k] = static_cast<std::uint32_t>(k);
 }
 
 bool
@@ -190,12 +261,11 @@ MultistageNetwork::routePort(std::size_t stage, std::size_t link,
                " link ", link);
 }
 
-std::vector<std::size_t>
+LinkPath
 MultistageNetwork::path(std::size_t src, std::size_t dst) const
 {
     RSIN_REQUIRE(src < n_ && dst < n_, "path: endpoint out of range");
-    std::vector<std::size_t> links;
-    links.reserve(stages_ + 1);
+    LinkPath links;
     std::size_t link = src;
     links.push_back(link);
     for (std::size_t stage = 0; stage < stages_; ++stage) {
@@ -231,7 +301,7 @@ CircuitState::releaseSegment(std::size_t boundary, std::size_t link)
 }
 
 void
-CircuitState::claim(const std::vector<std::size_t> &path)
+CircuitState::claim(std::span<const std::uint32_t> path)
 {
     RSIN_REQUIRE(path.size() == net_->stages() + 1,
                  "claim: path has wrong length");
@@ -243,7 +313,7 @@ CircuitState::claim(const std::vector<std::size_t> &path)
 }
 
 void
-CircuitState::release(const std::vector<std::size_t> &path)
+CircuitState::release(std::span<const std::uint32_t> path)
 {
     RSIN_REQUIRE(path.size() == net_->stages() + 1,
                  "release: path has wrong length");
@@ -255,7 +325,7 @@ CircuitState::release(const std::vector<std::size_t> &path)
 }
 
 bool
-CircuitState::pathFree(const std::vector<std::size_t> &path) const
+CircuitState::pathFree(std::span<const std::uint32_t> path) const
 {
     RSIN_REQUIRE(path.size() == net_->stages() + 1,
                  "pathFree: path has wrong length");

@@ -17,11 +17,17 @@
  *  - Indirect binary n-cube (Pease): P_k pairs links differing in bit k.
  *
  * Both are banyan networks: exactly one path joins any input to any
- * output, which the reachability helpers exploit.
+ * output, which the reachability helpers exploit.  In both, the outputs
+ * a boundary-b link reaches form one of 2^b nested blocks; the block
+ * tables let the availability registers (sched/omega_router.hpp) tell
+ * which counts a change at one output can touch.
  */
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,6 +46,61 @@ enum class MultistageKind
 
 /** Human-readable name of a wiring kind. */
 std::string kindName(MultistageKind kind);
+
+/**
+ * The boundary links of one circuit, path[b] at boundary b, held
+ * inline: routing, claiming and releasing a circuit never allocate.
+ * At most kCapacity links, so a network has at most kCapacity - 1
+ * stages (a power-of-two size up to 2^31 in log2 stages).
+ */
+class LinkPath
+{
+  public:
+    static constexpr std::size_t kCapacity = 32;
+    using value_type = std::uint32_t;
+    using const_iterator = const std::uint32_t *;
+
+    std::size_t size() const { return size_; }
+    const_iterator begin() const { return links_.data(); }
+    const_iterator end() const { return links_.data() + size_; }
+
+    std::uint32_t
+    operator[](std::size_t boundary) const
+    {
+        RSIN_ASSERT(boundary < size_, "LinkPath: boundary out of range");
+        return links_[boundary];
+    }
+
+    std::uint32_t front() const { return (*this)[0]; }
+    std::uint32_t back() const { return (*this)[size_ - 1]; }
+
+    /** Append the link at the next boundary. */
+    void
+    push_back(std::size_t link)
+    {
+        RSIN_ASSERT(size_ < kCapacity && link <= UINT32_MAX,
+                    "LinkPath: too many links or link out of range");
+        links_[size_++] = static_cast<std::uint32_t>(link);
+    }
+
+    /** Drop the link at the last boundary. */
+    void
+    pop_back()
+    {
+        RSIN_ASSERT(size_ > 0, "LinkPath: pop from an empty path");
+        --size_;
+    }
+
+    friend bool
+    operator==(const LinkPath &a, const LinkPath &b)
+    {
+        return std::equal(a.begin(), a.end(), b.begin(), b.end());
+    }
+
+  private:
+    std::array<std::uint32_t, kCapacity> links_{};
+    std::uint32_t size_ = 0;
+};
 
 /** Structural description of an N x N multistage network. */
 class MultistageNetwork
@@ -120,7 +181,7 @@ class MultistageNetwork
      * boundary links traversed (n+1 entries, path[0] = src,
      * path[n] = dst).
      */
-    std::vector<std::size_t> path(std::size_t src, std::size_t dst) const;
+    LinkPath path(std::size_t src, std::size_t dst) const;
 
     /**
      * Output port the box at stage @p stage must select so a request on
@@ -138,11 +199,42 @@ class MultistageNetwork
     bool reaches(std::size_t stage, std::size_t link,
                  std::size_t dst) const;
 
+    /**
+     * Output blocks: per boundary, the finest partition of the outputs
+     * in which everything one boundary-b link reaches lies inside one
+     * block.  In a banyan these are the reach sets themselves, 2^b
+     * nested blocks at boundary b and 2n-1 in all; a Custom wiring whose
+     * reach sets overlap gets coarser blocks, down to one per boundary.
+     * Blocks are numbered 0..blockCount()-1 over all boundaries, and
+     * block d at boundary n is output d alone.
+     */
+    std::size_t blockCount() const { return blockCount_; }
+
+    /**
+     * Block of every boundary-@p boundary link: entry l is the block
+     * holding the outputs link l reaches (size() entries).
+     */
+    const std::uint32_t *
+    linkBlocks(std::size_t boundary) const
+    {
+        RSIN_ASSERT(boundary <= stages_, "linkBlocks: out of range");
+        return linkBlock_.data() + boundary * n_;
+    }
+
+    /**
+     * Blocks nest: entry k is the block one boundary up that holds
+     * block k, and a boundary-0 block is its own parent.  From output d
+     * the chain d, parent, ... names the stages()+1 blocks a change at
+     * d can touch.
+     */
+    const std::uint32_t *blockParents() const { return blockParent_.data(); }
+
   private:
     /** The wiring rule of kind_ (the tables below cache it). */
     std::size_t computePosition(std::size_t stage, std::size_t link) const;
     void buildWiring();
     void buildReachability();
+    void buildBlocks();
 
     /** 64-bit words per reachability row. */
     std::size_t words() const { return (n_ + 63) / 64; }
@@ -165,6 +257,11 @@ class MultistageNetwork
     std::vector<std::uint32_t> inputLink_;
     /** (stages+1) x n rows of words() words each; see reachRow. */
     std::vector<std::uint64_t> reach_;
+    std::size_t blockCount_ = 0;
+    /** linkBlock_[boundary * n + link]; see linkBlocks. */
+    std::vector<std::uint32_t> linkBlock_;
+    /** blockCount_ entries; see blockParents. */
+    std::vector<std::uint32_t> blockParent_;
 };
 
 /**
@@ -202,14 +299,15 @@ class CircuitState
     /** Release one segment; it must currently be busy. */
     void releaseSegment(std::size_t boundary, std::size_t link);
 
-    /** Claim every segment on @p path; all must currently be free. */
-    void claim(const std::vector<std::size_t> &path);
+    /** Claim every segment on @p path (path[b] is the link at
+     *  boundary b); all must currently be free. */
+    void claim(std::span<const std::uint32_t> path);
 
     /** Release every segment on @p path; all must currently be busy. */
-    void release(const std::vector<std::size_t> &path);
+    void release(std::span<const std::uint32_t> path);
 
     /** True if every segment on @p path is free. */
-    bool pathFree(const std::vector<std::size_t> &path) const;
+    bool pathFree(std::span<const std::uint32_t> path) const;
 
     /** Number of busy segments (diagnostics). */
     std::size_t busySegments() const;

@@ -562,6 +562,133 @@ TEST(AvailabilityRegistersTest, IncrementalUpdatesMatchRebuild)
     }
 }
 
+/** Seeded random @p stages-stage wiring of @p n ports: not a banyan,
+ *  its reach sets overlap. */
+MultistageNetwork
+randomWiring(std::size_t n, std::size_t stages, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<std::vector<std::size_t>> perms(
+        stages, std::vector<std::size_t>(n));
+    for (auto &perm : perms) {
+        for (std::size_t i = 0; i < n; ++i)
+            perm[i] = i;
+        rng.shuffle(perm);
+    }
+    return MultistageNetwork(std::move(perms));
+}
+
+TEST(AvailabilityRegistersTest, SparseReadsRouteLikeTheStatelessRouter)
+{
+    // Registers are validated only where they are read.  Here a route
+    // is the only regular read, and between two routes come up to four
+    // path and resource releases, so a register can go stale several
+    // times before its next read.  Every route must make the decisions
+    // of a second network routed through the stateless calls (a
+    // from-scratch pass each time) with the same random stream.  Now
+    // and then one register chosen at random, read alone, must equal a
+    // rebuild's, and every 1000 steps all of them must.  The Custom
+    // wiring's overlapping reach sets give it coarser output blocks.
+#if RSIN_CONTRACTS_ENABLED
+    // Contract builds compare every register with a rebuild after every
+    // refresh (reading them all), so fewer steps say as much there.
+    constexpr int kSteps = 300;
+#else
+    constexpr int kSteps = 3000;
+#endif
+    std::vector<MultistageNetwork> nets;
+    for (const MultistageKind kind :
+         {MultistageKind::Omega, MultistageKind::IndirectCube})
+        for (const std::size_t n : {8u, 64u, 1024u})
+            nets.emplace_back(kind, n);
+    nets.push_back(randomWiring(16, 5, 29));
+    ASSERT_LT(nets.back().blockCount(), 2 * 16 - 1);
+    std::size_t checks = 0;
+    for (const MultistageNetwork &net : nets) {
+        const std::size_t n = net.size();
+        for (std::size_t types = 1; types <= 3; ++types) {
+            SCOPED_TRACE(kindName(net.kind()) + " n=" + std::to_string(n) +
+                         " types=" + std::to_string(types));
+            CircuitState circuit(net);
+            ResourcePool pool = dealtPool(n, 2, types);
+            AvailabilityRegisters registers(circuit, pool);
+            CircuitState oracle_circuit(net);
+            ResourcePool oracle_pool = dealtPool(n, 2, types);
+            const OmegaRouter router(net, RoutingPolicy::RandomTie);
+            Rng route_rng(n * 7 + types);
+            Rng oracle_rng(n * 7 + types);
+            Rng step_rng(n * 70 + types);
+            std::vector<RouteResult> transmitting;
+            std::vector<ResourceRef> serving;
+            std::size_t routed = 0;
+            for (int step = 1; step <= kSteps; ++step) {
+                for (std::size_t burst = pick(step_rng, 5); burst > 0;
+                     --burst) {
+                    if (pick(step_rng, 2) == 0 && !transmitting.empty()) {
+                        const std::size_t k =
+                            pick(step_rng, transmitting.size());
+                        const RouteResult done = transmitting[k];
+                        transmitting[k] = transmitting.back();
+                        transmitting.pop_back();
+                        circuit.release(done.path);
+                        oracle_circuit.release(done.path);
+                        registers.refresh(done.outputPort);
+                        serving.push_back(done.resource);
+                    } else if (!serving.empty()) {
+                        const std::size_t k = pick(step_rng, serving.size());
+                        const ResourceRef ref = serving[k];
+                        serving[k] = serving.back();
+                        serving.pop_back();
+                        pool.release(ref);
+                        oracle_pool.release(ref);
+                        registers.refresh(ref.port,
+                                          pool.typeOf(ref.port, ref.index));
+                    }
+                }
+                const std::size_t src = pick(step_rng, n);
+                const std::size_t type = pick(step_rng, types + 1);
+                auto route = router.tryRoute(registers, circuit, pool, src,
+                                             route_rng, type);
+                const auto oracle = router.tryRoute(
+                    oracle_circuit, oracle_pool, src, oracle_rng, type);
+                ASSERT_EQ(route.has_value(), oracle.has_value())
+                    << "step " << step;
+                ++checks;
+                if (route) {
+                    ASSERT_EQ(route->path, oracle->path) << "step " << step;
+                    ASSERT_EQ(route->resource.port, oracle->resource.port);
+                    ASSERT_EQ(route->resource.index,
+                              oracle->resource.index);
+                    checks += 2;
+                    ++routed;
+                    transmitting.push_back(*route);
+                }
+                if (pick(step_rng, 16) == 0) {
+                    const std::size_t t = pick(step_rng, types);
+                    const std::size_t b = pick(step_rng, net.stages() + 1);
+                    const std::size_t l = pick(step_rng, n);
+                    ASSERT_EQ(registers.count(t, b, l),
+                              AvailabilityRegisters(circuit, pool)
+                                  .count(t, b, l))
+                        << "step " << step << " register (" << t << ", "
+                        << b << ", " << l << ")";
+                    ++checks;
+                }
+                if (step % 1000 == 0 || step == kSteps) {
+                    ASSERT_TRUE(registers ==
+                                AvailabilityRegisters(circuit, pool))
+                        << "step " << step;
+                    ++checks;
+                }
+            }
+            // Both outcomes must have happened often.
+            EXPECT_GT(routed, std::size_t{kSteps} / 10);
+            EXPECT_LT(routed, std::size_t{kSteps} * 29 / 30);
+        }
+    }
+    RecordProperty("checks", static_cast<int>(checks));
+}
+
 TEST(AvailabilityRegistersTest, StaleRegistersTripTheRebuildContract)
 {
 #if RSIN_CONTRACTS_ENABLED

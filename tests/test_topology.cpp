@@ -382,6 +382,77 @@ TEST(TopologyTest, ReachabilityMatchesBruteForce)
     }
 }
 
+TEST(TopologyTest, OutputBlocksHoldEveryReachSet)
+{
+    // Every output a boundary-b link reaches lies in that link's block,
+    // which is the boundary-b block on the output's parent chain.  In
+    // the two banyans the blocks are the reach sets themselves: 2^b at
+    // boundary b, 2n-1 in all.  Seeded random wirings with one stage
+    // more than a banyan have overlapping reach sets and get coarser
+    // blocks.
+    rsin::Rng rng(23);
+    for (std::size_t n = 2; n <= 1024; n *= 2) {
+        std::vector<MultistageNetwork> nets;
+        nets.emplace_back(MultistageKind::Omega, n);
+        nets.emplace_back(MultistageKind::IndirectCube, n);
+        if (n <= 256) {
+            std::vector<std::vector<std::size_t>> perms(
+                nets.front().stages() + 1, std::vector<std::size_t>(n));
+            for (auto &perm : perms) {
+                for (std::size_t i = 0; i < n; ++i)
+                    perm[i] = i;
+                rng.shuffle(perm);
+            }
+            nets.emplace_back(std::move(perms));
+        }
+        for (const MultistageNetwork &net : nets) {
+            SCOPED_TRACE(kindName(net.kind()) + " n=" + std::to_string(n));
+            const bool banyan = net.kind() != MultistageKind::Custom;
+            const std::size_t bounds = net.stages() + 1;
+            // Boundary `stages` has n blocks, the next n/2 (a box joins
+            // two single outputs), and each boundary up is coarser.
+            if (banyan)
+                EXPECT_EQ(net.blockCount(), 2 * n - 1);
+            else
+                EXPECT_LE(net.blockCount(), n + net.stages() * n / 2);
+            // chain[d * bounds + b]: output d's block at boundary b.
+            std::vector<std::uint32_t> chain(n * bounds);
+            for (std::size_t d = 0; d < n; ++d) {
+                std::uint32_t block = static_cast<std::uint32_t>(d);
+                for (std::size_t b = bounds; b-- > 0;) {
+                    ASSERT_LT(block, net.blockCount());
+                    chain[d * bounds + b] = block;
+                    block = net.blockParents()[block];
+                }
+                // The chain ends at a boundary-0 block, its own parent.
+                EXPECT_EQ(block, chain[d * bounds]);
+            }
+            for (std::size_t b = 0; b < bounds; ++b) {
+                std::vector<std::size_t> outputs(net.blockCount(), 0);
+                for (std::size_t d = 0; d < n; ++d)
+                    ++outputs[chain[d * bounds + b]];
+                std::set<std::uint32_t> blocks;
+                for (std::size_t link = 0; link < n; ++link) {
+                    const std::uint32_t block = net.linkBlocks(b)[link];
+                    blocks.insert(block);
+                    const auto reach = net.reachableOutputs(b, link);
+                    for (std::size_t d : reach) {
+                        ASSERT_EQ(chain[d * bounds + b], block)
+                            << "boundary " << b << " link " << link
+                            << " output " << d;
+                    }
+                    if (banyan) {
+                        ASSERT_EQ(outputs[block], reach.size());
+                    }
+                }
+                if (banyan) {
+                    EXPECT_EQ(blocks.size(), std::size_t{1} << b);
+                }
+            }
+        }
+    }
+}
+
 } // namespace
 } // namespace topology
 } // namespace rsin
