@@ -61,16 +61,12 @@ Simulator::pushEntry(QueueEntry entry)
 }
 
 void
-Simulator::popEntry()
+Simulator::siftDown(QueueEntry item)
 {
-    const std::size_t n = heap_.size() - 1;
-    const QueueEntry item = heap_[n];
-    heap_.pop_back();
-    if (n == 0)
-        return;
+    const std::size_t n = heap_.size();
     // 4-ary hole-based sift-down: the earliest of up to four
     // contiguous children moves up into the hole, one move per level,
-    // until the displaced tail fits.  The min-of-four scan compiles to
+    // until the item fits.  The min-of-four scan compiles to
     // conditional moves on the 128-bit keys; with random keys a
     // branchy scan would mispredict about half the picks.
     const QueueEntry *heap = heap_.data();
@@ -117,6 +113,23 @@ Simulator::popEntry()
     }
 place:
     heap_[i] = item;
+}
+
+void
+Simulator::refillRoot()
+{
+    rootVacant_ = false;
+    if (!staging_.empty()) {
+        const QueueEntry entry = staging_.back();
+        staging_.pop_back();
+        siftDown(entry);
+        return;
+    }
+    // Nothing staged: an ordinary pop, the tail into the hole.
+    const QueueEntry tail = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty())
+        siftDown(tail);
 }
 
 void
@@ -200,6 +213,8 @@ Simulator::flushStaging()
 const Simulator::QueueEntry *
 Simulator::peekMin()
 {
+    if (rootVacant_)
+        refillRoot();
     flushStaging();
     if (heap_.empty())
         return run_.empty() ? nullptr : &run_.back();
@@ -215,7 +230,7 @@ Simulator::popMin()
         (heap_.empty() || run_.back().key < heap_[0].key))
         run_.pop_back();
     else
-        popEntry();
+        rootVacant_ = true;
 }
 
 bool
@@ -239,19 +254,20 @@ Simulator::step()
                    "event calendar structure corrupt (heap property or "
                    "run order broken) at t=", entry.time());
     RSIN_IF_CONTRACTS(lastFiredKey_ = entry.key;)
-    const detail::EventOps *&ops_ref = opsAt(entry.slot());
-    // Pull the metadata line in while the pop below runs.
-    __builtin_prefetch(&ops_ref);
     popMin();
     now_ = entry.time();
-    const detail::EventOps *ops = ops_ref;
-    // Move the callback out and recycle the slot *before* invoking so
-    // the action may schedule into it.
-    alignas(8) unsigned char action[kLargeCapacity];
-    ops->relocate(action, storageAt(entry.slot()));
-    releaseAt(entry.slot());
     ++fired_;
-    ops->invokeDestroy(action);
+    // The callback runs in its own slot: chunks never move, so the
+    // slot stays put while the callback schedules, even when that grows
+    // its arena.  The slot is recycled once the callback is destroyed,
+    // whether or not it throws.
+    struct SlotRelease
+    {
+        Simulator *sim;
+        std::uint32_t slot;
+        ~SlotRelease() { sim->releaseAt(slot); }
+    } release{this, entry.slot()};
+    opsAt(entry.slot())->invokeDestroy(storageAt(entry.slot()));
     return true;
 }
 

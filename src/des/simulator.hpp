@@ -19,15 +19,19 @@
  *    value.  Every callback lives inline in one of them: scheduleAt
  *    rejects at compile time a callable over kLargeCapacity bytes,
  *    aligned over 8 bytes or not nothrow-movable, so no event ever
- *    costs a heap box.  Buffers grow in address-stable chunks; the
- *    per-slot ops table lives in a dense side array so scheduling
- *    never touches a cold buffer line.
+ *    costs a heap box.  Buffers grow in address-stable chunks, so a
+ *    callback fires where it was stored and never moves; its slot is
+ *    recycled once it returns.  The per-slot ops table lives in a
+ *    dense side array so scheduling never touches a cold buffer line.
  *  - The pending set is one 128-bit sort key per event -- time bits,
  *    then sequence number, so ordering is a single branch-free integer
  *    compare -- split across a 4-ary min-heap for steady-state
  *    interleaved push/pop and a sorted run that absorbs schedule
  *    bursts via a stable radix sort (one cache-friendly sort instead
- *    of thousands of random-access sifts).
+ *    of thousands of random-access sifts).  Firing the heap's root
+ *    leaves it vacant, and the next peek fills it with an entry the
+ *    callback staged: one sift-down in place of the tail's sift-down
+ *    and that entry's sift-up.
  *
  * Once arenas and calendar have grown to the high-water mark of
  * pending events, a schedule/fire cycle touches no allocator.
@@ -68,8 +72,6 @@ namespace detail {
 /** Type-erased operations on a stored event callback. */
 struct EventOps
 {
-    /** Move-construct dst from src and destroy src. */
-    void (*relocate)(void *dst, void *src) noexcept;
     /** Invoke the callable; destroy it even if it throws. */
     void (*invokeDestroy)(void *storage);
     /** Destroy without invoking (events pending when the arena dies). */
@@ -79,13 +81,6 @@ struct EventOps
 template <typename Fn>
 struct InlineEventOps
 {
-    static void
-    relocate(void *dst, void *src) noexcept
-    {
-        auto *from = static_cast<Fn *>(src);
-        ::new (dst) Fn(std::move(*from));
-        from->~Fn();
-    }
     static void
     invokeDestroy(void *storage)
     {
@@ -101,7 +96,7 @@ struct InlineEventOps
     {
         static_cast<Fn *>(storage)->~Fn();
     }
-    static constexpr EventOps ops{&relocate, &invokeDestroy, &destroy};
+    static constexpr EventOps ops{&invokeDestroy, &destroy};
 };
 
 /**
@@ -170,7 +165,7 @@ class SlotArena
         return count_++;
     }
 
-    /** Return a slot whose callable has already been moved out. */
+    /** Return a slot whose callable has already been destroyed. */
     void
     release(std::uint32_t index)
     {
@@ -197,8 +192,8 @@ class Simulator
     static constexpr std::size_t kSmallCapacity = 40;
     /**
      * Inline capacity of the large class, sized for the fattest model
-     * callback (omega transmit completion: this, net, processor, the
-     * circuit path, output port, resource and a Task by value).
+     * callbacks (the omega transmit completion: this, net, processor,
+     * output port, resource and a Task by value).
      */
     static constexpr std::size_t kLargeCapacity = 168;
 
@@ -251,7 +246,8 @@ class Simulator
     std::size_t
     pending() const
     {
-        return heap_.size() + run_.size() + staging_.size();
+        return heap_.size() - (rootVacant_ ? 1 : 0) + run_.size() +
+               staging_.size();
     }
 
     /** Fire the next event; returns false if the calendar is empty. */
@@ -384,13 +380,18 @@ class Simulator
     /** Contract check: heap property and run order both hold. */
     bool calendarOrdered() const;
     void pushEntry(QueueEntry entry);
-    void popEntry();
+    /** Sift @p entry down from the vacant root to its place. */
+    void siftDown(QueueEntry entry);
+    /** Fill the root the last fire left vacant: with a staged entry
+     *  when there is one, else with the heap's tail. */
+    void refillRoot();
     /** Move staged entries into the heap (few) or sorted run (burst). */
     void flushStaging();
-    /** Flush staging, then the earliest pending entry across run and
-     *  heap; null when the calendar is empty. */
+    /** Refill the root and flush staging, then the earliest pending
+     *  entry across run and heap; null when the calendar is empty. */
     const QueueEntry *peekMin();
-    /** Pop the entry peekMin() returned. */
+    /** Pop the entry peekMin() returned; a heap root leaves its place
+     *  vacant for the next peekMin() to refill. */
     void popMin();
 
     static void requireDelay(double delay);
@@ -414,6 +415,13 @@ class Simulator
      * side they go to; the global minimum is min(heap top, run back).
      */
     std::vector<QueueEntry> heap_;
+    /**
+     * Set while heap_[0] is a hole: the last fire took the root, and
+     * the next peek fills it.  A fired callback usually schedules, so
+     * one of its staged entries takes the root with a single sift-down
+     * instead of the tail's sift-down plus that entry's own sift-up.
+     */
+    bool rootVacant_ = false;
     std::vector<QueueEntry> run_;
     std::vector<QueueEntry> staging_;
     std::vector<QueueEntry> scratch_;

@@ -10,10 +10,12 @@ AvailabilityRegisters::AvailabilityRegisters(
     const topology::CircuitState &circuit, const ResourcePool &pool)
     : circuit_(&circuit), pool_(&pool), width_(circuit.network().size()),
       boundaries_(circuit.network().stages() + 1),
-      types_(pool.typeCount()),
+      segments_(boundaries_ * width_), types_(pool.typeCount()),
       blocks_(circuit.network().blockCount()),
+      busy_(circuit.busyFlags()), free_(pool.freeCounts()),
+      positions_(circuit.network().stagePositions()),
       linkBlocks_(circuit.network().linkBlocks(0)),
-      counts_(types_ * boundaries_ * width_, 0)
+      counts_(types_ * segments_, 0)
 {
     const topology::MultistageNetwork &net = circuit.network();
     RSIN_REQUIRE(pool.ports() == width_,
@@ -22,11 +24,12 @@ AvailabilityRegisters::AvailabilityRegisters(
                  "AvailabilityRegisters: pool too large for the counts");
     // The from-scratch backward pass: boundary `stages` holds each free
     // output bus's free resources, and every free boundary-b link sees
-    // the sum of its box's two boundary-(b+1) outputs.
+    // the sum of its box's two boundary-(b+1) outputs.  It reads through
+    // the checked accessors, not the flat views recompute uses, so the
+    // two stay independent.
     const std::size_t stages = boundaries_ - 1;
     for (std::size_t type = 0; type < types_; ++type) {
-        std::uint32_t *plane =
-            counts_.data() + type * boundaries_ * width_;
+        std::uint32_t *plane = counts_.data() + type * segments_;
         std::uint32_t *last = plane + stages * width_;
         for (std::size_t l = 0; l < width_; ++l)
             last[l] = circuit.segmentFree(stages, l)
@@ -106,24 +109,27 @@ AvailabilityRegisters::stamp(std::size_t port, std::size_t first,
     }
 }
 
-std::size_t
-AvailabilityRegisters::recompute(std::size_t type, std::size_t boundary,
-                                 std::size_t link, std::size_t reg) const
+std::uint32_t
+AvailabilityRegisters::recompute(std::size_t type, std::size_t seg) const
 {
     // A held segment reads 0 whatever lies below it; its box's outputs
     // are left as they are, for the read that next reaches them.
-    std::size_t value = 0;
-    if (circuit_->busyFlags(boundary)[link] == 0) {
-        if (boundary + 1 == boundaries_) {
-            value = pool_->freeCount(link, type);
+    std::uint32_t value = 0;
+    if (busy_[seg] == 0) {
+        const std::size_t bus = segments_ - width_; // first output bus
+        if (seg >= bus) {
+            value = static_cast<std::uint32_t>(
+                free_[(seg - bus) * types_ + type]);
         } else {
-            const topology::MultistageNetwork &net = circuit_->network();
-            const std::size_t box = net.boxOf(boundary, link);
-            value = count(type, boundary + 1, net.outputLink(box, 0)) +
-                    count(type, boundary + 1, net.outputLink(box, 1));
+            // The box's outputs, at the start of the next boundary's row
+            // plus the box's first output link.
+            const std::size_t up = (seg | (width_ - 1)) + 1 +
+                                   (positions_[seg] & ~std::uint32_t{1});
+            value = read(type, up) + read(type, up + 1);
         }
     }
-    counts_[reg] = static_cast<std::uint32_t>(value);
+    const std::size_t reg = type * segments_ + seg;
+    counts_[reg] = value;
     stamps_[reg] = clock_;
     return value;
 }
@@ -171,18 +177,26 @@ OmegaRouter::descend(const AvailabilityRegisters &avail,
                      std::size_t src, Rng &rng, std::size_t type) const
 {
     RSIN_REQUIRE(src < net_->size(), "tryRoute: bad input");
+    // Built in place and returned by name, so the path is written once
+    // here and copied once, by the caller that keeps it.
+    std::optional<RouteResult> result;
     if (avail.count(type, 0, src) == 0)
-        return std::nullopt;
+        return result;
 
-    RouteResult result;
+    // The entry register is current and positive, so every register the
+    // descent steps through below it is too (AvailabilityRegisters::
+    // stored): read them as stored.
+    RouteResult &route = result.emplace();
+    const std::size_t n = net_->size();
+    const std::uint32_t *positions = net_->stagePositions();
     std::size_t link = src;
-    result.path.push_back(link);
+    route.path.push_back(link);
     for (std::size_t stage = 0; stage < net_->stages(); ++stage) {
-        const std::size_t box = net_->boxOf(stage, link);
-        const std::size_t up = net_->outputLink(box, 0);
-        const std::size_t down = net_->outputLink(box, 1);
-        const std::size_t a0 = avail.count(type, stage + 1, up);
-        const std::size_t a1 = avail.count(type, stage + 1, down);
+        const std::size_t up =
+            positions[stage * n + link] & ~std::uint32_t{1};
+        const std::size_t down = up + 1;
+        const std::size_t a0 = avail.stored(type, stage + 1, up);
+        const std::size_t a1 = avail.stored(type, stage + 1, down);
         RSIN_ASSERT(a0 + a1 > 0, "tryRoute: availability bookkeeping hole");
         std::size_t q;
         if (a0 == 0) {
@@ -207,12 +221,12 @@ OmegaRouter::descend(const AvailabilityRegisters &avail,
             }
         }
         link = q == 0 ? up : down;
-        result.path.push_back(link);
-        ++result.boxesTraversed;
+        route.path.push_back(link);
+        ++route.boxesTraversed;
     }
-    result.outputPort = link;
-    circuit.claim(result.path);
-    result.resource = pool.claim(result.outputPort, type);
+    route.outputPort = link;
+    circuit.claim(route.path);
+    route.resource = pool.claim(route.outputPort, type);
     return result;
 }
 

@@ -26,10 +26,12 @@
  * A change therefore stamps those stages+1 blocks with a clock; a read
  * finds a register stale when its block changed after the register was
  * last computed, and recomputes it from its box's two outputs,
- * recursively, so work follows the registers that are read.  The
- * from-scratch pass over every boundary builds the registers, backs the
- * stateless OmegaRouter calls, and is the oracle the validated
- * registers are tested against.
+ * recursively, so work follows the registers that are read.  A route
+ * validates only its entry register: below a current register with a
+ * positive count every register is current too, because blocks nest,
+ * so the descent reads stored counts.  The from-scratch pass over
+ * every boundary builds the registers, backs the stateless OmegaRouter
+ * calls, and is the oracle the validated registers are tested against.
  *
  * The clocked, stale-status hardware realization of the same algorithm
  * (Fig. 10) lives in omega_boxes.hpp; the two are compared in tests.
@@ -40,6 +42,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/contract.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "sched/resource_pool.hpp"
@@ -59,6 +62,10 @@ enum class RoutingPolicy
 /** Outcome of a successful route. */
 struct RouteResult
 {
+    /** User-provided, so that building one in place (an optional's
+     *  emplace) does not zero the path's unused links first. */
+    RouteResult() noexcept {}
+
     topology::LinkPath path;       ///< boundary links, size stages()+1
     std::size_t outputPort = 0;    ///< port whose bus now transmits
     ResourceRef resource;          ///< the claimed resource
@@ -75,7 +82,8 @@ struct RouteResult
  *
  * refresh() only stamps the output blocks that hold the port
  * (MultistageNetwork::blockParents); count() brings a stale register
- * up to date before returning it.  Reads therefore write the register
+ * up to date before returning it, and stored() trusts the caller to
+ * read below a validated one.  Reads therefore write the register
  * cache, so one set of registers must not be read from two threads at
  * once.
  */
@@ -98,15 +106,28 @@ class AvailabilityRegisters
                     "AvailabilityRegisters::count: out of range");
         if (type >= types_)
             return 0;
-        const std::size_t reg = (type * boundaries_ + boundary) * width_ +
-                                link;
-        // Clock 0: nothing has changed since the from-scratch build, and
-        // the stamps are not allocated yet.
-        if (clock_ != 0 &&
-            stamps_[reg] < changed_[type * blocks_ +
-                                    linkBlocks_[boundary * width_ + link]])
-            return recompute(type, boundary, link, reg);
-        return counts_[reg];
+        return read(type, boundary * width_ + link);
+    }
+
+    /**
+     * The count of (boundary, link) as last computed, not validated.
+     * It is current below a register that count() found positive: that
+     * register read its box's two outputs when it was computed, and a
+     * change under either output's block since would have staled it
+     * too, because blocks nest.  So after validating its entry
+     * register, a descent that steps only into positive counts may read
+     * every register on its way down with this.  @p type must be in the
+     * pool.
+     */
+    std::size_t
+    stored(std::size_t type, std::size_t boundary, std::size_t link) const
+    {
+        const std::size_t seg = boundary * width_ + link;
+        RSIN_INVARIANT(type < types_ && boundary < boundaries_ &&
+                           link < width_ && current(type, seg),
+                       "availability register (", type, ", ", boundary,
+                       ", ", link, ") read stale or out of range");
+        return counts_[type * segments_ + seg];
     }
 
     /**
@@ -126,17 +147,44 @@ class AvailabilityRegisters
     /** Stamp the blocks holding @p port for types [first, last). */
     void stamp(std::size_t port, std::size_t first, std::size_t last);
 
-    /** Recompute stale register @p reg = (type, boundary, link) from the
-     *  segment, the pool and its box's two outputs. */
-    std::size_t recompute(std::size_t type, std::size_t boundary,
-                          std::size_t link, std::size_t reg) const;
+    /** True when the register of segment @p seg (boundary * n + link)
+     *  was computed after the last change under its block. */
+    bool
+    current(std::size_t type, std::size_t seg) const
+    {
+        // Clock 0: nothing has changed since the from-scratch build, and
+        // the stamps are not allocated yet.
+        return clock_ == 0 ||
+               stamps_[type * segments_ + seg] >=
+                   changed_[type * blocks_ + linkBlocks_[seg]];
+    }
+
+    /** The register of segment @p seg, recomputed first if stale. */
+    std::uint32_t
+    read(std::size_t type, std::size_t seg) const
+    {
+        return current(type, seg) ? counts_[type * segments_ + seg]
+                                  : recompute(type, seg);
+    }
+
+    /** Recompute the register of segment @p seg from its busy flag, the
+     *  pool (an output bus) or its box's two outputs, read in turn. */
+    std::uint32_t recompute(std::size_t type, std::size_t seg) const;
 
     const topology::CircuitState *circuit_;
     const ResourcePool *pool_;
     std::size_t width_ = 0;      ///< n
     std::size_t boundaries_ = 0; ///< stages + 1
+    std::size_t segments_ = 0;   ///< boundaries * n, registers per type
     std::size_t types_ = 0;
     std::size_t blocks_ = 0;     ///< output blocks per type
+    /** Flat views of what recompute reads, each indexed by segment
+     *  (boundary * n + link) or output port like the register: the
+     *  circuit's busy flags, the pool's free counts ([port * types +
+     *  type]) and the wiring's stage positions. */
+    const std::uint8_t *busy_ = nullptr;
+    const std::size_t *free_ = nullptr;
+    const std::uint32_t *positions_ = nullptr;
     /** The network's block of every (boundary, link); see
      *  MultistageNetwork::linkBlocks. */
     const std::uint32_t *linkBlocks_ = nullptr;

@@ -25,12 +25,11 @@ ResourcePool::ResourcePool(std::vector<std::vector<std::size_t>> types)
         total_ += port_types.size();
     }
     busy_.resize(typeOf_.size());
-    freePerType_.assign(typeOf_.size(),
-                        std::vector<std::size_t>(typeCount_, 0));
+    free_.assign(typeOf_.size() * typeCount_, 0);
     for (std::size_t port = 0; port < typeOf_.size(); ++port) {
         busy_[port].assign(typeOf_[port].size(), false);
         for (std::size_t t : typeOf_[port])
-            ++freePerType_[port][t];
+            ++free_[port * typeCount_ + t];
     }
 }
 
@@ -55,7 +54,7 @@ ResourcePool::freeCount(std::size_t port, std::size_t type) const
     RSIN_REQUIRE(port < typeOf_.size(), "freeCount: bad port");
     if (type >= typeCount_)
         return 0;
-    return freePerType_[port][type];
+    return free_[port * typeCount_ + type];
 }
 
 std::size_t
@@ -80,7 +79,7 @@ ResourcePool::claim(std::size_t port, std::size_t type)
     for (std::size_t idx = 0; idx < typeOf_[port].size(); ++idx) {
         if (!busy_[port][idx] && typeOf_[port][idx] == type) {
             busy_[port][idx] = true;
-            --freePerType_[port][type];
+            --free_[port * typeCount_ + type];
             return {port, idx, true};
         }
     }
@@ -96,7 +95,7 @@ ResourcePool::release(const ResourceRef &ref)
                  "release: out of range");
     RSIN_REQUIRE(busy_[ref.port][ref.index], "release: resource not busy");
     busy_[ref.port][ref.index] = false;
-    ++freePerType_[ref.port][typeOf_[ref.port][ref.index]];
+    ++free_[ref.port * typeCount_ + typeOf_[ref.port][ref.index]];
 }
 
 void
@@ -106,17 +105,17 @@ ResourcePool::forceBusy(std::size_t port, std::size_t index)
                  "forceBusy: out of range");
     RSIN_REQUIRE(!busy_[port][index], "forceBusy: already busy");
     busy_[port][index] = true;
-    --freePerType_[port][typeOf_[port][index]];
+    --free_[port * typeCount_ + typeOf_[port][index]];
 }
 
 void
 ResourcePool::clear()
 {
+    std::fill(free_.begin(), free_.end(), 0);
     for (std::size_t port = 0; port < typeOf_.size(); ++port) {
         std::fill(busy_[port].begin(), busy_[port].end(), false);
-        std::fill(freePerType_[port].begin(), freePerType_[port].end(), 0);
         for (std::size_t t : typeOf_[port])
-            ++freePerType_[port][t];
+            ++free_[port * typeCount_ + t];
     }
 }
 

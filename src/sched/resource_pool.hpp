@@ -54,6 +54,12 @@ class ResourcePool
     /** Free resources of @p type on @p port. */
     std::size_t freeCount(std::size_t port, std::size_t type = 0) const;
 
+    /**
+     * Free resources of every (port, type), [port * typeCount() + type],
+     * for loops that read many ports.  Valid as long as the pool.
+     */
+    const std::size_t *freeCounts() const { return free_.data(); }
+
     /** Free resources of @p type across all ports. */
     std::size_t totalFree(std::size_t type = 0) const;
 
@@ -75,7 +81,7 @@ class ResourcePool
   private:
     std::vector<std::vector<std::size_t>> typeOf_; ///< [port][idx] -> type
     std::vector<std::vector<bool>> busy_;          ///< [port][idx]
-    std::vector<std::vector<std::size_t>> freePerType_; ///< [port][type]
+    std::vector<std::size_t> free_; ///< [port * typeCount_ + type]
     std::size_t typeCount_ = 1;
     std::size_t total_ = 0;
 };

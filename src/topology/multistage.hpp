@@ -51,7 +51,9 @@ std::string kindName(MultistageKind kind);
  * The boundary links of one circuit, path[b] at boundary b, held
  * inline: routing, claiming and releasing a circuit never allocate.
  * At most kCapacity links, so a network has at most kCapacity - 1
- * stages (a power-of-two size up to 2^31 in log2 stages).
+ * stages (a power-of-two size up to 2^31 in log2 stages).  Only the
+ * links in use are ever written or read, copies included, so a new
+ * path costs no fill of its unused capacity.
  */
 class LinkPath
 {
@@ -59,6 +61,18 @@ class LinkPath
     static constexpr std::size_t kCapacity = 32;
     using value_type = std::uint32_t;
     using const_iterator = const std::uint32_t *;
+
+    LinkPath() = default;
+    LinkPath(const LinkPath &other) noexcept { *this = other; }
+
+    LinkPath &
+    operator=(const LinkPath &other) noexcept
+    {
+        size_ = other.size_;
+        for (std::uint32_t i = 0; i < size_; ++i)
+            links_[i] = other.links_[i];
+        return *this;
+    }
 
     std::size_t size() const { return size_; }
     const_iterator begin() const { return links_.data(); }
@@ -98,7 +112,7 @@ class LinkPath
     }
 
   private:
-    std::array<std::uint32_t, kCapacity> links_{};
+    std::array<std::uint32_t, kCapacity> links_; ///< first size_ in use
     std::uint32_t size_ = 0;
 };
 
@@ -140,6 +154,13 @@ class MultistageNetwork
                     "stagePosition: out of range");
         return position_[stage * n_ + link];
     }
+
+    /**
+     * stagePosition of every (stage, link), [stage * size() + link],
+     * for loops that walk the wiring forward: the box outputs of entry
+     * e are boundary-(stage+1) links (e & ~1) and (e | 1).
+     */
+    const std::uint32_t *stagePositions() const { return position_.data(); }
 
     /**
      * Inverse of stagePosition for stage @p stage: entry `position`
@@ -284,14 +305,10 @@ class CircuitState
         return busy_[boundary * net_->size() + link] == 0;
     }
 
-    /** Busy flags of boundary @p boundary's links (size() entries,
-     *  nonzero = held), for loops over a whole boundary. */
-    const std::uint8_t *
-    busyFlags(std::size_t boundary) const
-    {
-        RSIN_REQUIRE(boundary <= net_->stages(), "busyFlags: out of range");
-        return busy_.data() + boundary * net_->size();
-    }
+    /** Busy flags of every segment, [boundary * size() + link],
+     *  nonzero = held, for loops over many segments.  Valid as long as
+     *  the state. */
+    const std::uint8_t *busyFlags() const { return busy_.data(); }
 
     /** Claim one segment; it must currently be free. */
     void claimSegment(std::size_t boundary, std::size_t link);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/error.hpp"
+
 namespace rsin {
 namespace workload {
 
@@ -56,17 +58,26 @@ MetricsCollector::fractionZeroDelay() const
 double
 MetricsCollector::delayQuantile(double q) const
 {
+    RSIN_REQUIRE(0.0 <= q && q <= 1.0, "delayQuantile: q = ", q,
+                 " is outside [0, 1]");
     // No observations means no distribution: NaN, so that a truncated
     // run cannot leak a fake zero-delay tail into tables or records.
     if (delaySamples_.empty())
         return std::numeric_limits<double>::quiet_NaN();
-    std::vector<double> sorted = delaySamples_;
-    std::sort(sorted.begin(), sorted.end());
-    const double pos = q * static_cast<double>(sorted.size() - 1);
+    // Interpolate between order statistics lo and lo + 1 of the
+    // reservoir.  Selecting them needs no full sort: nth_element puts
+    // the lo-th in place with everything after it no smaller, so the
+    // next one is the least of that tail.
+    std::vector<double> sample = delaySamples_;
+    const std::size_t last = sample.size() - 1;
+    const double pos = q * static_cast<double>(last);
     const auto lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
     const double frac = pos - static_cast<double>(lo);
-    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+    const auto at_lo = sample.begin() + static_cast<std::ptrdiff_t>(lo);
+    std::nth_element(sample.begin(), at_lo, sample.end());
+    const double hi = lo < last ? *std::min_element(at_lo + 1, sample.end())
+                                : *at_lo;
+    return *at_lo * (1.0 - frac) + hi * frac;
 }
 
 double

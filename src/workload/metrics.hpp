@@ -72,7 +72,8 @@ class MetricsCollector
      * strided sample reservoir.  The reservoir holds every counted
      * delay until it reaches 65536 samples, then keeps every second
      * sample and doubles its stride, so it always holds an evenly
-     * strided subsample of the run.  Returns NaN with no observations.
+     * strided subsample of the run.  Returns NaN with no observations;
+     * @p q outside [0, 1] throws FatalError.
      */
     double delayQuantile(double q) const;
 

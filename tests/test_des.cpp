@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -198,6 +202,164 @@ TEST(SimulatorTest, PendingCallbacksDieWithTheSimulator)
     }
     EXPECT_EQ(token.use_count(), 1);
     EXPECT_EQ(*token, 0);
+}
+
+/**
+ * Random schedules and fires checked against a reference calendar, a
+ * map ordered by (time, schedule order).  Times lie on a grid of
+ * quarter steps from now, so zero delays and equal times are common.
+ * Callbacks come in both slot classes; a large one carries a payload
+ * it checks when it fires.
+ */
+class CalendarOracle
+{
+  public:
+    /** Events a callback fans out to after this many were scheduled:
+     *  none, so the run drains. */
+    static constexpr std::uint64_t kBudget = 30000;
+
+    CalendarOracle(Simulator &sim, std::uint64_t seed)
+        : sim_(sim), rng_(seed)
+    {
+    }
+
+    /** Schedule one event @p steps quarter steps from now, in the large
+     *  slot class when @p large. */
+    void
+    schedule(std::uint64_t steps, bool large)
+    {
+        const double when = sim_.now() + 0.25 * static_cast<double>(steps);
+        const std::uint64_t id = next_++;
+        reference_.emplace(std::make_pair(when, id), id);
+        if (large)
+            sim_.scheduleAt(when, [this, id, payload = payloadOf(id)] {
+                EXPECT_EQ(payload, payloadOf(id)) << "event " << id;
+                fire(id);
+            });
+        else if (steps == 0 && id % 2 == 0)
+            sim_.schedule(0.0, [this, id] { fire(id); });
+        else
+            sim_.scheduleAt(when, [this, id] { fire(id); });
+    }
+
+    /** Schedule, in the large class, an event that schedules 600 more
+     *  large ones: its own arena grows while it runs. */
+    void
+    scheduleGrower(double when)
+    {
+        const std::uint64_t id = next_++;
+        reference_.emplace(std::make_pair(when, id), id);
+        sim_.scheduleAt(when, [this, id, payload = payloadOf(id)] {
+            fire(id);
+            const std::size_t capacity = sim_.slotCapacity();
+            for (int i = 0; i < 600; ++i)
+                schedule(rng_.uniformInt(std::uint64_t{8}), true);
+            EXPECT_GT(sim_.slotCapacity(), capacity);
+            // The running callback's own captures are still intact.
+            EXPECT_EQ(payload, payloadOf(id));
+            ++grown_;
+        });
+    }
+
+    /** Schedule 0-2 events from outside any callback. */
+    void
+    scheduleBetweenFires()
+    {
+        for (std::uint64_t k = rng_.uniformInt(std::uint64_t{3}); k > 0; --k)
+            schedule(rng_.uniformInt(std::uint64_t{8}),
+                     rng_.uniformInt(std::uint64_t{4}) == 0);
+    }
+
+    /** Pending events of the reference, and the earliest one's time. */
+    std::size_t pending() const { return reference_.size(); }
+    double earliest() const { return reference_.begin()->first.first; }
+    std::uint64_t fired() const { return fired_; }
+    int grown() const { return grown_; }
+
+  private:
+    using Payload = std::array<double, 12>;
+
+    static Payload
+    payloadOf(std::uint64_t id)
+    {
+        Payload payload;
+        for (std::size_t k = 0; k < payload.size(); ++k)
+            payload[k] = static_cast<double>(id * 16 + k);
+        return payload;
+    }
+
+    /** Event @p id fires: it must be the reference's earliest.  Then it
+     *  schedules 0, 1, 2 or (rarely) 65-130 more. */
+    void
+    fire(std::uint64_t id)
+    {
+        ASSERT_FALSE(reference_.empty()) << "event " << id;
+        const auto first = reference_.begin();
+        EXPECT_EQ(first->second, id);
+        EXPECT_EQ(first->first.first, sim_.now()) << "event " << id;
+        reference_.erase(first);
+        ++fired_;
+        if (next_ >= kBudget)
+            return;
+        const std::uint64_t pick = rng_.uniformInt(std::uint64_t{1000});
+        const std::uint64_t fan = pick < 550   ? 0
+                                  : pick < 800 ? 1
+                                  : pick < 995 ? 2
+                                               : 65 + rng_.uniformInt(
+                                                          std::uint64_t{66});
+        for (std::uint64_t k = 0; k < fan; ++k)
+            schedule(rng_.uniformInt(std::uint64_t{8}),
+                     rng_.uniformInt(std::uint64_t{4}) == 0);
+    }
+
+    Simulator &sim_;
+    Rng rng_;
+    /** (time, schedule order) -> event id, pending events only. */
+    std::map<std::pair<double, std::uint64_t>, std::uint64_t> reference_;
+    std::uint64_t next_ = 0;
+    std::uint64_t fired_ = 0;
+    int grown_ = 0;
+};
+
+TEST(SimulatorTest, RandomScheduleAndFireMatchesTheReferenceOrder)
+{
+    // Every fire must be the reference's earliest event by (time,
+    // schedule order), and between fires -- when the last fire may
+    // have left the heap's root vacant -- pending() and nextEventTime()
+    // must agree with the reference.  A burst of 200 starts the run off
+    // the sorted run; later bursts of 65-130 come from callbacks.
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Simulator sim;
+        CalendarOracle oracle(sim, seed);
+        Rng rng(seed * 101);
+        for (int i = 0; i < 200; ++i)
+            oracle.schedule(rng.uniformInt(std::uint64_t{40}),
+                            rng.uniformInt(std::uint64_t{4}) == 0);
+        oracle.scheduleGrower(0.5);
+        std::uint64_t steps = 0;
+        for (;;) {
+            ASSERT_EQ(sim.pending(), oracle.pending()) << "step " << steps;
+            if (rng.uniformInt(std::uint64_t{2}) == 0) {
+                const auto next = sim.nextEventTime();
+                ASSERT_EQ(next.has_value(), oracle.pending() > 0);
+                if (next) {
+                    EXPECT_EQ(*next, oracle.earliest()) << "step " << steps;
+                }
+                ASSERT_EQ(sim.pending(), oracle.pending());
+            }
+            if (rng.uniformInt(std::uint64_t{10}) == 0)
+                oracle.scheduleBetweenFires();
+            if (!sim.step())
+                break;
+            ++steps;
+        }
+        EXPECT_EQ(oracle.pending(), 0u);
+        EXPECT_EQ(oracle.grown(), 1);
+        EXPECT_EQ(oracle.fired(), sim.fired());
+        EXPECT_EQ(sim.fired(), sim.scheduled());
+        EXPECT_GT(sim.fired(), CalendarOracle::kBudget / 2);
+    }
 }
 
 TEST(SimulatorTest, ManyEventsThroughput)

@@ -448,6 +448,7 @@ struct GoldenCell
     std::uint64_t timeAvgQueue;
     std::uint64_t delayHalfWidth;
     std::uint64_t delayP99;
+    std::uint64_t delayP95;
     std::uint64_t fired;
     std::uint64_t completed;
 };
@@ -483,7 +484,10 @@ TEST(GoldenRunTest, EventLocalDispatchReproducesWholeSystemScan)
     // rows that draw routing numbers -- xbar-token, omega-random-tie,
     // cube-random-tie, omega-return and omega-address-random -- were
     // re-recorded when every network got its own routing stream
-    // (SystemSimulation::networkRng), and now pin those streams.
+    // (SystemSimulation::networkRng), and now pin those streams.  The
+    // delayP95 column was recorded while the quantiles still sorted the
+    // sample reservoir; it pins the order-statistic selection that
+    // replaced the sort.
     using S = OmegaScheduling;
     using P = sched::RoutingPolicy;
     ModelOptions with_return = omegaModel(S::Distributed);
@@ -491,72 +495,72 @@ TEST(GoldenRunTest, EventLocalDispatchReproducesWholeSystemScan)
     const std::vector<GoldenCell> cells = {
         {"sbus", "16/4x1x1 SBUS/2", 1, {}, 0x40168ddbe2cddcb8,
          0x40251865b95fb8f1, 0x3ff819d557405e13, 0x403b0bef46109e0a,
-         9622, 3200},
+         0x4033d5e8931466a2, 9622, 3200},
         {"xbar-index", "16/2x8x4 XBAR/2", 1,
          xbarModel(XbarArbitration::IndexPriority), 0x3fe0dc58ffaca7f3,
          0x3ffa81dba1d4dacd, 0x3fc22f14eca22bb6, 0x401907aaf94d08f2,
-         9618, 3200},
+         0x4006f3523bd87bbc, 9618, 3200},
         {"xbar-fifo", "16/2x8x4 XBAR/2", 1,
          xbarModel(XbarArbitration::FifoArrival), 0x3fe0ee2f96d70e57,
          0x3ffa9aa3190e94a8, 0x3fc01430bd7fabf9, 0x4013481b2a994181,
-         9618, 3200},
+         0x40062350c5fa9fe9, 9618, 3200},
         {"xbar-token", "16/2x8x4 XBAR/2", 1,
          xbarModel(XbarArbitration::RandomToken), 0x3fe24f974be90109,
          0x3ffcafafac2f4829, 0x3fc2350866fee89d, 0x401c715e44539ca6,
-         9618, 3200},
+         0x400789e495e73a0d, 9618, 3200},
         {"xbar-gate", "12/2x6x3 XBAR/2", 1,
          xbarModel(XbarArbitration::GateLevel), 0x3fe6a54f818424ea,
          0x3ffab08575dceb3b, 0x3fc2548deb16c589, 0x401d732570ea92b5,
-         9619, 3200},
+         0x400e5b38b70474b5, 9619, 3200},
         {"omega-most", "16/2x8x8 OMEGA/2", 1,
          omegaModel(S::Distributed, P::MostResources), 0x3fddce1c96bba07f,
          0x4001b9e442068fa2, 0x3fbbd5d9c8a714df, 0x40165e495cb57a1d,
-         9627, 3200},
+         0x4003cfa5dcecc6df, 9627, 3200},
         {"omega-upper", "16/2x8x8 OMEGA/2", 1,
          omegaModel(S::Distributed, P::PreferUpper), 0x3fde8bd351dcf83f,
          0x400227b1e0297f78, 0x3fbb981548ac858f, 0x401686cd739a6d4f,
-         9627, 3200},
+         0x4004274ef33966bd, 9627, 3200},
         {"omega-random-tie", "16/2x8x8 OMEGA/2", 1,
          omegaModel(S::Distributed, P::RandomTie), 0x3fddc94afc25612e,
          0x4001bebe07bce736, 0x3fbba213597901d1, 0x40167fde7d97f742,
-         9627, 3200},
+         0x4003c90bc70e452b, 9627, 3200},
         {"omega-address-first", "8/1x8x8 OMEGA/2", 1,
          omegaModel(S::AddressFirstFree), 0x4010b4c7a06c8ed2,
          0x4023b00941eb1291, 0x3ffc99c72c40684d, 0x4041c2b6fbe53456,
-         9636, 3200},
+         0x40305fa6fe6d440f, 9636, 3200},
         {"cube-most", "16/2x8x8 CUBE/2", 1,
          omegaModel(S::Distributed, P::MostResources), 0x3fdd6efd2ba78e54,
          0x400188461ecf2b40, 0x3fba530f219576c1, 0x40165e495cb57a1d,
-         9627, 3200},
+         0x4003d578fe001018, 9627, 3200},
         {"cube-upper", "16/2x8x8 CUBE/2", 1,
          omegaModel(S::Distributed, P::PreferUpper), 0x3fde309db47b8bd1,
          0x4001f981fa3a719e, 0x3fba6642d79fe683, 0x40165e495cb57a1d,
-         9627, 3200},
+         0x40041b24762b948a, 9627, 3200},
         {"cube-random-tie", "16/2x8x8 CUBE/2", 1,
          omegaModel(S::Distributed, P::RandomTie), 0x3fddc994bf737861,
          0x4001be2c8c6b9e92, 0x3fba7c5260a13322, 0x40165e495cb57a1d,
-         9627, 3200},
+         0x4003d578fe001018, 9627, 3200},
         {"cube-address-first", "8/1x8x8 CUBE/2", 1,
          omegaModel(S::AddressFirstFree), 0x40151bb1a741c576,
          0x4028ab6791914e72, 0x4002629f2a963f3b, 0x404a7d1caf266875,
-         9620, 3200},
+         0x4037c1432402bd84, 9620, 3200},
         {"omega-wide", "64/2x32x32 OMEGA/1", 1, omegaModel(S::Distributed),
          0x3fd25d81a7738da1, 0x400db04f806aa1fc, 0x3fbbe31492cd7033,
-         0x4010689b7e8001fe, 9658, 3200},
+         0x4010689b7e8001fe, 0x3ffbc0753a2e7561, 9658, 3200},
         {"omega-typed4", "16/2x8x8 OMEGA/2", 4, omegaModel(S::Distributed),
          0x3fee34f8de3d9318, 0x40114443d913bf73, 0x3fd4549812b943d5,
-         0x40219217b6f4d033, 9626, 3200},
+         0x40219217b6f4d033, 0x4011cf8020eba0bb, 9626, 3200},
         {"omega-return", "16/2x8x8 OMEGA/2", 1, with_return,
          0x3fddbf8218f36164, 0x4001bc48181a6386, 0x3fbb70cd974cd12f,
-         0x40165e495cb57a1d, 12854, 3200},
+         0x40165e495cb57a1d, 0x4003cfa5dcecc6df, 12854, 3200},
         {"omega-address-random", "8/1x8x8 OMEGA/2", 1,
          omegaModel(S::AddressRandomFree), 0x3fe5d8e2ec5ee12e,
          0x3ff9bd89f8eff90e, 0x3fce900538c6ca3e, 0x401933435ea0408a,
-         9613, 3200},
+         0x400a60a06564cb97, 9613, 3200},
         {"omega-clocked", "8/1x8x8 OMEGA/2", 1,
          omegaModel(S::DistributedClocked), 0x3fde51ced3055204,
          0x3ff1dcf944b86782, 0x3fca0b0aff04bb55, 0x4015a010e8b6b838,
-         9613, 3200},
+         0x40051c0e2411c257, 9613, 3200},
     };
     for (const GoldenCell &cell : cells) {
         const auto cfg = SystemConfig::parse(cell.config);
@@ -575,6 +579,7 @@ TEST(GoldenRunTest, EventLocalDispatchReproducesWholeSystemScan)
         EXPECT_EQ(doubleBits(res.delayHalfWidth), cell.delayHalfWidth)
             << cell.label;
         EXPECT_EQ(doubleBits(res.delayP99), cell.delayP99) << cell.label;
+        EXPECT_EQ(doubleBits(res.delayP95), cell.delayP95) << cell.label;
         EXPECT_EQ(res.kernel.fired, cell.fired) << cell.label;
         EXPECT_EQ(res.completedTasks, cell.completed) << cell.label;
     }

@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -206,6 +212,100 @@ TEST(MetricsTest, QuantileReservoirBoundsMemory)
     // Exponential(1): median ~ ln 2, p95 ~ 3.0.
     EXPECT_NEAR(mc.delayQuantile(0.5), 0.693, 0.05);
     EXPECT_NEAR(mc.delayQuantile(0.95), 3.0, 0.2);
+}
+
+/** Record a completed task that waited @p delay. */
+void
+completeWithDelay(MetricsCollector &mc, double delay)
+{
+    Task t;
+    t.arrival = 0.0;
+    t.transmitStart = delay;
+    t.transmitEnd = delay + 1.0;
+    t.serviceEnd = delay + 2.0;
+    mc.taskCompleted(t);
+}
+
+/** The quantile's definition: interpolate between order statistics
+ *  floor(q (n - 1)) and the next one of a sorted copy. */
+double
+sortedQuantile(std::vector<double> sample, double q)
+{
+    std::sort(sample.begin(), sample.end());
+    const double pos = q * static_cast<double>(sample.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, sample.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    return sample[lo] * (1.0 - frac) + sample[hi] * frac;
+}
+
+std::uint64_t
+bitsOf(double x)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &x, sizeof(bits));
+    return bits;
+}
+
+TEST(MetricsTest, SelectedQuantilesMatchTheSortedDefinition)
+{
+    // delayQuantile selects its two order statistics instead of sorting
+    // the reservoir; it must still return the sorted-copy definition
+    // bit for bit.  Below 65536 samples the reservoir holds every delay
+    // fed to it.
+    Rng rng(41);
+    std::vector<std::pair<std::string, std::vector<double>>> cases;
+    std::vector<double> random(5000);
+    for (double &d : random)
+        d = rng.exponential(1.0);
+    cases.emplace_back("random", random);
+    cases.emplace_back("all-equal", std::vector<double>(1000, 2.5));
+    std::vector<double> duplicates(4000, 0.0);
+    for (std::size_t i = 0; i < duplicates.size(); i += 10)
+        duplicates[i] = static_cast<double>(1 + i % 3) * 0.75;
+    cases.emplace_back("mostly-zero", duplicates);
+    cases.emplace_back("one", std::vector<double>{3.25});
+    cases.emplace_back("two", std::vector<double>{4.0, 1.5});
+
+    // Past 65536 samples the reservoir keeps one of every two.  Feeding
+    // each delay twice in a row makes its contents known whichever of a
+    // pair it keeps: one copy of every pair, 37768 values here.
+    std::vector<double> pairs(37768);
+    for (double &d : pairs)
+        d = rng.exponential(1.0);
+    MetricsCollector doubled;
+    for (const double d : pairs) {
+        completeWithDelay(doubled, d);
+        completeWithDelay(doubled, d);
+    }
+
+    for (const double q : {0.0, 0.5, 0.95, 0.99, 1.0}) {
+        for (const auto &[label, sample] : cases) {
+            MetricsCollector mc;
+            for (const double d : sample)
+                completeWithDelay(mc, d);
+            EXPECT_EQ(bitsOf(mc.delayQuantile(q)),
+                      bitsOf(sortedQuantile(sample, q)))
+                << label << " q " << q;
+        }
+        EXPECT_EQ(bitsOf(doubled.delayQuantile(q)),
+                  bitsOf(sortedQuantile(pairs, q)))
+            << "after a stride doubling, q " << q;
+    }
+}
+
+TEST(MetricsTest, QuantileOutsideTheUnitIntervalIsRejected)
+{
+    // q = 1.5 would read past the reservoir and q < 0 would cast a
+    // negative position to an index.
+    MetricsCollector mc;
+    for (int i = 0; i < 10; ++i)
+        completeWithDelay(mc, static_cast<double>(i));
+    EXPECT_THROW(mc.delayQuantile(1.5), FatalError);
+    EXPECT_THROW(mc.delayQuantile(-0.25), FatalError);
+    EXPECT_THROW(mc.delayQuantile(std::nan("")), FatalError);
+    EXPECT_THROW(MetricsCollector().delayQuantile(2.0), FatalError);
+    EXPECT_TRUE(std::isnan(MetricsCollector().delayQuantile(0.5)));
 }
 
 TEST(MetricsTest, PerProcessorFairness)
