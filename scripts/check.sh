@@ -23,7 +23,10 @@
 #   contracts  Debug build with -DRSIN_CONTRACTS=ON, full ctest suite
 #              (build-contracts/).  Runtime invariants fire: calendar
 #              heap order, per-fire time monotonicity, task
-#              conservation, sweep seed uniqueness.
+#              conservation, sweep seed uniqueness, and the Omega
+#              availability registers (after every status change the
+#              current ones equal a from-scratch rebuild, and a
+#              register read as stored is current).
 #   lint       Build rsin_lint and run it over src/, bench/, examples/,
 #              tools/ and tests/ (reuses build/ if configured, else
 #              build-lint/).  Fails on any finding not waived by an

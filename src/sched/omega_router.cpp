@@ -55,7 +55,7 @@ AvailabilityRegisters::refresh(std::size_t port)
 {
     RSIN_REQUIRE(port < width_, "refresh: bad output port");
     stamp(port, 0, types_);
-    RSIN_INVARIANT(*this == AvailabilityRegisters(*circuit_, *pool_),
+    RSIN_INVARIANT(currentAgree(AvailabilityRegisters(*circuit_, *pool_)),
                    "availability registers drifted from a rebuild after "
                    "a change at output port ", port);
 }
@@ -66,7 +66,7 @@ AvailabilityRegisters::refresh(std::size_t port, std::size_t type)
     RSIN_REQUIRE(port < width_, "refresh: bad output port");
     RSIN_REQUIRE(type < types_, "refresh: type not in the pool");
     stamp(port, type, type + 1);
-    RSIN_INVARIANT(*this == AvailabilityRegisters(*circuit_, *pool_),
+    RSIN_INVARIANT(currentAgree(AvailabilityRegisters(*circuit_, *pool_)),
                    "availability registers drifted from a rebuild after "
                    "a change of type ", type, " at output port ", port);
 }
@@ -85,6 +85,19 @@ AvailabilityRegisters::operator==(const AvailabilityRegisters &other) const
     return true;
 }
 
+bool
+AvailabilityRegisters::currentAgree(
+    const AvailabilityRegisters &rebuilt) const
+{
+    for (std::size_t type = 0; type < types_; ++type)
+        for (std::size_t seg = 0; seg < segments_; ++seg)
+            if (current(type, seg) &&
+                counts_[type * segments_ + seg] !=
+                    rebuilt.counts_[type * segments_ + seg])
+                return false;
+    return true;
+}
+
 void
 AvailabilityRegisters::stamp(std::size_t port, std::size_t first,
                              std::size_t last)
@@ -96,16 +109,11 @@ AvailabilityRegisters::stamp(std::size_t port, std::size_t first,
         changed_.assign(types_ * blocks_, 0);
     }
     ++clock_;
-    const std::uint32_t *parents = circuit_->network().blockParents();
+    const std::uint32_t *blocks = circuit_->network().outputBlocks(port);
     for (std::size_t type = first; type < last; ++type) {
         std::uint64_t *changed = changed_.data() + type * blocks_;
-        // Block `port` at boundary `stages`, then the blocks holding it
-        // up to boundary 0.
-        std::uint32_t block = static_cast<std::uint32_t>(port);
-        for (std::size_t b = 0; b < boundaries_; ++b) {
-            changed[block] = clock_;
-            block = parents[block];
-        }
+        for (std::size_t b = 0; b < boundaries_; ++b)
+            changed[blocks[b]] = clock_;
     }
 }
 

@@ -20,9 +20,10 @@
  * AvailabilityRegisters keeps those counts exact wherever a request
  * reads them, in the spirit of the boxes of Fig. 10, which run a status
  * phase before each request phase.  A claim or release at output port
- * d can only change the counts of links that reach d.  In a banyan the
- * outputs a boundary-b link reaches form one of 2^b nested blocks, so
- * those links are the ones whose block holds d: one block per boundary.
+ * d can only change the counts of links that reach d.  Every wiring is
+ * a banyan, so the outputs a boundary-b link reaches form one of 2^b
+ * nested blocks, and those links are the ones whose block holds d: one
+ * block per boundary (MultistageNetwork::outputBlocks).
  * A change therefore stamps those stages+1 blocks with a clock; a read
  * finds a register stale when its block changed after the register was
  * last computed, and recomputes it from its box's two outputs,
@@ -81,7 +82,7 @@ struct RouteResult
  * owner calls refresh() with the output port the change sits under.
  *
  * refresh() only stamps the output blocks that hold the port
- * (MultistageNetwork::blockParents); count() brings a stale register
+ * (MultistageNetwork::outputBlocks); count() brings a stale register
  * up to date before returning it, and stored() trusts the caller to
  * read below a validated one.  Reads therefore write the register
  * cache, so one set of registers must not be read from two threads at
@@ -144,6 +145,12 @@ class AvailabilityRegisters
     bool operator==(const AvailabilityRegisters &other) const;
 
   private:
+    /** True when every register current() reports as current holds
+     *  the count of @p rebuilt, built from scratch on the same state.
+     *  Stale registers are left for their next read, so checking this
+     *  after a refresh keeps the registers as lazy as without it. */
+    bool currentAgree(const AvailabilityRegisters &rebuilt) const;
+
     /** Stamp the blocks holding @p port for types [first, last). */
     void stamp(std::size_t port, std::size_t first, std::size_t last);
 

@@ -17,10 +17,13 @@
  *  - Indirect binary n-cube (Pease): P_k pairs links differing in bit k.
  *
  * Both are banyan networks: exactly one path joins any input to any
- * output, which the reachability helpers exploit.  In both, the outputs
- * a boundary-b link reaches form one of 2^b nested blocks; the block
- * tables let the availability registers (sched/omega_router.hpp) tell
- * which counts a change at one output can touch.
+ * output.  So the outputs a boundary-b link reaches form one of 2^b
+ * nested blocks, and the block tables are the network's one
+ * reachability structure: a link reaches an output iff the link's
+ * block is the output's block at that boundary.  They answer the
+ * routing tags, and let the availability registers
+ * (sched/omega_router.hpp) tell which counts a change at one output
+ * can touch.
  */
 
 #include <algorithm>
@@ -41,7 +44,6 @@ enum class MultistageKind
 {
     Omega,
     IndirectCube,
-    Custom, ///< caller-supplied per-stage permutations
 };
 
 /** Human-readable name of a wiring kind. */
@@ -123,17 +125,6 @@ class MultistageNetwork
     /** @param size N; must be a power of two >= 2. */
     MultistageNetwork(MultistageKind kind, std::size_t size);
 
-    /**
-     * Build a network from explicit per-stage permutations:
-     * stage_perms[k][link] is the box-array position (box*2 + port)
-     * that boundary-k link feeds.  Each entry must be a permutation of
-     * 0..N-1.  The wiring need not be a banyan; the reachability
-     * helpers and the distributed router work regardless (a request is
-     * routable iff some free resource is reachable over free segments).
-     */
-    explicit MultistageNetwork(
-        std::vector<std::vector<std::size_t>> stage_perms);
-
     MultistageKind kind() const { return kind_; }
     std::size_t size() const { return n_; }
     std::size_t stages() const { return stages_; }
@@ -161,18 +152,6 @@ class MultistageNetwork
      * e are boundary-(stage+1) links (e & ~1) and (e | 1).
      */
     const std::uint32_t *stagePositions() const { return position_.data(); }
-
-    /**
-     * Inverse of stagePosition for stage @p stage: entry `position`
-     * (box*2 + input port) is the boundary-@p stage link feeding it
-     * (size() entries), for loops that walk the wiring backwards.
-     */
-    const std::uint32_t *
-    inputLinks(std::size_t stage) const
-    {
-        RSIN_ASSERT(stage < stages_, "inputLinks: out of range");
-        return inputLink_.data() + stage * n_;
-    }
 
     /** Box index receiving boundary-@p stage link @p link. */
     std::size_t
@@ -207,27 +186,21 @@ class MultistageNetwork
     /**
      * Output port the box at stage @p stage must select so a request on
      * boundary-@p stage link @p link eventually reaches @p dst (the
-     * routing-tag bit of address-mapping mode).
+     * routing-tag bit of address-mapping mode).  Throws FatalError when
+     * an argument is out of range or the link does not reach @p dst.
      */
     std::size_t routePort(std::size_t stage, std::size_t link,
                           std::size_t dst) const;
-
-    /** All outputs reachable from boundary-@p stage link @p link. */
-    std::vector<std::size_t> reachableOutputs(std::size_t stage,
-                                              std::size_t link) const;
 
     /** True if @p dst is reachable from boundary-@p stage link @p link. */
     bool reaches(std::size_t stage, std::size_t link,
                  std::size_t dst) const;
 
     /**
-     * Output blocks: per boundary, the finest partition of the outputs
-     * in which everything one boundary-b link reaches lies inside one
-     * block.  In a banyan these are the reach sets themselves, 2^b
-     * nested blocks at boundary b and 2n-1 in all; a Custom wiring whose
-     * reach sets overlap gets coarser blocks, down to one per boundary.
-     * Blocks are numbered 0..blockCount()-1 over all boundaries, and
-     * block d at boundary n is output d alone.
+     * Output blocks: the outputs one boundary-b link reaches, 2^b
+     * nested blocks at boundary b and 2n-1 in all.  Blocks are
+     * numbered 0..blockCount()-1 over all boundaries, and block d at
+     * boundary n is output d alone.
      */
     std::size_t blockCount() const { return blockCount_; }
 
@@ -243,46 +216,33 @@ class MultistageNetwork
     }
 
     /**
-     * Blocks nest: entry k is the block one boundary up that holds
-     * block k, and a boundary-0 block is its own parent.  From output d
-     * the chain d, parent, ... names the stages()+1 blocks a change at
-     * d can touch.
+     * Blocks holding output @p output, entry b at boundary b
+     * (stages()+1 entries, the last is @p output itself): the blocks
+     * whose links reach the output, so the blocks a change at it can
+     * touch.
      */
-    const std::uint32_t *blockParents() const { return blockParent_.data(); }
+    const std::uint32_t *
+    outputBlocks(std::size_t output) const
+    {
+        RSIN_ASSERT(output < n_, "outputBlocks: out of range");
+        return outputBlock_.data() + output * (stages_ + 1);
+    }
 
   private:
-    /** The wiring rule of kind_ (the tables below cache it). */
+    /** The wiring rule of kind_ (position_ caches it). */
     std::size_t computePosition(std::size_t stage, std::size_t link) const;
-    void buildWiring();
-    void buildReachability();
     void buildBlocks();
-
-    /** 64-bit words per reachability row. */
-    std::size_t words() const { return (n_ + 63) / 64; }
-
-    /** Reachability bitset of boundary-@p stage link @p link: bit d of
-     *  word d / 64 is set iff output d is reachable. */
-    const std::uint64_t *
-    reachRow(std::size_t stage, std::size_t link) const
-    {
-        return reach_.data() + (stage * n_ + link) * words();
-    }
 
     MultistageKind kind_;
     std::size_t n_;
     std::size_t stages_;
-    std::vector<std::vector<std::size_t>> customPerms_; ///< Custom only
     /** position_[stage * n + link] = stagePosition(stage, link). */
     std::vector<std::uint32_t> position_;
-    /** inputLink_[stage * n + stagePosition(stage, l)] = l. */
-    std::vector<std::uint32_t> inputLink_;
-    /** (stages+1) x n rows of words() words each; see reachRow. */
-    std::vector<std::uint64_t> reach_;
     std::size_t blockCount_ = 0;
     /** linkBlock_[boundary * n + link]; see linkBlocks. */
     std::vector<std::uint32_t> linkBlock_;
-    /** blockCount_ entries; see blockParents. */
-    std::vector<std::uint32_t> blockParent_;
+    /** outputBlock_[output * (stages+1) + boundary]; see outputBlocks. */
+    std::vector<std::uint32_t> outputBlock_;
 };
 
 /**

@@ -16,6 +16,7 @@
 #include "queueing/mm_queues.hpp"
 #include "rsin/analysis.hpp"
 #include "rsin/factory.hpp"
+#include "rsin/packet_system.hpp"
 
 namespace rsin {
 namespace {
@@ -451,6 +452,7 @@ struct GoldenCell
     std::uint64_t delayP95;
     std::uint64_t fired;
     std::uint64_t completed;
+    std::uint64_t measureTasks = 3000;
 };
 
 ModelOptions
@@ -480,7 +482,10 @@ TEST(GoldenRunTest, EventLocalDispatchReproducesWholeSystemScan)
     // dispatch must reproduce them exactly: every arbitration, policy
     // and extension below, on two networks wherever the mode allows.
     // (address-first and address-random retry differently once other
-    // networks exist, so they are pinned on one network only.)  The
+    // networks exist, so their one-network rows carry the old bits.
+    // Their two-network rows and the 1024-port row were recorded later,
+    // with event-local dispatch, to pin the routing tags and output
+    // blocks those runs read.)  The
     // rows that draw routing numbers -- xbar-token, omega-random-tie,
     // cube-random-tie, omega-return and omega-address-random -- were
     // re-recorded when every network got its own routing stream
@@ -561,6 +566,20 @@ TEST(GoldenRunTest, EventLocalDispatchReproducesWholeSystemScan)
          omegaModel(S::DistributedClocked), 0x3fde51ced3055204,
          0x3ff1dcf944b86782, 0x3fca0b0aff04bb55, 0x4015a010e8b6b838,
          0x40051c0e2411c257, 9613, 3200},
+        {"omega-address-first-2", "16/2x8x8 OMEGA/2", 1,
+         omegaModel(S::AddressFirstFree), 0x4011209abbfb445f,
+         0x403400f1b5280236, 0x3fe3754a610da41c, 0x403ca8c2883b8747,
+         0x40317dffcbe7846b, 9657, 3200},
+        {"omega-address-random-2", "16/2x8x8 OMEGA/2", 1,
+         omegaModel(S::AddressRandomFree), 0x3fe51dc7cfcdcde8,
+         0x400928340855bab2, 0x3fc1a2b89a62185e, 0x401a5b8ef52b17ca,
+         0x4007e3d69252b846, 9630, 3200},
+        // Few tasks: contract builds rebuild all 11,264 registers
+        // after every status change.
+        {"omega-1024", "1024/1x1024x1024 OMEGA/2", 1,
+         omegaModel(S::Distributed), 0x3fc40a12fb473f24, 0x40536ca2e8041cac,
+         0x3fee799960ee0694, 0x400062b395feda40, 0x3ff3574c3a33988c, 5262,
+         1200, 1000},
     };
     for (const GoldenCell &cell : cells) {
         const auto cfg = SystemConfig::parse(cell.config);
@@ -570,7 +589,7 @@ TEST(GoldenRunTest, EventLocalDispatchReproducesWholeSystemScan)
         SimOptions opts;
         opts.seed = 7;
         opts.warmupTasks = 200;
-        opts.measureTasks = 3000;
+        opts.measureTasks = cell.measureTasks;
         const SimResult res = simulate(cfg, params, opts, cell.model);
         ASSERT_TRUE(res.ok()) << cell.label;
         EXPECT_EQ(doubleBits(res.meanDelay), cell.meanDelay) << cell.label;
@@ -583,6 +602,31 @@ TEST(GoldenRunTest, EventLocalDispatchReproducesWholeSystemScan)
         EXPECT_EQ(res.kernel.fired, cell.fired) << cell.label;
         EXPECT_EQ(res.completedTasks, cell.completed) << cell.label;
     }
+}
+
+TEST(GoldenRunTest, PacketSwitchedOmegaReproducesItsPin)
+{
+    // The packet network routes every hop by MultistageNetwork::
+    // routePort; these bits pin a run of it.
+    const auto cfg = SystemConfig::parse("16/1x16x16 OMEGA/2");
+    auto params = makeParams(0.0, 1.0, 0.5);
+    params.lambda = lambdaForRho(cfg, 0.5, params.muN, params.muS);
+    SimOptions opts;
+    opts.seed = 7;
+    opts.warmupTasks = 200;
+    opts.measureTasks = 3000;
+    PacketOmegaSystem sys(cfg, params, opts, {});
+    const SimResult res = sys.run();
+    ASSERT_TRUE(res.ok());
+    EXPECT_EQ(doubleBits(res.meanDelay), 0x3fd28c9b609f4515u);
+    EXPECT_EQ(doubleBits(res.meanResponse), 0x40182f575f8116c4u);
+    EXPECT_EQ(doubleBits(res.timeAvgQueue), 0x3ff2d6b37d511b05u);
+    EXPECT_EQ(doubleBits(res.delayHalfWidth), 0x3fa4d7460f154f30u);
+    EXPECT_EQ(doubleBits(res.delayP99), 0x40069d75b8ded5f8u);
+    EXPECT_EQ(doubleBits(res.delayP95), 0x3ffa5b6684c52de0u);
+    EXPECT_EQ(res.kernel.fired, 70736u);
+    EXPECT_EQ(res.completedTasks, 3200u);
+    EXPECT_EQ(sys.networkStats().packetsDelivered, 12849u);
 }
 
 TEST(SbusSystemTest, IsTheFifoSingleOutputCrossbar)

@@ -6,13 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "topology/multistage.hpp"
 
 namespace rsin {
@@ -52,11 +52,8 @@ TEST(MultistageTest, StagePositionIsPermutation)
         const MultistageNetwork net(kind, 16);
         for (std::size_t s = 0; s < net.stages(); ++s) {
             std::set<std::size_t> seen;
-            for (std::size_t l = 0; l < net.size(); ++l) {
+            for (std::size_t l = 0; l < net.size(); ++l)
                 seen.insert(net.stagePosition(s, l));
-                // inputLinks is the inverse permutation.
-                EXPECT_EQ(net.inputLinks(s)[net.stagePosition(s, l)], l);
-            }
             EXPECT_EQ(seen.size(), net.size());
             EXPECT_EQ(*seen.begin(), 0u);
             EXPECT_EQ(*seen.rbegin(), net.size() - 1);
@@ -85,7 +82,8 @@ TEST(MultistageTest, FullAccessProperty)
         for (std::size_t n : {2u, 4u, 8u, 16u, 32u}) {
             const MultistageNetwork net(kind, n);
             for (std::size_t src = 0; src < n; ++src)
-                EXPECT_EQ(net.reachableOutputs(0, src).size(), n);
+                for (std::size_t dst = 0; dst < n; ++dst)
+                    EXPECT_TRUE(net.reaches(0, src, dst));
         }
     }
 }
@@ -133,8 +131,10 @@ TEST(MultistageTest, ReachabilityHalvesPerStage)
     for (std::size_t src = 0; src < 16; ++src) {
         const auto path = net.path(src, 5);
         for (std::size_t b = 0; b <= net.stages(); ++b) {
-            EXPECT_EQ(net.reachableOutputs(b, path[b]).size(),
-                      16u >> b);
+            std::size_t reached = 0;
+            for (std::size_t dst = 0; dst < 16; ++dst)
+                reached += net.reaches(b, path[b], dst);
+            EXPECT_EQ(reached, 16u >> b);
         }
     }
 }
@@ -152,6 +152,23 @@ TEST(MultistageTest, RoutePortAgreesWithReachability)
         }
         EXPECT_EQ(link, dst);
     }
+}
+
+TEST(MultistageTest, RoutePortRejectsOutOfRange)
+{
+    const MultistageNetwork net(MultistageKind::Omega, 8);
+    EXPECT_THROW(net.routePort(2, 3, 64), FatalError); // dst
+    EXPECT_THROW(net.routePort(2, 3, 8), FatalError);
+    EXPECT_THROW(net.routePort(3, 3, 0), FatalError); // stage
+    EXPECT_THROW(net.routePort(2, 8, 0), FatalError); // link
+    EXPECT_THROW(net.reaches(4, 0, 0), FatalError);
+    EXPECT_THROW(net.reaches(3, 0, 8), FatalError);
+    // In range, but outside the link's block: a boundary-2 link of an
+    // 8-port network reaches 2 outputs.
+    std::size_t stranded = 0;
+    while (net.reaches(2, 3, stranded))
+        ++stranded;
+    EXPECT_THROW(net.routePort(2, 3, stranded), FatalError);
 }
 
 TEST(MultistageTest, BanyanPathUniqueness)
@@ -241,70 +258,6 @@ TEST(MultistageTest, KindNames)
 {
     EXPECT_EQ(kindName(MultistageKind::Omega), "OMEGA");
     EXPECT_EQ(kindName(MultistageKind::IndirectCube), "CUBE");
-    EXPECT_EQ(kindName(MultistageKind::Custom), "CUSTOM");
-}
-
-TEST(CustomTopologyTest, ReplicatesOmegaWiring)
-{
-    // A custom network built from the Omega permutation tables must be
-    // structurally identical to the built-in Omega network.
-    const MultistageNetwork omega(MultistageKind::Omega, 8);
-    std::vector<std::vector<std::size_t>> perms(omega.stages());
-    for (std::size_t s = 0; s < omega.stages(); ++s) {
-        perms[s].resize(8);
-        for (std::size_t l = 0; l < 8; ++l)
-            perms[s][l] = omega.stagePosition(s, l);
-    }
-    const MultistageNetwork custom(std::move(perms));
-    EXPECT_EQ(custom.size(), 8u);
-    EXPECT_EQ(custom.stages(), 3u);
-    for (std::size_t src = 0; src < 8; ++src)
-        for (std::size_t dst = 0; dst < 8; ++dst)
-            EXPECT_EQ(custom.path(src, dst), omega.path(src, dst));
-}
-
-TEST(CustomTopologyTest, ValidatesPermutations)
-{
-    // Ragged table.
-    EXPECT_THROW(MultistageNetwork({{0, 1, 2, 3}, {0, 1}}), FatalError);
-    // Not a permutation (duplicate).
-    EXPECT_THROW(MultistageNetwork({{0, 0, 1, 2}}), FatalError);
-    // Width not a power of two.
-    EXPECT_THROW(MultistageNetwork({{0, 1, 2}}), FatalError);
-    // Empty.
-    EXPECT_THROW(
-        MultistageNetwork(std::vector<std::vector<std::size_t>>{}),
-        FatalError);
-}
-
-TEST(CustomTopologyTest, RandomWiringsKeepReachabilityConsistent)
-{
-    // Random (generally non-banyan) wirings: reachability must still be
-    // consistent with explicit path following, and every boundary link
-    // must reach at least one output through its box.
-    rsin::Rng rng(31);
-    for (int trial = 0; trial < 20; ++trial) {
-        const std::size_t n = 8;
-        const std::size_t stages = 3;
-        std::vector<std::vector<std::size_t>> perms(
-            stages, std::vector<std::size_t>(n));
-        for (auto &perm : perms) {
-            for (std::size_t i = 0; i < n; ++i)
-                perm[i] = i;
-            rng.shuffle(perm);
-        }
-        const MultistageNetwork net(std::move(perms));
-        for (std::size_t src = 0; src < n; ++src) {
-            const auto reachable = net.reachableOutputs(0, src);
-            ASSERT_FALSE(reachable.empty());
-            ASSERT_LE(reachable.size(), n);
-            for (std::size_t dst : reachable) {
-                const auto path = net.path(src, dst);
-                EXPECT_EQ(path.front(), src);
-                EXPECT_EQ(path.back(), dst);
-            }
-        }
-    }
 }
 
 /** Outputs reachable from boundary-@p stage link @p link, by walking
@@ -332,40 +285,22 @@ bruteForceReach(const MultistageNetwork &net, std::size_t stage,
 
 TEST(TopologyTest, ReachabilityMatchesBruteForce)
 {
-    // reaches, reachableOutputs and routePort against a forward walk,
-    // for the two banyans and for seeded random wirings (generally not
-    // banyans: outputs missed or reached twice), at every width up to
-    // 256 -- four 64-bit words per reachability row.
-    rsin::Rng rng(19);
+    // reaches and routePort against a forward walk, for the two
+    // banyans at every width up to 256.
     for (std::size_t n = 2; n <= 256; n *= 2) {
-        std::vector<MultistageNetwork> nets;
-        nets.emplace_back(MultistageKind::Omega, n);
-        nets.emplace_back(MultistageKind::IndirectCube, n);
-        for (int trial = 0; trial < 2; ++trial) {
-            std::vector<std::vector<std::size_t>> perms(
-                nets.front().stages(), std::vector<std::size_t>(n));
-            for (auto &perm : perms) {
-                for (std::size_t i = 0; i < n; ++i)
-                    perm[i] = i;
-                rng.shuffle(perm);
-            }
-            nets.emplace_back(std::move(perms));
-        }
-        for (const MultistageNetwork &net : nets) {
-            SCOPED_TRACE(kindName(net.kind()) + " n=" + std::to_string(n));
+        for (const MultistageKind kind :
+             {MultistageKind::Omega, MultistageKind::IndirectCube}) {
+            const MultistageNetwork net(kind, n);
+            SCOPED_TRACE(kindName(kind) + " n=" + std::to_string(n));
             for (std::size_t stage = 0; stage <= net.stages(); ++stage) {
                 for (std::size_t link = 0; link < n; ++link) {
                     const std::vector<bool> want =
                         bruteForceReach(net, stage, link);
-                    std::vector<std::size_t> listed;
                     for (std::size_t d = 0; d < n; ++d) {
                         ASSERT_EQ(net.reaches(stage, link, d), want[d])
                             << "stage " << stage << " link " << link
                             << " dst " << d;
-                        if (want[d])
-                            listed.push_back(d);
                     }
-                    ASSERT_EQ(net.reachableOutputs(stage, link), listed);
                     if (stage == net.stages())
                         continue;
                     // routePort takes the upper output whenever it
@@ -373,9 +308,12 @@ TEST(TopologyTest, ReachabilityMatchesBruteForce)
                     const std::size_t box = net.boxOf(stage, link);
                     const std::vector<bool> upper = bruteForceReach(
                         net, stage + 1, net.outputLink(box, 0));
-                    for (std::size_t d : listed)
-                        ASSERT_EQ(net.routePort(stage, link, d),
-                                  upper[d] ? 0u : 1u);
+                    for (std::size_t d = 0; d < n; ++d) {
+                        if (want[d]) {
+                            ASSERT_EQ(net.routePort(stage, link, d),
+                                      upper[d] ? 0u : 1u);
+                        }
+                    }
                 }
             }
         }
@@ -384,70 +322,68 @@ TEST(TopologyTest, ReachabilityMatchesBruteForce)
 
 TEST(TopologyTest, OutputBlocksHoldEveryReachSet)
 {
-    // Every output a boundary-b link reaches lies in that link's block,
-    // which is the boundary-b block on the output's parent chain.  In
-    // the two banyans the blocks are the reach sets themselves: 2^b at
-    // boundary b, 2n-1 in all.  Seeded random wirings with one stage
-    // more than a banyan have overlapping reach sets and get coarser
-    // blocks.
-    rsin::Rng rng(23);
+    // The blocks are the reach sets, at every width up to 1024.  Each
+    // output's chain names one block per boundary; blocks nest, each
+    // lies at one boundary, and boundary b has 2^b blocks of n / 2^b
+    // outputs, 2n-1 in all.  A boundary-b link's block joins the two
+    // disjoint blocks of its box's outputs one boundary on, so by
+    // induction from the outputs it holds exactly what the link
+    // reaches.
     for (std::size_t n = 2; n <= 1024; n *= 2) {
-        std::vector<MultistageNetwork> nets;
-        nets.emplace_back(MultistageKind::Omega, n);
-        nets.emplace_back(MultistageKind::IndirectCube, n);
-        if (n <= 256) {
-            std::vector<std::vector<std::size_t>> perms(
-                nets.front().stages() + 1, std::vector<std::size_t>(n));
-            for (auto &perm : perms) {
-                for (std::size_t i = 0; i < n; ++i)
-                    perm[i] = i;
-                rng.shuffle(perm);
-            }
-            nets.emplace_back(std::move(perms));
-        }
-        for (const MultistageNetwork &net : nets) {
-            SCOPED_TRACE(kindName(net.kind()) + " n=" + std::to_string(n));
-            const bool banyan = net.kind() != MultistageKind::Custom;
-            const std::size_t bounds = net.stages() + 1;
-            // Boundary `stages` has n blocks, the next n/2 (a box joins
-            // two single outputs), and each boundary up is coarser.
-            if (banyan)
-                EXPECT_EQ(net.blockCount(), 2 * n - 1);
-            else
-                EXPECT_LE(net.blockCount(), n + net.stages() * n / 2);
-            // chain[d * bounds + b]: output d's block at boundary b.
-            std::vector<std::uint32_t> chain(n * bounds);
+        for (const MultistageKind kind :
+             {MultistageKind::Omega, MultistageKind::IndirectCube}) {
+            const MultistageNetwork net(kind, n);
+            SCOPED_TRACE(kindName(kind) + " n=" + std::to_string(n));
+            const std::size_t stages = net.stages();
+            const std::size_t blocks = net.blockCount();
+            EXPECT_EQ(blocks, 2 * n - 1);
+            constexpr std::uint32_t kNone = UINT32_MAX;
+            // From the chains: the block one boundary up holding each
+            // block, each block's boundary and its outputs.
+            std::vector<std::uint32_t> parent(blocks, kNone);
+            std::vector<std::size_t> boundary(blocks, stages + 1);
+            std::vector<std::size_t> outputs(blocks, 0);
             for (std::size_t d = 0; d < n; ++d) {
-                std::uint32_t block = static_cast<std::uint32_t>(d);
-                for (std::size_t b = bounds; b-- > 0;) {
-                    ASSERT_LT(block, net.blockCount());
-                    chain[d * bounds + b] = block;
-                    block = net.blockParents()[block];
+                const std::uint32_t *chain = net.outputBlocks(d);
+                ASSERT_EQ(chain[stages], d);
+                for (std::size_t b = 0; b <= stages; ++b) {
+                    const std::uint32_t block = chain[b];
+                    ASSERT_LT(block, blocks);
+                    ASSERT_TRUE(boundary[block] == stages + 1 ||
+                                boundary[block] == b)
+                        << "block " << block << " at two boundaries";
+                    boundary[block] = b;
+                    ++outputs[block];
+                    if (b == stages)
+                        continue;
+                    std::uint32_t &up = parent[chain[b + 1]];
+                    ASSERT_TRUE(up == kNone || up == block)
+                        << "output " << d << " boundary " << b;
+                    up = block;
                 }
-                // The chain ends at a boundary-0 block, its own parent.
-                EXPECT_EQ(block, chain[d * bounds]);
             }
-            for (std::size_t b = 0; b < bounds; ++b) {
-                std::vector<std::size_t> outputs(net.blockCount(), 0);
-                for (std::size_t d = 0; d < n; ++d)
-                    ++outputs[chain[d * bounds + b]];
-                std::set<std::uint32_t> blocks;
+            for (std::size_t b = 0; b <= stages; ++b) {
+                std::set<std::uint32_t> seen;
                 for (std::size_t link = 0; link < n; ++link) {
                     const std::uint32_t block = net.linkBlocks(b)[link];
-                    blocks.insert(block);
-                    const auto reach = net.reachableOutputs(b, link);
-                    for (std::size_t d : reach) {
-                        ASSERT_EQ(chain[d * bounds + b], block)
-                            << "boundary " << b << " link " << link
-                            << " output " << d;
+                    seen.insert(block);
+                    ASSERT_LT(block, blocks);
+                    ASSERT_EQ(boundary[block], b);
+                    ASSERT_EQ(outputs[block], n >> b);
+                    if (b == stages) {
+                        ASSERT_EQ(block, link);
+                        continue;
                     }
-                    if (banyan) {
-                        ASSERT_EQ(outputs[block], reach.size());
-                    }
+                    const std::uint32_t *next = net.linkBlocks(b + 1);
+                    const std::size_t box = net.boxOf(b, link);
+                    const std::uint32_t upper = next[net.outputLink(box, 0)];
+                    const std::uint32_t lower = next[net.outputLink(box, 1)];
+                    ASSERT_NE(upper, lower);
+                    ASSERT_EQ(parent[upper], block)
+                        << "boundary " << b << " link " << link;
+                    ASSERT_EQ(parent[lower], block);
                 }
-                if (banyan) {
-                    EXPECT_EQ(blocks.size(), std::size_t{1} << b);
-                }
+                EXPECT_EQ(seen.size(), std::size_t{1} << b);
             }
         }
     }
