@@ -43,8 +43,7 @@ packetCurve(const SystemConfig &cfg, double mu_n, double mu_s,
         popt.overhead = overhead;
         PacketOmegaSystem sys(cfg, params, opts, popt);
         const auto res = sys.run();
-        curve.cells.push_back(
-            res.saturated ? "inf" : formatf("%.4f", res.meanResponse));
+        curve.cells.push_back(obs::displayValue(res, res.meanResponse));
     }
     return curve;
 }
@@ -64,8 +63,7 @@ circuitCurve(const SystemConfig &cfg, double mu_n, double mu_s)
         opts.warmupTasks = 2000;
         opts.measureTasks = 20000;
         const auto res = simulate(cfg, params, opts);
-        curve.cells.push_back(
-            res.saturated ? "inf" : formatf("%.4f", res.meanResponse));
+        curve.cells.push_back(obs::displayValue(res, res.meanResponse));
     }
     return curve;
 }

@@ -1,15 +1,12 @@
 #include "analysis.hpp"
 
+#include <bit>
 #include <limits>
-#include <map>
-#include <mutex>
-#include <vector>
 
 #include "common/error.hpp"
 #include "markov/xbar_model.hpp"
 #include "queueing/mm_queues.hpp"
 #include "rsin/analysis_cache.hpp"
-#include "topology/multistage.hpp"
 
 namespace rsin {
 
@@ -107,54 +104,23 @@ omegaLinkConflict(std::size_t size)
     RSIN_REQUIRE(isPowerOfTwo(size),
                  "omegaLinkConflict: size must be a power of two >= 2, "
                  "got ", size);
-    // Memoized: the enumeration is O(n^4) path comparisons and every
-    // sweep cell of the same network shape asks for the same value.
-    static std::mutex mutex;
-    // rsin-lint: allow(R10): audited 2026-08: guarded by the function-local mutex above; the map is touched only under lock
-    static std::map<std::size_t, double> memo;
-    std::lock_guard<std::mutex> lock(mutex);
-    const auto it = memo.find(size);
-    if (it != memo.end())
-        return it->second;
-
-    const topology::MultistageNetwork net(
-        topology::MultistageKind::Omega, size);
-    std::vector<std::vector<topology::LinkPath>> paths(size);
-    for (std::size_t x = 0; x < size; ++x) {
-        paths[x].resize(size);
-        for (std::size_t y = 0; y < size; ++y)
-            paths[x][y] = net.path(x, y);
-    }
-    std::size_t conflicts = 0;
-    std::size_t pairs = 0;
-    for (std::size_t x = 0; x < size; ++x)
-        for (std::size_t y = 0; y < size; ++y)
-            for (std::size_t x2 = 0; x2 < size; ++x2) {
-                if (x2 == x)
-                    continue;
-                for (std::size_t y2 = 0; y2 < size; ++y2) {
-                    if (y2 == y)
-                        continue;
-                    ++pairs;
-                    // Internal boundaries only: boundary 0 links are
-                    // distinct (x != x2), boundary n links are the
-                    // output buses (y != y2).
-                    const auto &a = paths[x][y];
-                    const auto &b = paths[x2][y2];
-                    for (std::size_t s = 1; s < net.stages(); ++s) {
-                        if (a[s] == b[s]) {
-                            ++conflicts;
-                            break;
-                        }
-                    }
-                }
-            }
-    const double c1 =
-        pairs == 0 ? 0.0
-                   : static_cast<double>(conflicts) /
-                         static_cast<double>(pairs);
-    memo.emplace(size, c1);
-    return c1;
+    // Count the ordered pairs of paths (x, y), (x', y') with x != x'
+    // and y != y' that share an internal boundary link.  With
+    // k = log2 n, a boundary-s link carries the 2^s x 2^(k-s) paths
+    // between one input block and one output block, so
+    // n^2 (2^s - 1)(2^(k-s) - 1) such pairs share a boundary-s link.
+    // Two banyan paths that share links share a contiguous run of
+    // boundaries, so subtracting the n^2 (2^(s-1) - 1)(2^(k-s) - 1)
+    // pairs that share both s - 1 and s counts each pair once:
+    // n^2 2^(s-1) (2^(k-s) - 1) per boundary, which sums over
+    // s = 1..k-1 to n^2 ((k - 1) n/2 - (n/2 - 1)).  The factor n^2
+    // cancels against the n^2 (n - 1)^2 pairs.
+    const std::size_t k = static_cast<std::size_t>(std::countr_zero(size));
+    const std::size_t half = size / 2;
+    const double conflicts =
+        static_cast<double>((k - 1) * half - (half - 1));
+    const double others = static_cast<double>(size - 1);
+    return conflicts / (others * others);
 }
 
 markov::SbusSolution

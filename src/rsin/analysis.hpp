@@ -50,9 +50,9 @@ bool omegaExactInRange(const SystemConfig &config);
  * Exact pairwise path-conflict probability c1 of an n x n Omega
  * network: the probability that the unique paths of two uniformly
  * random circuits (x, y) and (x', y') with x != x', y != y' share at
- * least one internal boundary link.  Enumerated exhaustively over the
- * topology (O(n^4) path comparisons); 0 for the 2x2 network, which
- * has no internal boundary.
+ * least one internal boundary link.  Counted exactly from the
+ * banyan's input and output blocks in O(1); 0 for the 2x2 network,
+ * which has no internal boundary.
  */
 double omegaLinkConflict(std::size_t size);
 

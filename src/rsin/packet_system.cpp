@@ -9,7 +9,8 @@ PacketOmegaSystem::PacketOmegaSystem(const SystemConfig &config,
                                      const SimOptions &options,
                                      const PacketOptions &packet_options)
     : SystemSimulation(config.processors, params, options),
-      packetOptions_(packet_options)
+      packetOptions_(packet_options),
+      hopRng_(options.seed ^ 0x9e3779b97f4aULL)
 {
     config.validate();
     RSIN_REQUIRE(config.network == NetworkClass::Omega ||
@@ -31,19 +32,9 @@ PacketOmegaSystem::PacketOmegaSystem(const SystemConfig &config,
         config.outputsPerNet, config.resourcesPerPort);
     // The task's payload is 1/muN; split into P packets with per-packet
     // header overhead.
-    const double packet_rate =
-        static_cast<double>(packetOptions_.packetsPerTask) *
-        params.muN / (1.0 + packetOptions_.overhead);
-    network_ = std::make_unique<packet::BufferedNetwork>(
-        sim(), *topo_, packet_rate, options.seed ^ 0x9e3779b97f4aULL);
-    network_->onDelivery(
-        [this](const packet::Packet &pkt) { packetDelivered(pkt); });
-}
-
-const packet::NetworkStats &
-PacketOmegaSystem::networkStats() const
-{
-    return network_->stats();
+    packetRate_ = static_cast<double>(packetOptions_.packetsPerTask) *
+                  params.muN / (1.0 + packetOptions_.overhead);
+    links_.resize((topo_->stages() + 1) * topo_->size());
 }
 
 void
@@ -89,27 +80,70 @@ PacketOmegaSystem::admit(std::size_t proc, std::size_t dst_port)
     const auto [it, inserted] = inFlight_.emplace(id, std::move(entry));
     RSIN_ASSERT(inserted, "admit: duplicate task id");
 
-    const std::uint32_t count = packetOptions_.packetsPerTask;
-    for (std::uint32_t k = 0; k < count; ++k) {
-        packet::Packet pkt;
-        pkt.taskId = id;
-        pkt.index = k;
-        pkt.src = proc;
-        pkt.dst = dst_port;
-        const bool last = (k + 1 == count);
-        network_->inject(pkt, last ? std::function<void()>([this, proc] {
-            // The source link is free: the processor may admit its
-            // next task (the packet-switching analogue of the RSIN
-            // disconnection property).
-            endTransmission(proc);
-            dispatchNetwork();
-        })
-                                   : std::function<void()>());
-    }
+    // Every packet queues on the processor's injection link.
+    Link &injection = linkAt(0, proc);
+    for (std::uint32_t k = 0; k < packetOptions_.packetsPerTask; ++k)
+        injection.queue.push_back({id, k, dst_port});
+    startHop(0, proc);
+}
+
+PacketOmegaSystem::Link &
+PacketOmegaSystem::linkAt(std::size_t boundary, std::size_t link)
+{
+    RSIN_ASSERT(boundary <= topo_->stages() && link < topo_->size(),
+                "linkAt: out of range");
+    return links_[boundary * topo_->size() + link];
 }
 
 void
-PacketOmegaSystem::packetDelivered(const packet::Packet &pkt)
+PacketOmegaSystem::startHop(std::size_t boundary, std::size_t link)
+{
+    Link &l = linkAt(boundary, link);
+    if (l.busy || l.queue.empty())
+        return;
+    l.busy = true;
+    sim().schedule(hopRng_.exponential(packetRate_),
+                   [this, boundary, link] { finishHop(boundary, link); });
+}
+
+void
+PacketOmegaSystem::finishHop(std::size_t boundary, std::size_t link)
+{
+    Link &l = linkAt(boundary, link);
+    RSIN_ASSERT(l.busy && !l.queue.empty(),
+                "finishHop: inconsistent link state");
+    const Packet pkt = l.queue.front();
+    l.queue.pop_front();
+    l.busy = false;
+
+    // The task's last packet leaving the injection link frees the
+    // processor to admit its next task (the packet-switching analogue
+    // of the RSIN disconnection property).
+    if (boundary == 0 && pkt.index + 1 == packetOptions_.packetsPerTask) {
+        endTransmission(link);
+        dispatchNetwork();
+    }
+
+    if (boundary == topo_->stages()) {
+        // Arrived at the output port.
+        ++stats_.packetsDelivered;
+        RSIN_ASSERT(link == pkt.dst, "finishHop: misrouted packet");
+        packetDelivered(pkt);
+    } else {
+        // Forward into the next stage's output link along the unique
+        // path toward the destination.
+        const std::size_t next = topo_->outputLink(
+            topo_->boxOf(boundary, link),
+            topo_->routePort(boundary, link, pkt.dst));
+        linkAt(boundary + 1, next).queue.push_back(pkt);
+        startHop(boundary + 1, next);
+    }
+    // The freed link can start its next queued packet.
+    startHop(boundary, link);
+}
+
+void
+PacketOmegaSystem::packetDelivered(const Packet &pkt)
 {
     auto it = inFlight_.find(pkt.taskId);
     RSIN_ASSERT(it != inFlight_.end(), "delivery for unknown task");

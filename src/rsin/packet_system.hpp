@@ -10,18 +10,27 @@
  * reassembles -- the utilization loss the paper cites for preferring
  * circuit switching.
  *
+ * The network is the Dias & Jump [8] buffered substrate: every
+ * directed link -- the processor injection links at boundary 0 and
+ * each box output at boundaries 1..n -- holds a FIFO queue and
+ * transmits one packet at a time.  Packets are routed by destination
+ * tag, so a task's packets follow the unique banyan path in order and
+ * arrive in order.
+ *
  * Scheduling is centralized address mapping (packet switching needs a
  * destination up front): each admitted task is assigned a uniformly
  * random output port with a free resource.
  */
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
+#include <vector>
 
-#include "packet/buffered_network.hpp"
 #include "rsin/system.hpp"
 #include "sched/resource_pool.hpp"
+#include "topology/multistage.hpp"
 
 namespace rsin {
 
@@ -42,22 +51,36 @@ struct PacketOptions
 class PacketOmegaSystem : public SystemSimulation
 {
   public:
+    /** Network-level statistics. */
+    struct NetworkStats
+    {
+        std::uint64_t packetsDelivered = 0;
+    };
+
     PacketOmegaSystem(const SystemConfig &config,
                       const workload::WorkloadParams &params,
                       const SimOptions &options,
                       const PacketOptions &packet_options = {});
 
-    /** Network-level statistics (hops, queueing, depth). */
-    const packet::NetworkStats &networkStats() const;
+    const NetworkStats &networkStats() const { return stats_; }
 
   protected:
     void onArrival(std::size_t proc) override;
 
   private:
-    /** Start everything the state permits (the model has one network,
-     *  so every event re-dispatches all of it). */
-    void dispatchNetwork();
-
+    /** One packet queued or transmitting on a link. */
+    struct Packet
+    {
+        std::uint64_t taskId = 0;
+        std::uint32_t index = 0; ///< position within the task
+        std::size_t dst = 0;
+    };
+    /** A directed link; while busy, its head packet is transmitting. */
+    struct Link
+    {
+        std::deque<Packet> queue;
+        bool busy = false;
+    };
     struct InFlight
     {
         workload::Task task;
@@ -65,14 +88,27 @@ class PacketOmegaSystem : public SystemSimulation
         std::uint32_t delivered = 0;
     };
 
+    /** Start everything the state permits (the model has one network,
+     *  so every event re-dispatches all of it). */
+    void dispatchNetwork();
     void admit(std::size_t proc, std::size_t dst_port);
-    void packetDelivered(const packet::Packet &pkt);
+    Link &linkAt(std::size_t boundary, std::size_t link);
+    /** Begin transmitting the head packet of an idle, non-empty link. */
+    void startHop(std::size_t boundary, std::size_t link);
+    void finishHop(std::size_t boundary, std::size_t link);
+    void packetDelivered(const Packet &pkt);
 
     std::unique_ptr<topology::MultistageNetwork> topo_;
     std::unique_ptr<sched::ResourcePool> pool_;
-    std::unique_ptr<packet::BufferedNetwork> network_;
-    std::map<std::uint64_t, InFlight> inFlight_; ///< by task id
     PacketOptions packetOptions_;
+    /** Per-hop transmission rate of one packet. */
+    double packetRate_ = 0.0;
+    /** The per-hop exponential times, a stream of their own. */
+    Rng hopRng_;
+    /** Links boundary-major: boundary * size + link (0 = injection). */
+    std::vector<Link> links_;
+    std::map<std::uint64_t, InFlight> inFlight_; ///< by task id
+    NetworkStats stats_;
 };
 
 } // namespace rsin

@@ -247,6 +247,25 @@ TEST(OptimalMapperTest, RespectsExistingCircuits)
     EXPECT_EQ(result.mapping[0].dst, 4u);
 }
 
+TEST(OptimalMapperTest, NeverAllocatesMoreThanSourcesOrOutputs)
+{
+    // Every source of a full-access banyan reaches every output, so
+    // min(x, y) is the size of the maximum reachability matching; the
+    // exhaustive scheduler also respects link conflicts and can only
+    // stay at or below it.
+    const MultistageNetwork net(MultistageKind::Omega, 8);
+    Rng rng(11);
+    for (int trial = 0; trial < 60; ++trial) {
+        const std::size_t x = 1 + rng.uniformInt(std::uint64_t{6});
+        const std::size_t y = 1 + rng.uniformInt(std::uint64_t{6});
+        const auto sources = rng.sampleWithoutReplacement(8, x);
+        const auto outputs = rng.sampleWithoutReplacement(8, y);
+        CircuitState circuit(net);
+        const auto exact = optimalMapping(net, circuit, sources, outputs);
+        EXPECT_LE(exact.maxAllocations, std::min(x, y));
+    }
+}
+
 TEST(OptimalMapperTest, DistributedRouterMatchesOptimumOnFreeNetwork)
 {
     // With an empty network and exact status, greedy distributed

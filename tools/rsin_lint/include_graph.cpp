@@ -18,7 +18,7 @@ layerTable()
         {"common", 0},
         {"la", 1},       {"logic", 1}, {"markov", 1}, {"topology", 1},
         {"des", 2},
-        {"queueing", 3}, {"packet", 3}, {"workload", 3}, {"sched", 3},
+        {"queueing", 3}, {"workload", 3}, {"sched", 3},
         {"rsin", 4},
         {"exec", 5},     {"obs", 5},
         {"bench", 6},    {"examples", 6}, {"tools", 6},

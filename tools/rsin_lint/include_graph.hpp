@@ -12,7 +12,7 @@
  *       |
  *     des
  *       |
- *     { queueing, packet, workload, sched }
+ *     { queueing, workload, sched }
  *       |
  *     rsin
  *       |

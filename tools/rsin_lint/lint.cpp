@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cctype>
 #include <chrono>
 #include <filesystem>
@@ -11,7 +10,6 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <tuple>
 
 #include "include_graph.hpp"
@@ -793,45 +791,16 @@ lintFiles(const std::vector<SourceFile> &files,
                 phase, msBetween(since, Clock::now()));
     };
 
-    // --- Per-file stage, fanned out over worker threads: lex each
-    // file once, run the per-file rules on the result and keep its
-    // code tokens for the cross-TU stages below.  Results land in
-    // per-index slots and merge in file order, so findings are
-    // identical for every thread count.
+    // --- Per-file stage: lex each file once, run the per-file rules
+    // on the result and keep its code tokens for the cross-TU stages
+    // below.
     Clock::time_point t0 = Clock::now();
     std::vector<FileArtifacts> artifacts(files.size());
     std::vector<std::vector<FullTok>> toks(files.size());
-    const auto workOne = [&](std::size_t i) {
+    for (std::size_t i = 0; i < files.size(); ++i) {
         Lexed lexed = tokenizeFull(files[i].content);
         artifacts[i] = analyzeFile(files[i].path, lexed);
         toks[i] = std::move(lexed.code);
-    };
-    std::size_t jobs = options.jobs;
-    if (jobs == 0) {
-        jobs = std::thread::hardware_concurrency();
-        if (jobs == 0)
-            jobs = 1;
-    }
-    jobs = std::min(jobs, files.size());
-    if (jobs <= 1) {
-        for (std::size_t i = 0; i < files.size(); ++i)
-            workOne(i);
-    } else {
-        std::atomic<std::size_t> next{0};
-        std::vector<std::thread> pool;
-        pool.reserve(jobs);
-        for (std::size_t w = 0; w < jobs; ++w)
-            pool.emplace_back([&] {
-                while (true) {
-                    const std::size_t i =
-                        next.fetch_add(1, std::memory_order_relaxed);
-                    if (i >= files.size())
-                        return;
-                    workOne(i);
-                }
-            });
-        for (std::thread &worker : pool)
-            worker.join();
     }
     mark("perfile", t0);
 
@@ -998,12 +967,6 @@ collectTree(const std::string &root, std::vector<std::string> *unreadable)
 TreeReport
 lintTree(const std::string &root)
 {
-    return lintTree(root, TreeOptions{});
-}
-
-TreeReport
-lintTree(const std::string &root, const TreeOptions &opts)
-{
     namespace fs = std::filesystem;
     using Clock = std::chrono::steady_clock;
     TreeReport report;
@@ -1025,7 +988,6 @@ lintTree(const std::string &root, const TreeOptions &opts)
     const std::map<std::string, std::string> textDocs =
         loadTextDocs(root, manifest);
     options.textDocs = &textDocs;
-    options.jobs = opts.jobs;
     options.timings = &report.timings;
     report.timings.phases.emplace_back("collect",
                                        msBetween(start, Clock::now()));

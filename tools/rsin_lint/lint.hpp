@@ -53,9 +53,7 @@
  *
  * The engine reads each file once: the per-file stage lexes it
  * (tokenizeFull(), symbols.hpp), runs the per-file rules and parses
- * its suppressions and includes from that one result, on N threads
- * into per-index slots that merge in file order, so findings are
- * deterministic for any thread count.
+ * its suppressions and includes from that one result.
  */
 
 #include <cstddef>
@@ -106,8 +104,6 @@ struct LintOptions
     /** Raw text of script/side files named by text-mode manifest
      *  entries, keyed by repo-relative path (see loadTextDocs()). */
     const std::map<std::string, std::string> *textDocs = nullptr;
-    /** Per-file stage worker threads: 0 = hardware concurrency. */
-    std::size_t jobs = 0;
     LintTimings *timings = nullptr; ///< optional phase timings
 };
 
@@ -142,13 +138,6 @@ struct TreeReport
     LintTimings timings;
 };
 
-/** Knobs for a lintTree() run. */
-struct TreeOptions
-{
-    /** Per-file stage worker threads: 0 = hardware concurrency. */
-    std::size_t jobs = 0;
-};
-
 /**
  * Walk @p root's src/, bench/, examples/, tools/ and tests/ trees and
  * lint every .cpp/.hpp/.h file as one set (lint test fixtures under
@@ -160,9 +149,6 @@ struct TreeOptions
  * FatalError when @p root lacks those directories entirely.
  */
 TreeReport lintTree(const std::string &root);
-
-/** lintTree() with an explicit thread count. */
-TreeReport lintTree(const std::string &root, const TreeOptions &opts);
 
 /**
  * Read the file set a lintTree() run analyzes (sorted, fixtures

@@ -22,9 +22,6 @@
  *   rsin_lint --dump-lockgraph         print the lock-order graph
  *                                      (locks, edges, cycles, worker
  *                                      entry contexts) and exit 0
- *   rsin_lint --jobs N                 per-file stage threads (0 =
- *                                      hardware concurrency; findings
- *                                      are identical for any N)
  *   rsin_lint --timings                print per-phase timings to
  *                                      stderr
  *
@@ -103,7 +100,6 @@ main(int argc, char **argv)
     bool dumpCallGraphMode = false;
     bool dumpLockGraphMode = false;
     bool timingsMode = false;
-    std::size_t jobs = 0;
     std::vector<std::string> files;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -135,25 +131,13 @@ main(int argc, char **argv)
             dumpLockGraphMode = true;
         } else if (arg == "--timings") {
             timingsMode = true;
-        } else if (arg == "--jobs") {
-            if (i + 1 >= argc) {
-                std::cerr << "rsin-lint: --jobs needs a count\n";
-                return 2;
-            }
-            try {
-                jobs = static_cast<std::size_t>(
-                    std::stoul(argv[++i]));
-            } catch (const std::exception &) {
-                std::cerr << "rsin-lint: --jobs wants a number\n";
-                return 2;
-            }
         } else if (arg == "--list-rules") {
             printRules(std::cout);
             return 0;
         } else if (arg == "--help" || arg == "-h") {
             std::cout << "usage: rsin_lint [--root DIR] "
                          "[--format=text|json|sarif] [--schemas FILE] "
-                         "[--jobs N] [--timings] [--dump-symbols] "
+                         "[--timings] [--dump-symbols] "
                          "[--dump-callgraph] [--dump-lockgraph] "
                          "[--list-rules] [file...]\n";
             printRules(std::cout);
@@ -206,10 +190,7 @@ main(int argc, char **argv)
         std::vector<rsin::lint::Finding> findings;
         bool ioError = false;
         if (files.empty()) {
-            rsin::lint::TreeOptions treeOpts;
-            treeOpts.jobs = jobs;
-            rsin::lint::TreeReport report =
-                rsin::lint::lintTree(root, treeOpts);
+            rsin::lint::TreeReport report = rsin::lint::lintTree(root);
             findings = std::move(report.findings);
             if (timingsMode)
                 printTimings(report.timings);
@@ -245,7 +226,6 @@ main(int argc, char **argv)
                 manifest = rsin::lint::parseSchemaManifest(text);
                 options.schemas = &manifest;
             }
-            options.jobs = jobs;
             rsin::lint::LintTimings timings;
             if (timingsMode)
                 options.timings = &timings;

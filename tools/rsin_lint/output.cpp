@@ -51,7 +51,7 @@ ruleCatalog()
                "dominated by a RunStatus check in the same scope chain"},
         {"R6", "quoted includes must follow the module-layer DAG "
                "(common -> {la,logic,markov,topology} -> des -> "
-               "{queueing,packet,workload,sched} -> rsin -> "
+               "{queueing,workload,sched} -> rsin -> "
                "{exec,obs} -> {bench,examples,tools} -> tests)"},
         {"R7", "no cycles in the file-level include graph"},
         {"R8", "no common::Rng received or captured by value outside "

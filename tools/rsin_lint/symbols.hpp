@@ -165,7 +165,7 @@ Program indexProgram(const std::vector<SourceFile> &files);
 
 /**
  * indexProgram() over code token streams the caller already lexed
- * (the parallel engine lexes per file on worker threads and hands the
+ * (the lint engine's per-file stage lexes each file and hands the
  * merged map here).  @p tokens must hold one entry per file.
  */
 Program indexProgram(const std::vector<SourceFile> &files,

@@ -7,7 +7,7 @@
  *
  *   R10  write to mutable namespace-scope or static-local state on a
  *        worker-reachable path without lock evidence in the writing
- *        body -- the static sibling of check_tsan.sh, catching races
+ *        body -- the static sibling of `check.sh tsan`, catching races
  *        TSan only sees when the schedule cooperates.
  *   R11  call to a non-reentrant / environment-mutating function, or a
  *        direct filesystem write not routed through
