@@ -51,8 +51,10 @@ micro(const double *arow, std::size_t lda, const double *btile,
 } // namespace
 
 // Kept out of line: inlined into factorLu's trailing update (which GCC
-// 12 does when gemm has no other caller in this file), the dense
-// 70-phase LD-QBD solve measured about 9% slower (x86-64, -O3).
+// 12 does when gemm has no other caller in this file), LuFactors ran
+// 2-9% slower on generators of 70-495 states, the sizes of the dense
+// stationary solve in ldqbd.cpp's limitChain, and 2-9% slower in
+// BM_SbusMatrixGeometric/32 (x86-64, -O3, best of repeated runs).
 [[gnu::noinline]] void
 gemm(std::size_t m, std::size_t n, std::size_t k, double alpha,
      const double *a, std::size_t lda, const double *b, std::size_t ldb,

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include "common/error.hpp"
-#include "la/kernels.hpp"
 
 namespace rsin {
 namespace la {
@@ -158,30 +158,55 @@ subtractRows(double *xi, const double *x, std::size_t nrhs,
 
 } // namespace
 
-CompressedLu::CompressedLu(Matrix a)
-    : perm_(a.rows())
+CompressedLu::CompressedLu(std::size_t n, const Triplets &entries)
 {
-    RSIN_REQUIRE(a.square(), "LU: matrix must be square");
-    const std::size_t n = a.rows();
-    // The same factorization (and singularity threshold) as LuFactors,
-    // so both hold identical factors.
-    const bool regular =
-        kernels::factorLu(n, a.data(), n, perm_.data(), 1e-300);
-    RSIN_REQUIRE(regular, "LU: matrix is singular");
+    RSIN_REQUIRE(n <= std::numeric_limits<std::uint32_t>::max(),
+                 "LU: block too large for 32-bit columns");
+    const CsrMatrix a = CsrMatrix::fromTriplets(n, n, entries);
     lowerBegin_.reserve(n + 1);
     upperBegin_.reserve(n);
     invPivot_.reserve(n);
+    // Row i is scattered into a dense work row and reduced against the
+    // finished rows k < i in ascending k; fill-in only moves right, so
+    // one scan from the row's first column meets every multiplier
+    // after all its own updates.  The same multiplier (entry times
+    // reciprocal pivot), the same zero skips, the same update order
+    // and the same singularity threshold as kernels::factorLu.
+    std::vector<double> work(n, 0.0);
+    const std::vector<std::size_t> &ptr = a.rowPtr();
     for (std::size_t i = 0; i < n; ++i) {
-        const double *row = a.data() + i * n;
+        std::size_t first = i; // no nonzero before it
+        std::size_t last = i;  // nor beyond it
+        for (std::size_t k = ptr[i]; k < ptr[i + 1]; ++k) {
+            work[a.colIdx()[k]] = a.values()[k];
+            first = std::min(first, a.colIdx()[k]);
+            last = std::max(last, a.colIdx()[k]);
+        }
         lowerBegin_.push_back(values_.size());
-        for (std::size_t j = 0; j < n; ++j) {
-            if (j == i) {
-                upperBegin_.push_back(values_.size());
-                invPivot_.push_back(1.0 / row[i]);
-            } else if (row[j] != 0.0) {
+        for (std::size_t k = first; k < i; ++k) {
+            const double factor = work[k] * invPivot_[k];
+            work[k] = 0.0;
+            if (factor == 0.0)
+                continue;
+            cols_.push_back(static_cast<std::uint32_t>(k));
+            values_.push_back(factor);
+            const std::size_t end = lowerBegin_[k + 1];
+            for (std::size_t u = upperBegin_[k]; u < end; ++u)
+                work[cols_[u]] -= factor * values_[u];
+            if (upperBegin_[k] < end)
+                last = std::max<std::size_t>(last, cols_[end - 1]);
+        }
+        const double pivot = work[i];
+        work[i] = 0.0;
+        RSIN_REQUIRE(std::fabs(pivot) > 1e-300, "LU: matrix is singular");
+        upperBegin_.push_back(values_.size());
+        invPivot_.push_back(1.0 / pivot);
+        for (std::size_t j = i + 1; j <= last; ++j) {
+            if (work[j] != 0.0) {
                 cols_.push_back(static_cast<std::uint32_t>(j));
-                values_.push_back(row[j]);
+                values_.push_back(work[j]);
             }
+            work[j] = 0.0;
         }
     }
     lowerBegin_.push_back(values_.size());
@@ -262,11 +287,10 @@ blockDiagonalPreconditioner(std::vector<const CompressedLu *> blocks,
         for (const Group &g : *groups) {
             const std::size_t size = g.lu->size();
             const std::size_t nrhs = g.starts.size();
-            const std::vector<std::size_t> &perm = g.lu->perm();
             rhs.resize(size * nrhs);
             for (std::size_t i = 0; i < size; ++i)
                 for (std::size_t c = 0; c < nrhs; ++c)
-                    rhs[i * nrhs + c] = x[g.starts[c] + perm[i]];
+                    rhs[i * nrhs + c] = x[g.starts[c] + i];
             g.lu->solveRows(rhs.data(), nrhs);
             for (std::size_t i = 0; i < size; ++i)
                 for (std::size_t c = 0; c < nrhs; ++c)

@@ -16,10 +16,11 @@
  *  - gmres(): restarted GMRES with optional right preconditioning over
  *    an abstract operator, so callers can compose the matrix with any
  *    preconditioner without materializing products;
- *  - a block-diagonal preconditioner over CompressedLu factors (the
- *    dense blocked LU kept as its nonzeros), which the QBD solver uses
- *    as the smoother of its two-level preconditioner: one factor for
- *    level 0 and one shared by every deeper level.
+ *  - a block-diagonal preconditioner over CompressedLu factors (a
+ *    pivot-free LU factored row by row from the block's triplets),
+ *    which the QBD solver uses as the smoother of its two-level
+ *    preconditioner: one factor for level 0 and one shared by every
+ *    deeper level.
  *
  * Everything is double end-to-end (rsin-lint R3) and container choice
  * is deterministic (R2: no unordered containers).
@@ -101,46 +102,45 @@ struct LinearOperator
 LinearOperator asOperator(const CsrMatrix &a);
 
 /**
- * LU factors of a dense square block, kept as their nonzeros only.
+ * LU factors of a sparse square block, kept as their nonzeros only.
  *
- * The block is factored by the same blocked partial-pivoting LU as
- * la::LuFactors and then compressed: each row keeps its strictly
- * lower (unit-L) and strictly upper (U) nonzeros in ascending column
- * order, plus the reciprocal of its pivot.  The triangular sweeps skip
- * exactly the zero multipliers the dense sweeps skip and visit the
- * rest in the same order, so every right-hand side is solved bit for
- * bit as LuFactors::solve solves it.  The level blocks of the
- * crossbar/Omega chains factor only 20-25% dense, so the sweeps do a
- * fifth to a quarter of the dense sweeps' work.
+ * The block's rows are assembled from triplets as CsrMatrix does
+ * (duplicates summed in emission order) and eliminated one row at a
+ * time without pivoting: row i is reduced against the finished rows
+ * above it in ascending order, so every entry receives the same
+ * updates, in the same order, as in the blocked LU of la::LuFactors.
+ * Each row keeps its strictly lower (unit-L) and strictly upper (U)
+ * nonzeros in ascending column order, plus the reciprocal of its
+ * pivot.  On a column diagonally dominant block -- a transposed
+ * generator block -- partial pivoting never swaps rows, so the factors
+ * are LuFactors' and every right-hand side is solved bit for bit as
+ * LuFactors::solve solves it.  The triangular sweeps visit only the
+ * stored nonzeros.
  */
 class CompressedLu
 {
   public:
-    /** Factor @p a (consumed); throws FatalError if singular. */
-    explicit CompressedLu(Matrix a);
+    /** Factor the n x n block summed from @p entries; throws
+     *  FatalError on a zero pivot. */
+    CompressedLu(std::size_t n, const Triplets &entries);
 
-    std::size_t size() const { return perm_.size(); }
+    std::size_t size() const { return invPivot_.size(); }
     /** Stored off-diagonal nonzeros of L and U together. */
     std::size_t nnz() const { return values_.size(); }
 
     /**
      * Solve A X = B in place for @p nrhs right-hand sides: @p x holds
-     * B row-major (size() x nrhs), its rows already permuted (row i
-     * holds B's row perm()[i]), and receives X.  Each column comes out
-     * bit for bit as LuFactors::solve returns it.
+     * B row-major (size() x nrhs) and receives X.  Each column comes
+     * out bit for bit as LuFactors::solve returns it.
      */
     void solveRows(double *x, std::size_t nrhs) const;
 
-    /** Row permutation: row i of the factors is original row perm()[i]. */
-    const std::vector<std::size_t> &perm() const { return perm_; }
-
   private:
-    std::vector<std::size_t> perm_;
     /** Row i's L entries are [lowerBegin_[i], upperBegin_[i]), its U
      *  entries [upperBegin_[i], lowerBegin_[i + 1]). */
     std::vector<std::size_t> lowerBegin_;
     std::vector<std::size_t> upperBegin_;
-    std::vector<std::uint32_t> cols_; ///< n x n fits in memory, so n < 2^32
+    std::vector<std::uint32_t> cols_; ///< size() < 2^32, checked
     std::vector<double> values_;
     std::vector<double> invPivot_; ///< 1 / U(i, i)
 };

@@ -77,18 +77,13 @@ struct DepthEstimate
     la::Vector phaseMarginal;
 };
 
-/** A1 of one level transposed, as compressed LU factors; level 0 has
- *  its first row replaced by the normalization row. */
+/** A1 of one level transposed (in place), as compressed LU factors. */
 la::CompressedLu
-factorTransposed(const la::Triplets &a1, std::size_t n, bool boundary)
+factorTransposed(la::Triplets a1, std::size_t n)
 {
-    la::Matrix block(n, n, 0.0);
-    for (const auto &e : a1)
-        block(e.col, e.row) += e.value;
-    if (boundary)
-        for (std::size_t c = 0; c < n; ++c)
-            block(0, c) = 1.0;
-    return la::CompressedLu(std::move(block));
+    for (auto &e : a1)
+        std::swap(e.row, e.col);
+    return la::CompressedLu(n, a1);
 }
 
 /**
@@ -165,8 +160,9 @@ class LevelCoarse
 /** What the depths of one sparse solve share. */
 struct SparseSolve
 {
-    /** The smoother's two factors: level 0 (normalization row in
-     *  place) and the limiting A1, shared by every level >= 1. */
+    /** The smoother's two factors: level 0's A1 as it is (the
+     *  normalization row stays in the operator) and the limiting A1,
+     *  shared by every level >= 1. */
     la::CompressedLu boundary;
     la::CompressedLu interior;
     la::Vector xi;     ///< prolongation weights (limiting marginal)
@@ -361,8 +357,8 @@ solveStationary(const LdQbdModel &model, const LdQbdOptions &opts)
                               state_cap / std::max<std::size_t>(n, 1)));
     la::Triplets a0, a1, a2;
     model.levelBlocks(0, a0, a1, a2);
-    SparseSolve solve{factorTransposed(a1, n, true),
-                      factorTransposed(limit.a1, n, false),
+    SparseSolve solve{factorTransposed(std::move(a1), n),
+                      factorTransposed(std::move(limit.a1), n),
                       std::move(limit.xi), {}};
     res.factorizations = 2;
 

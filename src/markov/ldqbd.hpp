@@ -13,21 +13,22 @@
  * its preconditioner.
  *
  * Every chain is truncated at a depth q (reflecting at the top level),
- * assembled as one sparse transposed generator, and its stationary
+ * assembled as one sparse transposed generator whose first balance
+ * equation is replaced by the normalization row, and its stationary
  * vector solved by restarted GMRES (la/sparse.hpp), preconditioned by
  * a symmetric two-level cycle: block-Jacobi smoothing over just two
- * compressed LU factors (level 0 with its normalization row, and the
- * limiting A1 block shared by every deeper level, swept as one
- * multi-right-hand-side solve), a Galerkin coarse correction over the
- * level aggregates (restriction sums each level, prolongation spreads
- * a level's mass by the limiting phase marginal; the (depth+1)-square
- * coarse system is tridiagonal below its normalization row and is
- * factored once per depth), then a second smoothing.  The coarse step
- * moves mass between levels, which block Jacobi alone cannot, so the
- * iteration count stays low as the load nears capacity.  The network
- * chains enumerate their level-independent transitions once and
- * re-weight them per level, so the blocks are cheap to rebuild at
- * every depth.
+ * sparse LU factors (level 0's A1 as it is -- the normalization row
+ * stays in the operator -- and the limiting A1 block shared by every
+ * deeper level, swept as one multi-right-hand-side solve), a Galerkin
+ * coarse correction over the level aggregates (restriction sums each
+ * level, prolongation spreads a level's mass by the limiting phase
+ * marginal; the (depth+1)-square coarse system is tridiagonal below
+ * its normalization row and is factored once per depth), then a
+ * second smoothing.  The coarse step moves mass between levels, which
+ * block Jacobi alone cannot, so the iteration count stays low as the
+ * load nears capacity.  The network chains enumerate their
+ * level-independent transitions once and re-weight them per level, so
+ * the blocks are cheap to rebuild at every depth.
  *
  * A depth-doubling loop grows q until the delay estimate stops moving
  * and returns a *certified truncation bound*: a safety-factored

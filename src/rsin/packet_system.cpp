@@ -50,17 +50,20 @@ PacketOmegaSystem::dispatchNetwork()
     for (std::size_t proc = nextReady(0, last); proc < last;
          proc = nextReady(proc + 1, last)) {
         // Centralized address mapping: a uniformly random output port
-        // with a free resource.
-        std::vector<std::size_t> frees;
+        // with a free resource, drawn by its rank among those ports.
+        std::size_t frees = 0;
         for (std::size_t port = 0; port < pool_->ports(); ++port)
             if (pool_->hasFree(port))
-                frees.push_back(port);
-        if (frees.empty()) {
+                ++frees;
+        if (frees == 0) {
             noteRejection();
             continue;
         }
-        const std::size_t dst = frees[rng().uniformInt(
-            static_cast<std::uint64_t>(frees.size()))];
+        std::size_t rank = static_cast<std::size_t>(
+            rng().uniformInt(static_cast<std::uint64_t>(frees)));
+        std::size_t dst = 0;
+        while (!pool_->hasFree(dst) || rank-- > 0)
+            ++dst;
         admit(proc, dst);
     }
 }

@@ -217,6 +217,68 @@ TEST(NetChainTest, LevelBlocksKeepTheirBits)
 }
 
 /**
+ * The smoother factors its blocks without pivoting, which reproduces
+ * la::LuFactors only while partial pivoting would keep every row in
+ * place, as it does on a column diagonally dominant block.  The
+ * transposed level-0 and limiting A1 blocks of the paper shapes must
+ * solve bit for bit as LuFactors solves them, so a model change that
+ * would need pivoting shows here instead of quietly changing the
+ * factors.
+ */
+TEST(NetChainTest, SmootherBlocksFactorLikeDenseLu)
+{
+    for (const char *config :
+         {"16/4x4x4 XBAR/2", "16/4x4x4 OMEGA/2", "16/2x8x8 XBAR/2",
+          "16/2x8x8 OMEGA/2", "16/1x16x32 XBAR/1"})
+        for (const double ratio : {0.1, 10.0}) {
+            const auto model = paperChain(config, ratio, 0.7);
+            const std::size_t n = model->phases();
+            la::Triplets a0, a1, a2, l0, l1, l2;
+            model->levelBlocks(0, a0, a1, a2);
+            model->limitBlocks(l0, l1, l2);
+            for (la::Triplets *block : {&a1, &l1}) {
+                la::Matrix dense(n, n, 0.0);
+                for (auto &e : *block) {
+                    std::swap(e.row, e.col);
+                    dense(e.row, e.col) += e.value;
+                }
+                const la::CompressedLu sparse(n, *block);
+                const la::LuFactors oracle(std::move(dense));
+                // Three right-hand sides: one alone, then all three as
+                // one row-major sweep.
+                std::vector<la::Vector> rhs(3, la::Vector(n));
+                for (std::size_t c = 0; c < 3; ++c)
+                    for (std::size_t i = 0; i < n; ++i)
+                        rhs[c][i] = std::sin(static_cast<double>(
+                            (c + 1) * (i + 1)));
+                la::Vector one = rhs[0], three(3 * n);
+                for (std::size_t i = 0; i < n; ++i)
+                    for (std::size_t c = 0; c < 3; ++c)
+                        three[i * 3 + c] = rhs[c][i];
+                sparse.solveRows(one.data(), 1);
+                sparse.solveRows(three.data(), 3);
+                for (std::size_t c = 0; c < 3; ++c) {
+                    const la::Vector want = oracle.solve(rhs[c]);
+                    for (std::size_t i = 0; i < n; ++i) {
+                        const double got =
+                            c == 0 ? one[i] : three[i * 3 + c];
+                        ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+                                  std::bit_cast<std::uint64_t>(want[i]))
+                            << config << " ratio " << ratio
+                            << (block == &a1 ? " level 0" : " limit")
+                            << " rhs " << c << " phase " << i;
+                        if (c == 0) {
+                            ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                                          three[i * 3]),
+                                      std::bit_cast<std::uint64_t>(got));
+                        }
+                    }
+                }
+            }
+        }
+}
+
+/**
  * A crossbar with a single bus is exactly the single-shared-bus chain,
  * so solveXbarChain must reproduce the matrix-geometric SBUS solver.
  */
@@ -551,15 +613,15 @@ TEST(SolveStationaryTest, GoldenBitsOfThePaperCells)
         std::size_t levelsUsed;
     };
     const Golden cells[] = {
-        {"16/2x8x8 XBAR/2", 0.3, 0x3f95680ef754fa77, 0x3e8bbfbff7c62c60,
+        {"16/2x8x8 XBAR/2", 0.3, 0x3f95680ef75db412, 0x3e8bc2dabe35caf0,
          16},
-        {"16/2x8x8 XBAR/2", 0.5, 0x3fb028918b267540, 0x3ed3953008b46dba,
+        {"16/2x8x8 XBAR/2", 0.5, 0x3fb028918b2471ce, 0x3ed394c345a93f04,
          32},
-        {"16/2x8x8 OMEGA/2", 0.3, 0x3f95727f030e9d2b, 0x3e8e98de84f20945,
+        {"16/2x8x8 OMEGA/2", 0.3, 0x3f95727f030d4997, 0x3e8e7c9926cf97f2,
          16},
-        {"16/2x8x8 OMEGA/2", 0.5, 0x3fb0a26e6a529c77, 0x3ed53ba18f05015e,
+        {"16/2x8x8 OMEGA/2", 0.5, 0x3fb0a26e6a4c3b78, 0x3ed53a66d7342347,
          32},
-        {"16/4x4x4 XBAR/2", 0.5, 0x3fafbc06462b7191, 0x3f04f7267edd993b,
+        {"16/4x4x4 XBAR/2", 0.5, 0x3fafbc0646135639, 0x3f04f702f6b30773,
          32},
     };
     for (const Golden &cell : cells) {
@@ -588,7 +650,7 @@ TEST(SolveStationaryTest, WorkCountersAreDeterministic)
     ASSERT_EQ(res.levelsUsed, 32u);
     EXPECT_EQ(res.factorizations, 2u);
     EXPECT_EQ(res.depthSolves, 3u);
-    EXPECT_EQ(res.gmresIterations, 37u);
+    EXPECT_EQ(res.gmresIterations, 35u);
     const LdQbdResult again = solveStationary(*model);
     EXPECT_EQ(again.factorizations, res.factorizations);
     EXPECT_EQ(again.gmresIterations, res.gmresIterations);

@@ -132,26 +132,48 @@ randomSystem(Rng &rng, std::size_t n, Matrix &dense_out)
 }
 
 /**
- * Random nonsingular block with ~@p density off-diagonal fill: the
- * other entries are exact zeros, which the factorization keeps as
- * zero multipliers wherever no fill-in reaches them.
+ * Random column diagonally dominant block with ~@p density off-diagonal
+ * fill, as the triplets CompressedLu takes and the dense matrix
+ * LuFactors takes: the other entries are exact zeros, which the
+ * factorization keeps as zero multipliers wherever no fill-in reaches
+ * them.  Each diagonal entry arrives as two triplets, summed in
+ * emission order by both.  Dominance keeps partial pivoting from
+ * swapping rows, as in the transposed generator blocks CompressedLu
+ * is built for.
  */
-Matrix
-randomBlock(Rng &rng, std::size_t n, double density)
+Triplets
+randomBlock(Rng &rng, std::size_t n, double density, Matrix &dense_out)
 {
-    Matrix out(n, n, 0.0);
-    for (std::size_t r = 0; r < n; ++r) {
-        double offsum = 0.0;
+    Triplets entries;
+    std::vector<double> colsum(n, 0.0);
+    for (std::size_t r = 0; r < n; ++r)
         for (std::size_t c = 0; c < n; ++c)
             if (c != r && rng.uniform01() < density) {
-                out(r, c) = rng.uniform(-1.0, 1.0);
-                offsum += std::fabs(out(r, c));
+                entries.push_back({r, c, rng.uniform(-1.0, 1.0)});
+                colsum[c] += std::fabs(entries.back().value);
             }
-        // Weak dominance keeps it nonsingular while still pivoting.
-        out(r, r) = (rng.uniform01() < 0.5 ? -1.0 : 1.0) *
-                    (0.3 * offsum + 0.5 + rng.uniform01());
+    for (std::size_t c = 0; c < n; ++c) {
+        const double diag = (rng.uniform01() < 0.5 ? -1.0 : 1.0) *
+                            (colsum[c] + 0.5 + rng.uniform01());
+        entries.push_back({c, c, 0.5 * diag});
+        entries.push_back({c, c, diag - 0.5 * diag});
     }
-    return out;
+    dense_out = Matrix(n, n, 0.0);
+    for (const Triplet &e : entries)
+        dense_out(e.row, e.col) += e.value;
+    return entries;
+}
+
+/** The nonzero entries of @p m, row by row. */
+Triplets
+tripletsOf(const Matrix &m)
+{
+    Triplets entries;
+    for (std::size_t r = 0; r < m.rows(); ++r)
+        for (std::size_t c = 0; c < m.cols(); ++c)
+            if (m(r, c) != 0.0)
+                entries.push_back({r, c, m(r, c)});
+    return entries;
 }
 
 Vector
@@ -185,10 +207,12 @@ TEST(CompressedLuTest, SolvesBitIdenticalToDenseLu)
     };
     for (const Shape shape : {Shape{1, 0.0}, Shape{9, 0.1},
                               Shape{40, 0.05}, Shape{40, 0.2},
-                              Shape{97, 0.08}, Shape{33, 1.0}}) {
-        const Matrix a = randomBlock(rng, shape.n, shape.density);
+                              Shape{97, 0.08}, Shape{150, 0.03},
+                              Shape{33, 1.0}}) {
+        Matrix a;
+        const Triplets entries = randomBlock(rng, shape.n, shape.density, a);
         const LuFactors dense(a);
-        const CompressedLu compressed(a);
+        const CompressedLu compressed(shape.n, entries);
         ASSERT_EQ(compressed.size(), shape.n);
         if (shape.density < 1.0 && shape.n > 1) {
             EXPECT_LT(compressed.nnz(), shape.n * (shape.n - 1))
@@ -198,11 +222,11 @@ TEST(CompressedLuTest, SolvesBitIdenticalToDenseLu)
             std::vector<Vector> columns;
             for (std::size_t c = 0; c < nrhs; ++c)
                 columns.push_back(randomVector(rng, shape.n));
-            // Row-major, rows permuted as solveRows expects.
+            // Row-major, as solveRows expects.
             Vector x(shape.n * nrhs);
             for (std::size_t i = 0; i < shape.n; ++i)
                 for (std::size_t c = 0; c < nrhs; ++c)
-                    x[i * nrhs + c] = columns[c][compressed.perm()[i]];
+                    x[i * nrhs + c] = columns[c][i];
             compressed.solveRows(x.data(), nrhs);
             for (std::size_t c = 0; c < nrhs; ++c) {
                 const std::string label =
@@ -220,7 +244,7 @@ TEST(CompressedLuTest, SolvesBitIdenticalToDenseLu)
 TEST(CompressedLuTest, SingularBlockThrows)
 {
     const Matrix a{{1.0, 2.0}, {2.0, 4.0}};
-    EXPECT_THROW(CompressedLu{a}, FatalError);
+    EXPECT_THROW(CompressedLu(2, tripletsOf(a)), FatalError);
 }
 
 TEST(BlockPreconditionerTest, MatchesPerBlockLuBitForBit)
@@ -228,10 +252,10 @@ TEST(BlockPreconditionerTest, MatchesPerBlockLuBitForBit)
     // Three factorizations of two sizes laid out A B C C B A, plus
     // three uncovered rows at the end that must pass through.
     Rng rng(808);
-    const Matrix ma = randomBlock(rng, 5, 0.3);
-    const Matrix mb = randomBlock(rng, 8, 0.2);
-    const Matrix mc = randomBlock(rng, 8, 1.0);
-    const CompressedLu ca(ma), cb(mb), cc(mc);
+    Matrix ma, mb, mc;
+    const CompressedLu ca(5, randomBlock(rng, 5, 0.3, ma));
+    const CompressedLu cb(8, randomBlock(rng, 8, 0.2, mb));
+    const CompressedLu cc(8, randomBlock(rng, 8, 1.0, mc));
     const LuFactors la(ma), lb(mb), lc(mc);
     const std::vector<const CompressedLu *> blocks = {&ca, &cb, &cc,
                                                       &cc, &cb, &ca};
@@ -272,7 +296,7 @@ TEST(BlockPreconditionerTest, MatchesPerBlockLuBitForBit)
 
 TEST(BlockPreconditionerTest, RejectsBlocksPastTheEnd)
 {
-    const CompressedLu c(Matrix::identity(4));
+    const CompressedLu c(4, tripletsOf(Matrix::identity(4)));
     EXPECT_THROW(blockDiagonalPreconditioner({&c, &c}, {0, 3}, 6),
                  FatalError);
     EXPECT_THROW(blockDiagonalPreconditioner({&c}, {0, 4}, 8),
@@ -317,7 +341,8 @@ TEST(GmresTest, RightPreconditionersPreserveTheSolution)
             block0(r, c) = dense(r, c);
             block1(r, c) = dense(16 + r, 16 + c);
         }
-    const CompressedLu factor0(block0), factor1(block1);
+    const CompressedLu factor0(16, tripletsOf(block0));
+    const CompressedLu factor1(16, tripletsOf(block1));
     const LinearOperator block = blockDiagonalPreconditioner(
         {&factor0, &factor1, &factor1}, {0, 16, 32}, n);
     Vector x_block(n, 0.0);
